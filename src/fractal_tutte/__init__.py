@@ -10,14 +10,7 @@ orientations) and all-terminal reliability in exact, float, and
 log-domain arithmetic, all validated against brute-force oracles.
 """
 
-from .bipoly import (
-    BiPoly,
-    poly_add,
-    poly_degrees,
-    poly_div_exact_xminus1,
-    poly_eval_exact,
-    poly_mul,
-)
+from .bipoly import BiPoly
 from .errors import (
     DomainError,
     FractalTutteError,
@@ -58,14 +51,9 @@ from .oracle import (
     tutte_subgraph_sum,
 )
 from .recursion import (
-    PartitionTriple,
     PswTutteState,
-    assemble_partition,
     assemble_tutte,
-    initial_partition,
     initial_state,
-    state_to_partition,
-    step_partition,
     step_state,
     tutte_psw,
     tutte_psw_json,

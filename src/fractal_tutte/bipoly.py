@@ -260,28 +260,6 @@ class BiPoly:
         return cls({(t["dx"], t["dy"]): int(t["coeff"]) for t in data["terms"]})
 
 
-# -- functional aliases ----------------------------------------------------
-
-def poly_add(a: BiPoly, b: BiPoly) -> BiPoly:
-    return a + b
-
-
-def poly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    return a * b
-
-
-def poly_div_exact_xminus1(a: BiPoly, k: int) -> BiPoly:
-    return a.div_exact_xminus1(k)
-
-
-def poly_eval_exact(a: BiPoly, x0: Fraction | int, y0: Fraction | int) -> Fraction:
-    return a.eval_exact(x0, y0)
-
-
-def poly_degrees(a: BiPoly) -> tuple[int, int]:
-    return a.degrees()
-
-
 # -- internals -------------------------------------------------------------
 
 def _powers(base: Fraction, upto: int) -> list[Fraction]:

@@ -69,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     eva.add_argument("--x", type=_rational, required=True,
                      help="rational: 2, 1/3, or 0.25")
     eva.add_argument("--y", type=_rational, required=True)
-    eva.add_argument("--mode", choices=("exact", "float", "log"),
-                     default="exact")
     eva.set_defaults(func=_run_eval)
 
     inv = sub.add_parser("invariants", help="counting invariants of psw")
@@ -181,15 +179,11 @@ def _run_tutte(args) -> int:
 
 
 def _run_eval(args) -> int:
-    if args.mode != "exact":
-        raise UsageError(
-            "eval computes exact values only; --mode float/log applies to "
-            "the reliability subcommand")
     value = invariants.eval_tutte_at_point(args.n, args.x, args.y)
-    if value.denominator == 1:
-        print(value.numerator)
-    else:
-        print(f"{value.numerator}/{value.denominator}")
+    text = invariants.decimal_str(value.numerator)
+    if value.denominator != 1:
+        text += "/" + invariants.decimal_str(value.denominator)
+    print(text)
     return 0
 
 
@@ -265,6 +259,8 @@ def _check_recursion(family, n, g) -> dict:
                       "no Tutte recursion is implemented for sg")
     if n > recursion.MAX_SYMBOLIC_GENERATION:
         return _entry(name, "skip", f"n={n} beyond symbolic limit")
+    if g.num_edges > oracle.MAX_SUBSET_EDGES:
+        return _subset_limit_skip(name, g)
     expected = recursion.tutte_psw(n)
     actual = oracle.tutte_subgraph_sum(g)
     if actual == expected:
@@ -276,6 +272,8 @@ def _check_recursion(family, n, g) -> dict:
 
 def _check_partition(family, n, g) -> dict:
     name = "partition"
+    if g.num_edges > oracle.MAX_SUBSET_EDGES:
+        return _subset_limit_skip(name, g)
     parts = oracle.partition_subgraph_sum(g)
     total = oracle.tutte_subgraph_sum(g)
     recombined = parts[0]
@@ -286,6 +284,12 @@ def _check_partition(family, n, g) -> dict:
                       "class sums recombine and the three two-hub classes "
                       "are equal")
     return _entry(name, "fail", "partition sums inconsistent")
+
+
+def _subset_limit_skip(name: str, g) -> dict:
+    return _entry(name, "skip",
+                  f"{g.num_edges} edges exceed the enumeration limit "
+                  f"{oracle.MAX_SUBSET_EDGES}")
 
 
 def _check_deletion_contraction(family, n, g) -> dict:
@@ -301,15 +305,19 @@ def _check_deletion_contraction(family, n, g) -> dict:
 
 def _check_matrix_tree(family, n, g) -> dict:
     name = "matrix-tree"
+    if g.num_vertices > oracle.MAX_MATRIX_TREE_VERTICES:
+        return _entry(name, "skip",
+                      f"{g.num_vertices} vertices exceed the matrix-tree "
+                      f"limit {oracle.MAX_MATRIX_TREE_VERTICES}")
+    if g.num_edges > oracle.MAX_SUBSET_EDGES:
+        return _subset_limit_skip(name, g)
     trees = oracle.matrix_tree_count(g)
-    if g.num_edges <= oracle.MAX_SUBSET_EDGES:
-        reference = oracle.tutte_subgraph_sum(g).eval_exact(1, 1)
-        if trees == reference:
-            return _entry(name, "pass",
-                          f"Laplacian cofactor = T(1,1) = {trees}")
-        return _entry(name, "fail",
-                      f"cofactor {trees} != T(1,1) = {reference}")
-    return _entry(name, "skip", "graph too large for the subgraph sum")
+    reference = oracle.tutte_subgraph_sum(g).eval_exact(1, 1)
+    if trees == reference:
+        return _entry(name, "pass",
+                      f"Laplacian cofactor = T(1,1) = {trees}")
+    return _entry(name, "fail",
+                  f"cofactor {trees} != T(1,1) = {reference}")
 
 
 def _check_reliability(family, n, g) -> dict:

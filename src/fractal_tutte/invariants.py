@@ -1,9 +1,11 @@
 """Numeric invariants of the pseudofractal web via scalar recursion.
 
 The symbolic recursion (module ``recursion``) is exponential in output
-size.  Evaluating at a fixed rational point first turns each step into a
-handful of big-number multiplications, so counts like T_n(1,1) are
-reachable far beyond the symbolic limit.  This module provides
+size.  Evaluating at a fixed rational point first runs the same
+product-form step, ``recursion.psw_step``, on numbers instead of
+polynomials: five big-number multiplications per generation, so counts
+like T_n(1,1) are reachable far beyond the symbolic limit.  This module
+provides
 
 * ``eval_state_at_point``: the (t1, p, q) recursion on exact rationals;
 * ``invariant_report``: the classical Tutte evaluations
@@ -19,6 +21,7 @@ reachable far beyond the symbolic limit.  This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -27,7 +30,7 @@ from .errors import (
     NonIntegralExponent,
     SizeLimitExceeded,
 )
-from .recursion import STATE_STEP_TERMS
+from .recursion import psw_assemble, psw_step
 
 MAX_EVAL_GENERATION = 14
 MAX_TREE_COUNT_GENERATION = 20
@@ -38,7 +41,7 @@ def eval_state_at_point(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (t1, p, q) values at generation n and rational point (x0, y0).
 
-    Runs n scalar steps of the same term tables the symbolic engine uses.
+    Runs n steps of ``psw_step``, the step the symbolic engine uses.
     Values stay in plain integer arithmetic when the point is integral.
     """
     if n < 0:
@@ -52,53 +55,18 @@ def eval_state_at_point(
     if x0.denominator == 1 and y0.denominator == 1:
         # Integer point: run on ints, which is the common case for the
         # classical invariants and noticeably faster at large n.
-        xm1, ym1 = x0.numerator - 1, y0.numerator - 1
-        t1, p, q = y0.numerator + 2, 1, 1
-    else:
-        xm1, ym1 = x0 - 1, y0 - 1
-        t1, p, q = y0 + 2, Fraction(1), Fraction(1)
+        x0, y0 = x0.numerator, y0.numerator
+    X, Y = x0 - 1, y0 - 1
+    t1, p, q = y0 + 2, 1, 1
     for _ in range(n):
-        t1, p, q = _scalar_step(t1, p, q, xm1, ym1)
+        t1, p, q = psw_step(t1, p, q, X, Y)
     return Fraction(t1), Fraction(p), Fraction(q)
-
-
-def _scalar_step(t1, p, q, xm1, ym1):
-    """One recursion step on scalars (int or Fraction, polymorphic)."""
-    tp = {1: t1, 2: t1 * t1}
-    tp[3] = tp[2] * t1
-    pp = {1: p, 2: p * p}
-    pp[3] = pp[2] * p
-    qp = {1: q, 2: q * q}
-    qp[3] = qp[2] * q
-    xp = {1: xm1, 2: xm1 * xm1}
-    xp[3] = xp[2] * xm1
-    out = []
-    for name in ("t1", "p", "q"):
-        total = 0
-        for coeff, a, b, c, d, e in STATE_STEP_TERMS[name]:
-            if (d and not xm1) or (e and not ym1):
-                continue
-            term = coeff
-            if a:
-                term = term * tp[a]
-            if b:
-                term = term * pp[b]
-            if c:
-                term = term * qp[c]
-            if d:
-                term = term * xp[d]
-            if e:
-                term = term * ym1
-            total = total + term
-        out.append(total)
-    return tuple(out)
 
 
 def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
     """T_n(x0, y0) = t1 + 3 (x0-1) p + (x0-1)^2 q, exactly."""
     t1, p, q = eval_state_at_point(n, x0, y0)
-    xm1 = Fraction(x0) - 1
-    return t1 + 3 * xm1 * p + xm1 * xm1 * q
+    return psw_assemble(t1, p, q, Fraction(x0) - 1)
 
 
 @dataclass(frozen=True)
@@ -115,12 +83,23 @@ class InvariantReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "spanning_trees": str(self.spanning_trees),
-            "connected_spanning_subgraphs": str(self.connected_spanning_subgraphs),
-            "spanning_forests": str(self.spanning_forests),
-            "acyclic_orientations": str(self.acyclic_orientations),
-            "all_subgraphs": str(self.all_subgraphs),
+            "spanning_trees": decimal_str(self.spanning_trees),
+            "connected_spanning_subgraphs":
+                decimal_str(self.connected_spanning_subgraphs),
+            "spanning_forests": decimal_str(self.spanning_forests),
+            "acyclic_orientations": decimal_str(self.acyclic_orientations),
+            "all_subgraphs": decimal_str(self.all_subgraphs),
         }
+
+
+def decimal_str(value: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    ``str(int)`` refuses values over 4300 digits by default (Python >=
+    3.10.7); the conversion through ``Decimal`` is exact and has no such
+    limit, so the interpreter-wide setting stays untouched.
+    """
+    return format(Decimal(value), "f")
 
 
 def invariant_report(n: int) -> InvariantReport:

@@ -1,28 +1,23 @@
-"""Self-similarity recursions for the Tutte polynomial of the pseudofractal web.
+"""Self-similarity recursion for the Tutte polynomial of the pseudofractal web.
 
 The graph G(n+1) is three copies of G(n) merged at hubs, so the
 rank-nullity sum over its spanning subgraphs factors through how each
 copy's subgraph distributes the hubs over components.  Tracking the triple
 
     t1 = sum over subgraphs with all three hubs in one component,
-    p, q = reduced forms of the two-hub-split and three-way-split sums,
+    p, q = the two-hub-split and three-way-split sums divided by
+           (x-1) and (x-1)^2,
 
-one graph generation becomes one polynomial step.  The full polynomial is
-recovered as
+one graph generation becomes one step.  With X = x-1 and Y = y-1 the
+step is a product form,
 
-    T_n = t1 + 3(x-1) p + (x-1)^2 q.
+    u = t1 + X p,   w = 2 p + X q,
+    t1' = u^2 (Y u + 3 w),   p' = u w^2,   q' = w^3,
 
-Two equivalent formulations are implemented:
-
-* the state path: step (t1, p, q) directly, all right-hand sides
-  polynomial (no division ever needed);
-* the partition path: step the raw class sums (T1, T2, T3) where
-  T2 = (x-1) p and T3 = (x-1)^2 q; here each step divides by (x-1),
-  which is exact by construction (a nonzero remainder would mean the
-  recursion is wrong, and raises NonDivisible).
-
-The two paths commute with the substitution and are cross-checked in the
-test suite.  Term tables are shared with the scalar evaluators.
+and the full polynomial is T_n = t1 + 3 X p + X^2 q.  ``psw_step`` and
+``psw_assemble`` write these once with plain + and *, so the same code
+runs on ``BiPoly`` (the symbolic path here) and on int or Fraction values
+of X and Y (the point evaluators in ``invariants``).
 """
 
 from __future__ import annotations
@@ -37,70 +32,6 @@ from .errors import DomainError, SizeLimitExceeded
 #: evaluators are the intended tool.
 MAX_SYMBOLIC_GENERATION = 6
 
-# One step of the state path.  Entries are (coefficient, exponents of
-# (t1, p, q), power of (x-1), power of (y-1)); each output component is the
-# sum of coeff * t1^a * p^b * q^c * (x-1)^d * (y-1)^e over its table.
-STATE_STEP_TERMS: dict[str, tuple[tuple[int, int, int, int, int, int], ...]] = {
-    "t1": (
-        (1, 3, 0, 0, 0, 1),
-        (3, 2, 1, 0, 1, 1),
-        (3, 1, 2, 0, 2, 1),
-        (1, 0, 3, 0, 3, 1),
-        (3, 2, 0, 1, 1, 0),
-        (6, 2, 1, 0, 0, 0),
-        (12, 1, 2, 0, 1, 0),
-        (6, 0, 3, 0, 2, 0),
-        (3, 0, 2, 1, 3, 0),
-        (6, 1, 1, 1, 2, 0),
-    ),
-    "p": (
-        (4, 1, 2, 0, 0, 0),
-        (4, 1, 1, 1, 1, 0),
-        (4, 0, 3, 0, 1, 0),
-        (4, 0, 2, 1, 2, 0),
-        (1, 1, 0, 2, 2, 0),
-        (1, 0, 1, 2, 3, 0),
-    ),
-    "q": (
-        (8, 0, 3, 0, 0, 0),
-        (12, 0, 2, 1, 1, 0),
-        (6, 0, 1, 2, 2, 0),
-        (1, 0, 0, 3, 3, 0),
-    ),
-}
-
-# One step of the partition path.  Entries are (coefficient, exponents of
-# (T1, T2, T3)).  The "direct" part of T1 is multiplied by (y-1); every
-# "divided" table is summed and then divided exactly by (x-1).
-PARTITION_T1_DIRECT: tuple = (
-    (1, 3, 0, 0),
-    (3, 2, 1, 0),
-    (3, 1, 2, 0),
-    (1, 0, 3, 0),
-)
-PARTITION_T1_DIVIDED: tuple = (
-    (3, 2, 0, 1),
-    (6, 2, 1, 0),
-    (12, 1, 2, 0),
-    (6, 0, 3, 0),
-    (3, 0, 2, 1),
-    (6, 1, 1, 1),
-)
-PARTITION_T2_DIVIDED: tuple = (
-    (4, 1, 2, 0),
-    (4, 1, 1, 1),
-    (4, 0, 3, 0),
-    (4, 0, 2, 1),
-    (1, 1, 0, 2),
-    (1, 0, 1, 2),
-)
-PARTITION_T3_DIVIDED: tuple = (
-    (8, 0, 3, 0),
-    (12, 0, 2, 1),
-    (6, 0, 1, 2),
-    (1, 0, 0, 3),
-)
-
 
 @dataclass(frozen=True)
 class PswTutteState:
@@ -110,16 +41,6 @@ class PswTutteState:
     t1: BiPoly
     p: BiPoly
     q: BiPoly
-
-
-@dataclass(frozen=True)
-class PartitionTriple:
-    """Raw hub-partition class sums (T1, T2, T3); T2 stands for any of the
-    three symmetric two-hub classes, which are equal."""
-
-    t1: BiPoly
-    t2: BiPoly
-    t3: BiPoly
 
 
 def initial_state() -> PswTutteState:
@@ -132,102 +53,33 @@ def initial_state() -> PswTutteState:
     )
 
 
-class _MonomialCache:
-    """Caches t1^a * p^b * q^c products shared between table rows."""
+def psw_step(t1, p, q, X, Y):
+    """One generation of (t1, p, q) at X = x-1, Y = y-1, over any ring.
 
-    def __init__(self, t1: BiPoly, p: BiPoly, q: BiPoly):
-        self._pows = [
-            {0: BiPoly.one(), 1: base} for base in (t1, p, q)
-        ]
-        self._cores: dict[tuple[int, int, int], BiPoly] = {}
+    Multiplied out this is a 20-monomial polynomial map; the product form
+    needs five full-size multiplications (u^2, u^2 (Y u + 3 w), w^2,
+    u w^2 and w^3).  The arguments may be BiPoly, int or Fraction.
+    """
+    u = t1 + X * p
+    w = 2 * p + X * q
+    ww = w * w
+    return u * u * (Y * u + 3 * w), u * ww, ww * w
 
-    def _power(self, which: int, e: int) -> BiPoly:
-        cache = self._pows[which]
-        top = max(cache)
-        while top < e:
-            cache[top + 1] = cache[top] * cache[1]
-            top += 1
-        return cache[e]
 
-    def core(self, a: int, b: int, c: int) -> BiPoly:
-        key = (a, b, c)
-        if key not in self._cores:
-            parts = [
-                self._power(i, e) for i, e in enumerate(key) if e > 0
-            ]
-            out = BiPoly.one()
-            for part in parts:
-                out = out * part
-            self._cores[key] = out
-        return self._cores[key]
+def psw_assemble(t1, p, q, X):
+    """T = t1 + 3 X p + X^2 q, over the same rings as ``psw_step``."""
+    return t1 + X * (3 * p + X * q)
 
 
 def step_state(s: PswTutteState) -> PswTutteState:
     """Advance (t1, p, q) by one generation."""
-    cache = _MonomialCache(s.t1, s.p, s.q)
-    xm1 = BiPoly.x_minus_1()
-    ym1 = BiPoly.y_minus_1()
-    xpow = {0: BiPoly.one(), 1: xm1, 2: xm1 * xm1, 3: xm1 * xm1 * xm1}
-    ypow = {0: BiPoly.one(), 1: ym1}
-
-    def run(table) -> BiPoly:
-        total = BiPoly.zero()
-        for coeff, a, b, c, d, e in table:
-            term = cache.core(a, b, c) * (xpow[d] * ypow[e] * coeff)
-            total = total + term
-        return total
-
-    return PswTutteState(
-        level=s.level + 1,
-        t1=run(STATE_STEP_TERMS["t1"]),
-        p=run(STATE_STEP_TERMS["p"]),
-        q=run(STATE_STEP_TERMS["q"]),
-    )
+    t1, p, q = psw_step(s.t1, s.p, s.q, BiPoly.x_minus_1(), BiPoly.y_minus_1())
+    return PswTutteState(level=s.level + 1, t1=t1, p=p, q=q)
 
 
 def assemble_tutte(s: PswTutteState) -> BiPoly:
     """T_n = t1 + 3 (x-1) p + (x-1)^2 q."""
-    xm1 = BiPoly.x_minus_1()
-    return s.t1 + xm1 * s.p * 3 + xm1 * xm1 * s.q
-
-
-def state_to_partition(s: PswTutteState) -> PartitionTriple:
-    """(t1, (x-1) p, (x-1)^2 q): the raw class sums."""
-    xm1 = BiPoly.x_minus_1()
-    return PartitionTriple(s.t1, xm1 * s.p, xm1 * xm1 * s.q)
-
-
-def initial_partition() -> PartitionTriple:
-    """Level 0 class sums of the triangle: (y+2, x-1, (x-1)^2)."""
-    return state_to_partition(initial_state())
-
-
-def step_partition(t: PartitionTriple) -> PartitionTriple:
-    """Advance the raw class sums by one generation.
-
-    All three right-hand sides contain a division by (x-1); divisibility
-    holds identically, so NonDivisible out of here means the tables (or
-    the input) are corrupted.
-    """
-    cache = _MonomialCache(t.t1, t.t2, t.t3)
-    ym1 = BiPoly.y_minus_1()
-
-    def run(table) -> BiPoly:
-        total = BiPoly.zero()
-        for coeff, a, b, c in table:
-            total = total + cache.core(a, b, c) * coeff
-        return total
-
-    direct = ym1 * run(PARTITION_T1_DIRECT)
-    t1 = direct + run(PARTITION_T1_DIVIDED).div_exact_xminus1(1)
-    t2 = run(PARTITION_T2_DIVIDED).div_exact_xminus1(1)
-    t3 = run(PARTITION_T3_DIVIDED).div_exact_xminus1(1)
-    return PartitionTriple(t1, t2, t3)
-
-
-def assemble_partition(t: PartitionTriple) -> BiPoly:
-    """T_n = T1 + 3 T2 + T3 (the five classes, with the three T2 equal)."""
-    return t.t1 + t.t2 * 3 + t.t3
+    return psw_assemble(s.t1, s.p, s.q, BiPoly.x_minus_1())
 
 
 def state_at(n: int) -> PswTutteState:

@@ -28,12 +28,9 @@ from fractal_tutte.oracle import (
     tutte_subgraph_sum,
 )
 from fractal_tutte.recursion import (
-    initial_partition,
+    assemble_tutte,
     initial_state,
-    state_to_partition,
-    step_partition,
     step_state,
-    assemble_partition,
     tutte_psw,
 )
 from fractal_tutte.reliability import (
@@ -99,19 +96,10 @@ def test_criterion_2_spanning_trees(capsys):
 def test_criterion_3_structural_identities(capsys):
     def body():
         state = initial_state()
-        part = initial_partition()
         for n in range(0, 5):
             if n > 0:
                 state = step_state(state)
-                part = step_partition(part)  # divides by (x-1) internally
-            via_state = state_to_partition(state)
-            assert (via_state.t1, via_state.t2, via_state.t3) == (
-                part.t1, part.t2, part.t3)
-            quo2 = part.t2.div_exact_xminus1(1)
-            quo3 = part.t3.div_exact_xminus1(2)
-            assert quo2 == state.p
-            assert quo3 == state.q
-            total = assemble_partition(part)
+            total = assemble_tutte(state)
             nv, ne = psw_vertex_count(n), psw_edge_count(n)
             assert total.degrees() == (nv - 1, ne - nv + 1)
             assert all(c > 0 for c in total.terms().values())

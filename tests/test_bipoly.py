@@ -17,11 +17,6 @@ from fractal_tutte.bipoly import (
     BiPoly,
     _mul_kronecker,
     _mul_schoolbook,
-    poly_add,
-    poly_degrees,
-    poly_div_exact_xminus1,
-    poly_eval_exact,
-    poly_mul,
 )
 from fractal_tutte.errors import NonDivisible, ZeroPolynomial
 
@@ -277,15 +272,3 @@ def test_json_golden_form():
 @settings(max_examples=40)
 def test_json_round_trip_random(a):
     assert BiPoly.from_json_dict(json.loads(json.dumps(a.to_json_dict()))) == a
-
-
-# -- module-level helper aliases -------------------------------------------
-
-
-def test_functional_aliases_agree_with_methods():
-    a, b = X + Y, X - ONE
-    assert poly_add(a, b) == a + b
-    assert poly_mul(a, b) == a * b
-    assert poly_div_exact_xminus1(b * b, 2) == ONE
-    assert poly_eval_exact(a, Fraction(2), Fraction(3)) == 5
-    assert poly_degrees(a) == (1, 1)

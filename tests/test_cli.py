@@ -3,17 +3,43 @@ exit codes, grid parsing, idempotent file writes, and the no-partial-file
 guarantee.
 """
 
+import hashlib
 import json
 import os
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fractal_tutte import cli
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.cli import _parse_grid, main
 from fractal_tutte.cli import UsageError
 from fractal_tutte.graphs import build_psw_edge_expansion, from_edge_list, to_edge_list
+from fractal_tutte.invariants import (
+    eval_tutte_at_point,
+    spanning_trees_closed_form,
+)
 from fractal_tutte.recursion import tutte_psw
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: SHA-256 of ``tutte --n k`` on stdout, recorded from an earlier,
+#: independently written (expanded 20-term) form of the recursion step.
+TUTTE_SHA256 = {
+    (0, "json"): "0fec1f8c06984f61412d93aa2df4d44ec4988668348823941631e2a333264231",
+    (0, "text"): "bd00431a465454605ca9e4f9102f59aa98644223ac48b82792a0f43b457dfb88",
+    (1, "json"): "3b863453b84121f58c0808e4a86556df9bf4b7e3ee8a78fae676cef014b746f4",
+    (1, "text"): "42b4a8370b752b053f7214fae6699acb86742bf7c8dc3f38283ae774b0075ad7",
+    (2, "json"): "06fff70272984cc433d9dd44ea123658666fa3fc4074a1ec62046b391d5ac361",
+    (2, "text"): "568aa7d05731c4c01c998c68d3577b7eddd81943d0807a211accfe2e6ec1b6ba",
+    (3, "json"): "b6e56590063d99f4844ff0782e13635d5b005a5f30c4d91d6092461b31328a96",
+    (3, "text"): "f80000662db24ba0ca5108cef47d70fc3bcfccdcd7c0af413c1de68782bbaa6a",
+    (4, "json"): "8543d825936437d48724f982a87b7bfae86f4c70e54aff39b11c29649872c823",
+    (4, "text"): "0095022ce4ad65e9965cebb56872d2944b592a034a8d971025656c4a0cc36307",
+    (5, "json"): "7fb044b93299a46ebdb0802f4dafc8c19f21559003c58706091d44dee70345e8",
+}
 
 
 def run(capsys, *argv):
@@ -73,6 +99,16 @@ def test_tutte_text(capsys):
     assert out.strip() == "x^2 + x + y"
 
 
+@pytest.mark.parametrize("n,fmt", [
+    pytest.param(n, fmt, marks=[pytest.mark.slow] if n == 5 else [])
+    for n, fmt in TUTTE_SHA256
+])
+def test_tutte_output_digest(capsys, n, fmt):
+    code, out, _ = run(capsys, "tutte", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TUTTE_SHA256[n, fmt]
+
+
 def test_tutte_beyond_guard_fails_cleanly(capsys):
     code, out, err = run(capsys, "tutte", "--n", "12")
     assert code == 1
@@ -97,11 +133,26 @@ def test_eval_rational_point(capsys):
     assert out.strip() == str(expected) == "17176/243"
 
 
-def test_eval_rejects_non_exact_mode(capsys):
-    code, _, err = run(capsys, "eval", "--n", "1", "--x", "1", "--y", "1",
-                       "--mode", "float")
-    assert code == 2
-    assert "exact" in err
+def test_eval_has_no_mode_option(capsys):
+    # eval is exact only; float and log modes belong to reliability.
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--n", "1", "--x", "1", "--y", "1", "--mode", "exact"])
+    assert info.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_eval_prints_values_beyond_int_str_limit(capsys):
+    # T_10(1,1) has about 34k digits, past Python's 4300-digit
+    # int-to-str default.
+    code, out, _ = run(capsys, "eval", "--n", "10", "--x", "1", "--y", "1")
+    assert code == 0
+    assert Decimal(out) == spanning_trees_closed_form(10)
+    code, out, _ = run(capsys, "eval", "--n", "9", "--x", "1/3", "--y", "2")
+    assert code == 0
+    value = eval_tutte_at_point(9, Fraction(1, 3), 2)
+    num, den = out.split("/")
+    assert len(num) > 4300 and len(den) > 4300
+    assert (Decimal(num), Decimal(den)) == (value.numerator, value.denominator)
 
 
 def test_eval_rejects_malformed_rational():
@@ -249,6 +300,39 @@ def test_oracle_skips_oversized_checks(capsys):
                        "--check", "deletion-contraction,reliability")
     assert code == 0
     assert all(line.startswith("SKIP") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("family", ["psw", "sg"])
+def test_oracle_beyond_enumeration_limits_skips(capsys, family):
+    code, out, _ = run(capsys, "oracle", "--family", family, "--n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("SKIP") for line in lines)
+    by_name = {line.split()[1].rstrip(":"): line for line in lines}
+    for name in ("partition", "matrix-tree"):
+        assert "81 edges exceed the enumeration limit 27" in by_name[name]
+    if family == "psw":
+        assert "81 edges" in by_name["recursion"]
+
+
+def test_oracle_matrix_tree_vertex_limit_skips(capsys):
+    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "4",
+                       "--check", "matrix-tree")
+    assert code == 0
+    assert out == ("SKIP matrix-tree: 123 vertices exceed the "
+                   "matrix-tree limit 64\n")
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # The README checker is shared with the benchmark, which re-runs the
+    # same examples.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from readme import readme_failures
+
+    ran, failures = readme_failures(cli, ROOT / "README.md", tmp_path)
+    assert ran > 0
+    assert failures == []
 
 
 def test_oracle_unknown_check(capsys):

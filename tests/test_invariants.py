@@ -8,7 +8,11 @@ from fractions import Fraction
 import pytest
 
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
-from fractal_tutte.graphs import build_psw_edge_expansion, psw_edge_count
+from fractal_tutte.graphs import (
+    build_psw_edge_expansion,
+    psw_edge_count,
+    psw_vertex_count,
+)
 from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
@@ -46,6 +50,29 @@ def test_eval_matches_symbolic_at_random_points(n):
         x0 = Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
         y0 = Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
         assert eval_tutte_at_point(n, x0, y0) == t.eval_exact(x0, y0)
+
+
+@pytest.mark.parametrize("n,x0", [
+    (0, 2), (5, -3), (12, 2), (12, -3),
+    (1, Fraction(1, 3)), (7, Fraction(-2, 5)), (10, Fraction(1, 3)),
+    pytest.param(12, Fraction(1, 3), marks=pytest.mark.slow),
+])
+def test_chromatic_line_at_points(n, x0):
+    # psw(n) is a 2-tree: T(x, 0) = x (x+1)^(V-2).
+    expected = x0 * (x0 + 1) ** (psw_vertex_count(n) - 2)
+    assert eval_tutte_at_point(n, x0, 0) == expected
+
+
+@pytest.mark.parametrize("n,x0", [
+    (0, Fraction(3, 2)), (4, 5), (6, Fraction(-1, 4)), (10, Fraction(3, 2)),
+    (10, Fraction(-1, 4)),
+])
+def test_hyperbola_at_points(n, x0):
+    # On (x-1)(y-1) = 1: T(x, y) = x^E (x-1)^(V-1-E).
+    nv, ne = psw_vertex_count(n), psw_edge_count(n)
+    x0 = Fraction(x0)
+    expected = x0 ** ne * (x0 - 1) ** (nv - 1 - ne)
+    assert eval_tutte_at_point(n, x0, x0 / (x0 - 1)) == expected
 
 
 def test_eval_state_matches_symbolic_components():

@@ -1,9 +1,10 @@
 """Self-similarity recursion for the triangle-expansion family.
 
-The state path carries (t1, p, q) with T2 = (x-1)p and T3 = (x-1)^2 q
-factored out; the partition path carries the raw class sums and performs
-exact divisions at every step.  Both must agree with each other and, at
-small generations, with the brute-force subset census.
+The state (t1, p, q) carries the hub-class sums with T2 = (x-1)p and
+T3 = (x-1)^2 q factored out.  The assembled polynomial must agree with
+the brute-force subset census at small generations, and with identities
+every psw(n) satisfies (degrees, T(2,2) = 2^E, the chromatic line of a
+2-tree, the hyperbola (x-1)(y-1) = 1) through n = 4.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from fractal_tutte.bipoly import BiPoly
-from fractal_tutte.errors import DomainError, NonDivisible, SizeLimitExceeded
+from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
     build_psw_edge_expansion,
     psw_edge_count,
@@ -20,13 +21,9 @@ from fractal_tutte.graphs import (
 from fractal_tutte.oracle import partition_subgraph_sum, tutte_subgraph_sum
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
-    assemble_partition,
     assemble_tutte,
-    initial_partition,
     initial_state,
     state_at,
-    state_to_partition,
-    step_partition,
     step_state,
     tutte_psw,
     tutte_psw_json,
@@ -46,15 +43,6 @@ def test_initial_state():
     assert s.p == ONE
     assert s.q == ONE
     assert assemble_tutte(s) == X * X + X + Y
-
-
-def test_initial_partition_matches_state():
-    t = initial_partition()
-    assert t.t1 == Y + BiPoly.constant(2)
-    assert t.t2 == X - ONE
-    assert t.t3 == (X - ONE) * (X - ONE)
-    s0 = state_to_partition(initial_state())
-    assert (s0.t1, s0.t2, s0.t3) == (t.t1, t.t2, t.t3)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -87,47 +75,38 @@ def test_level_two_tree_count():
 
 
 @pytest.mark.parametrize("n", range(0, 4))
-def test_paths_commute(n):
-    s = state_at(n)
-    part = initial_partition()
-    for _ in range(n):
-        part = step_partition(part)
-    via_state = state_to_partition(s)
-    assert (via_state.t1, via_state.t2, via_state.t3) == (
-        part.t1, part.t2, part.t3)
-    # one more step on both, compared after stepping
-    after_state = state_to_partition(step_state(s))
-    after_part = step_partition(part)
-    assert (after_state.t1, after_state.t2, after_state.t3) == (
-        after_part.t1, after_part.t2, after_part.t3)
-
-
-@pytest.mark.parametrize("n", range(1, 4))
-def test_divisibility_of_partition_classes(n):
-    part = initial_partition()
-    for _ in range(n):
-        part = step_partition(part)
-    # these must not raise; the quotients rebuild the originals
-    xm1 = X - ONE
-    p = part.t2.div_exact_xminus1(1)
-    q = part.t3.div_exact_xminus1(2)
-    assert xm1 * p == part.t2
-    assert xm1 * xm1 * q == part.t3
-    with pytest.raises(NonDivisible):
-        (part.t1 + ONE).div_exact_xminus1(1)
-
-
-@pytest.mark.parametrize("n", range(0, 4))
 def test_assembled_polynomial_properties(n):
     t = tutte_psw(n)
     nv, ne = psw_vertex_count(n), psw_edge_count(n)
     assert t.degrees() == (nv - 1, ne - nv + 1)
     assert all(c > 0 for c in t.terms().values())
     assert t.eval_exact(TWOF, TWOF) == 2 ** ne
-    part = initial_partition()
-    for _ in range(n):
-        part = step_partition(part)
-    assert assemble_partition(part) == t
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_chromatic_line(n):
+    # psw(n) is a 2-tree, so its chromatic polynomial is
+    # k (k-1) (k-2)^(V-2); in Tutte form the whole y^0 row is
+    # T(x, 0) = x (x+1)^(V-2).
+    row = {(dx, 0): c for (dx, dy), c in tutte_psw(n).terms().items()
+           if dy == 0}
+    assert BiPoly(row) == X * (X + ONE) ** (psw_vertex_count(n) - 2)
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_hyperbola(n):
+    # On (x-1)(y-1) = 1 every connected graph has
+    # T(x, y) = x^E (x-1)^(V-1-E).  With k = E-V+1 the y-degree,
+    # (x-1)^k T(x, x/(x-1)) = sum of c x^(i+j) (x-1)^(k-j) = x^E.
+    nv, ne = psw_vertex_count(n), psw_edge_count(n)
+    k = ne - nv + 1
+    rows: list[dict] = [{} for _ in range(k + 1)]
+    for (i, j), c in tutte_psw(n).terms().items():
+        rows[j][(i + j, 0)] = c
+    total = BiPoly.zero()
+    for row in rows:  # Horner in (x-1), highest power first
+        total = total * (X - ONE) + BiPoly(row)
+    assert total == X ** ne
 
 
 def test_symbolic_generation_guard():
