@@ -6,8 +6,8 @@ merging three copies of the previous generation, which collapses the
 polynomial recursion, one step per generation.  This package implements
 that recursion exactly, together with the numeric invariants it unlocks
 (spanning trees, forests, connected spanning subgraphs, acyclic
-orientations) and all-terminal reliability in exact, float, and
-log-domain arithmetic, all validated against brute-force oracles.
+orientations) and all-terminal reliability on exact rationals, floats,
+or high-precision decimals, all validated against brute-force oracles.
 """
 
 from .bipoly import BiPoly

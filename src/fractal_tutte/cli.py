@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -122,16 +123,25 @@ def _rational(text: str) -> Fraction:
 
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(
             f"grid must be 'start:stop:step' or a single value, got {text!r}")
-    start, stop, step = (float(s) for s in parts)
+    try:
+        numbers = [float(s) for s in parts]
+    except ValueError:
+        raise UsageError(f"grid values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in numbers):
+        raise UsageError(f"grid values must be finite, got {text!r}")
+    if len(parts) == 1:
+        return numbers
+    start, stop, step = numbers
     if step <= 0:
         raise UsageError(f"grid step must be positive, got {step}")
     if stop < start:
         raise UsageError(f"grid stop {stop} precedes start {start}")
+    if not (0 < start and stop < 1):
+        raise UsageError(
+            f"grid range {start}:{stop} must lie strictly inside (0, 1)")
     values = []
     i = 0
     while True:
@@ -194,31 +204,16 @@ def _run_invariants(args) -> int:
 
 
 def _run_reliability(args) -> int:
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    unknown = set(families) - {"psw", "sg"}
-    if unknown or not families:
+    requested = [f.strip() for f in args.families.split(",") if f.strip()]
+    unknown = set(requested) - set(reliability.FAMILIES)
+    if unknown or not requested:
         raise UsageError(
             f"--families must name psw and/or sg, got {args.families!r}")
+    families = [f for f in reliability.FAMILIES if f in requested]
     grid = _parse_grid(args.p_grid)
-    points = reliability.compare_curves(args.n, grid, args.mode)
-    if set(families) == {"psw", "sg"}:
-        text = reliability.curves_to_csv(points)
-    else:
-        text = _single_family_csv(points, families[0])
-    _emit(text, args.out)
+    points = reliability.compare_curves(args.n, grid, args.mode, families)
+    _emit(reliability.curves_to_csv(points, families), args.out)
     return 0
-
-
-def _single_family_csv(points, family: str) -> str:
-    lines = [f"p,R_{family},lnR_{family}"]
-    for pt in points:
-        value = pt.r_psw if family == "psw" else pt.r_sg
-        ln = pt.ln_r_psw if family == "psw" else pt.ln_r_sg
-        lines.append(
-            f"{pt.p:.4f},"
-            f"{reliability.format_probability(value, pt.mode)},"
-            f"{ln:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 # -- oracle checks ---------------------------------------------------------

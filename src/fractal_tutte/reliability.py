@@ -18,8 +18,10 @@ recursion per generation:
 
 Initial values: R(0) = Rs(0) = p^2 (3-2p), B(0) = Bs(0) = p (1-p)^2,
 Ts(0) = (1-p)^3.  Every right-hand term is a product of positive
-quantities for p in (0, 1), so the recursions run unchanged in exact,
-float, or log-domain arithmetic (module ``scalars``).
+quantities for p in (0, 1), so each step is written once with plain
++ and * and runs on whatever number type the mode picks: Fraction
+(``exact``), float (``float``) or Decimal (``log``, module ``scalars``).
+The psw step is the Tutte step ``recursion.psw_step`` at X = 0, Y = 1.
 
 An independent exact route goes through the Tutte polynomial:
 R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the point evaluator
@@ -29,17 +31,27 @@ them to it.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded
 from .graphs import psw_edge_count, psw_vertex_count
 from .invariants import eval_state_at_point
-from .scalars import get_ops
+from .recursion import psw_step
+from .scalars import (
+    LOG_CONTEXT,
+    MAX_LOG_GENERATION,
+    PRINTED_DIGITS,
+    embed,
+    ln,
+)
 
 MAX_VIA_TUTTE_GENERATION = 10
+
+FAMILIES = ("psw", "sg")
 
 
 def _as_probability(p) -> Fraction:
@@ -64,7 +76,7 @@ class RelStatePsw:
 
     @property
     def ln_r(self) -> float:
-        return get_ops(self.mode).to_ln(self.r)
+        return float(ln(self.r))
 
 
 @dataclass(frozen=True)
@@ -77,70 +89,75 @@ class RelStateSg:
 
     @property
     def ln_rs(self) -> float:
-        return get_ops(self.mode).to_ln(self.rs)
+        return float(ln(self.rs))
+
+
+def _run_step(s, step, *values):
+    """step(*values) for the state s, in the arithmetic of its mode.
+
+    A Decimal step runs under ``LOG_CONTEXT``; one past
+    ``MAX_LOG_GENERATION``, or one whose values leave the exponent range,
+    ends in ``SizeLimitExceeded``.
+    """
+    if s.mode != "log":
+        return step(*values)
+    if s.level >= MAX_LOG_GENERATION:
+        raise SizeLimitExceeded(
+            f"log mode is limited to n <= {MAX_LOG_GENERATION}: its "
+            f"{LOG_CONTEXT.prec} digits keep {PRINTED_DIGITS} printed "
+            f"digits correct only that deep")
+    try:
+        with decimal.localcontext(LOG_CONTEXT):
+            return step(*values)
+    except decimal.Underflow:
+        raise SizeLimitExceeded(
+            f"log mode: generation {s.level + 1} holds a value below "
+            f"1e{LOG_CONTEXT.Emin}, outside Decimal's exponent range"
+        ) from None
 
 
 def psw_rel_init(p, mode: str = "exact") -> RelStatePsw:
     """Level-0 state: R = p^2 (3-2p), B = p (1-p)^2."""
     p = _as_probability(p)
     _require_open_interval(p, mode)
-    ops = get_ops(mode)
     return RelStatePsw(
         level=0,
-        r=ops.embed(p * p * (3 - 2 * p)),
-        b=ops.embed(p * (1 - p) ** 2),
+        r=embed(p * p * (3 - 2 * p), mode),
+        b=embed(p * (1 - p) ** 2, mode),
         mode=mode,
     )
 
 
 def psw_rel_step(s: RelStatePsw) -> RelStatePsw:
-    """R' = R^3 + 6 R^2 B;  B' = 4 R B^2."""
-    ops = get_ops(s.mode)
-    r, b = s.r, s.b
-    r2 = ops.mul(r, r)
-    return RelStatePsw(
-        level=s.level + 1,
-        r=ops.add(ops.mul(r2, r), ops.scale(6, ops.mul(r2, b))),
-        b=ops.scale(4, ops.mul(r, b, b)),
-        mode=s.mode,
-    )
+    """R' = R^2 (R + 6B);  B' = 4 R B^2: the Tutte step at X = 0, Y = 1."""
+    r, b, _ = _run_step(s, psw_step, s.r, s.b, 0, 0, 1)
+    return RelStatePsw(level=s.level + 1, r=r, b=b, mode=s.mode)
 
 
 def sg_rel_init(p, mode: str = "exact") -> RelStateSg:
     """Level-0 state: Rs = p^2 (3-2p), Bs = p (1-p)^2, Ts = (1-p)^3."""
     p = _as_probability(p)
     _require_open_interval(p, mode)
-    ops = get_ops(mode)
     return RelStateSg(
         level=0,
-        rs=ops.embed(p * p * (3 - 2 * p)),
-        bs=ops.embed(p * (1 - p) ** 2),
-        ts=ops.embed((1 - p) ** 3),
+        rs=embed(p * p * (3 - 2 * p), mode),
+        bs=embed(p * (1 - p) ** 2, mode),
+        ts=embed((1 - p) ** 3, mode),
         mode=mode,
     )
 
 
+def _sg_step(rs, bs, ts):
+    """One gasket generation of (Rs, Bs, Ts), over any ring."""
+    return (rs * rs * (rs + 6 * bs),
+            rs * (rs * (bs + ts) + 7 * bs * bs),
+            bs * (3 * rs * bs + 12 * rs * ts + 14 * bs * bs))
+
+
 def sg_rel_step(s: RelStateSg) -> RelStateSg:
     """One gasket generation on (Rs, Bs, Ts)."""
-    ops = get_ops(s.mode)
-    rs, bs, ts = s.rs, s.bs, s.ts
-    rs2 = ops.mul(rs, rs)
-    bs2 = ops.mul(bs, bs)
-    return RelStateSg(
-        level=s.level + 1,
-        rs=ops.add(ops.mul(rs2, rs), ops.scale(6, ops.mul(rs2, bs))),
-        bs=ops.add(
-            ops.mul(rs2, bs),
-            ops.mul(rs2, ts),
-            ops.scale(7, ops.mul(rs, bs2)),
-        ),
-        ts=ops.add(
-            ops.scale(3, ops.mul(rs, bs2)),
-            ops.scale(12, ops.mul(rs, bs, ts)),
-            ops.scale(14, ops.mul(bs2, bs)),
-        ),
-        mode=s.mode,
-    )
+    rs, bs, ts = _run_step(s, _sg_step, s.rs, s.bs, s.ts)
+    return RelStateSg(level=s.level + 1, rs=rs, bs=bs, ts=ts, mode=s.mode)
 
 
 def psw_reliability(n: int, p, mode: str = "exact") -> RelStatePsw:
@@ -200,7 +217,10 @@ def psw_rel_approx_log(n: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One grid point of the PSW-vs-gasket comparison."""
+    """One grid point of the PSW-vs-gasket comparison.
+
+    A family that was not asked for holds None.
+    """
 
     p: float
     mode: str
@@ -209,98 +229,86 @@ class CurvePoint:
 
     @property
     def ln_r_psw(self) -> float:
-        return get_ops(self.mode).to_ln(self.r_psw)
+        return float(ln(self.r_psw))
 
     @property
     def ln_r_sg(self) -> float:
-        return get_ops(self.mode).to_ln(self.r_sg)
+        return float(ln(self.r_sg))
 
 
-def compare_curves(n: int, p_grid, mode: str = "exact") -> list[CurvePoint]:
-    """Both families' reliability at level n over a probability grid.
+def compare_curves(n: int, p_grid, mode: str = "exact",
+                   families=FAMILIES) -> list[CurvePoint]:
+    """Reliability at level n over a probability grid, for the families
+    asked for (default both).
 
     Rows come back sorted by p; every grid value must lie strictly
-    inside (0, 1) so that both columns and their logarithms exist in
+    inside (0, 1) so that the values and their logarithms exist in
     every mode.
     """
+    unknown = set(families) - set(FAMILIES)
+    if unknown or not families:
+        raise DomainError(
+            f"families must be drawn from {', '.join(FAMILIES)}, "
+            f"got {', '.join(families) or 'none'}")
     points = []
     for p in sorted(p_grid):
         pf = Fraction(p).limit_denominator(10**12) if isinstance(p, float) else Fraction(p)
         if not 0 < pf < 1:
             raise DomainError(f"grid value {p} outside (0, 1)")
-        psw = psw_reliability(n, pf, mode)
-        sg = sg_reliability(n, pf, mode)
-        points.append(
-            CurvePoint(p=float(p), mode=mode, r_psw=psw.r, r_sg=sg.rs))
+        psw = psw_reliability(n, pf, mode).r if "psw" in families else None
+        sg = sg_reliability(n, pf, mode).rs if "sg" in families else None
+        points.append(CurvePoint(p=float(p), mode=mode, r_psw=psw, r_sg=sg))
     return points
+
+
+#: Rounds a probability to its printed digits; the exponent is unbounded.
+_PRINT_CONTEXT = decimal.Context(
+    prec=PRINTED_DIGITS, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 def format_probability(value, mode: str) -> str:
     """Scientific notation, 12 significant digits, unlimited exponent.
 
-    Exact values go through Decimal so the digits are correctly rounded;
-    log-domain values are expanded from their logarithm, which keeps
-    quantities like 1e-3000 printable even though no float holds them.
+    Exact and log (Decimal) values are correctly rounded through
+    Decimal, which keeps quantities like 1e-3000 printable even though
+    no float holds them; float values print as they are.
     """
-    if mode == "exact":
-        with localcontext() as ctx:
-            ctx.prec = 12
-            d = Decimal(value.numerator) / Decimal(value.denominator)
-        mantissa, exp = _decimal_sci(d)
-        return _sci(mantissa, exp)
     if mode == "float":
         return f"{value:.11e}"
-    if mode == "log":
-        return sci_from_ln(value)
-    raise DomainError(f"unknown scalar mode {mode!r}")
+    if mode == "exact":
+        d = _PRINT_CONTEXT.divide(Decimal(value.numerator),
+                                  Decimal(value.denominator))
+    elif mode == "log":
+        d = _PRINT_CONTEXT.plus(value)
+    else:
+        raise DomainError(f"unknown scalar mode {mode!r}")
+    mantissa, exp = _decimal_sci(d)
+    return f"{mantissa}e{exp:+03d}"
 
 
 def _decimal_sci(d: Decimal) -> tuple[str, int]:
     sign, digits, exp = d.as_tuple()
-    digits = "".join(map(str, digits)).ljust(12, "0")[:12]
-    point_exp = exp + len(d.as_tuple().digits) - 1
+    point_exp = exp + len(digits) - 1
+    digits = "".join(map(str, digits)).ljust(PRINTED_DIGITS, "0")
     mantissa = f"{digits[0]}.{digits[1:]}"
     if sign:
         mantissa = "-" + mantissa
     return mantissa, point_exp
 
 
-def sci_from_ln(ln_value: float, sig: int = 12) -> str:
-    """12-significant-digit scientific string of exp(ln_value)."""
-    if ln_value == -math.inf:
-        return _sci("0." + "0" * (sig - 1), 0)
-    log10 = ln_value / math.log(10)
-    exp = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exp)
-    text = f"{mantissa:.{sig - 1}f}"
-    if text.startswith("10."):
-        # Rounding pushed the mantissa to 10; renormalize.
-        exp += 1
-        text = f"{mantissa / 10:.{sig - 1}f}"
-    return _sci(text[: sig + 1], exp)
-
-
-def _sci(mantissa: str, exp: int) -> str:
-    return f"{mantissa}e{exp:+03d}"
-
-
-def curves_to_csv(points: list[CurvePoint]) -> str:
+def curves_to_csv(points: list[CurvePoint], families=FAMILIES) -> str:
     """The comparison table in its fixed CSV format.
 
-    p with 4 decimals, probabilities as 12-significant-digit scientific
-    notation, logarithms with 6 decimals.
+    One R and one lnR column per family; p with 4 decimals,
+    probabilities as 12-significant-digit scientific notation,
+    logarithms with 6 decimals.
     """
-    lines = ["p,R_psw,R_sg,lnR_psw,lnR_sg"]
+    lines = [",".join(["p"] + [f"R_{f}" for f in families]
+                      + [f"lnR_{f}" for f in families])]
     for pt in points:
-        lines.append(
-            ",".join(
-                (
-                    f"{pt.p:.4f}",
-                    format_probability(pt.r_psw, pt.mode),
-                    format_probability(pt.r_sg, pt.mode),
-                    f"{pt.ln_r_psw:.6f}",
-                    f"{pt.ln_r_sg:.6f}",
-                )
-            )
-        )
+        values = [pt.r_psw if f == "psw" else pt.r_sg for f in families]
+        lines.append(",".join(
+            [f"{pt.p:.4f}"]
+            + [format_probability(v, pt.mode) for v in values]
+            + [f"{ln(v):.6f}" for v in values]))
     return "\n".join(lines) + "\n"

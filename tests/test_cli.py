@@ -232,6 +232,34 @@ def test_reliability_out_of_range_grid_value(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["100", "700"])
+def test_reliability_deep_log_mode_exits_1_naming_the_limit(capsys, n):
+    code, out, err = run(capsys, "reliability", "--n", n, "--mode", "log",
+                         "--p-grid", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: log mode")
+    assert "exponent range" in err
+
+
+def test_reliability_log_mode_generation_limit(capsys):
+    code, out, err = run(capsys, "reliability", "--n", "41", "--mode", "log",
+                         "--p-grid", "0.99")
+    assert code == 1
+    assert out == ""
+    assert "n <= 40" in err
+
+
+def test_reliability_single_family_output_matches_both_family_columns(capsys):
+    _, both, _ = run(capsys, "reliability", "--n", "3", "--p-grid",
+                     "0.1:0.9:0.2", "--mode", "log")
+    _, sg, _ = run(capsys, "reliability", "--families", "sg,sg", "--n", "3",
+                   "--p-grid", "0.1:0.9:0.2", "--mode", "log")
+    for row, sg_row in zip(both.splitlines(), sg.splitlines()):
+        cells = row.split(",")
+        assert sg_row.split(",") == [cells[0], cells[2], cells[4]]
+
+
 # -- grid parsing -----------------------------------------------------------
 
 
@@ -257,6 +285,15 @@ def test_parse_grid_rejects_malformed():
         _parse_grid("0.1:0.9:0")
     with pytest.raises(UsageError):
         _parse_grid("0.1:0.9:-0.1")
+
+
+@pytest.mark.parametrize("grid", ["0:1:0.5", "0.5:1:0.25", "abc",
+                                  "0.1:0.9:x", "nan", "0.1:inf:0.1"])
+def test_cli_bad_grid_arguments_exit_2(capsys, grid):
+    code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_cli_grid_errors_exit_2(capsys):

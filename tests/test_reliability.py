@@ -2,7 +2,9 @@
 the hub-together Tutte class, and the CSV formatting layer.
 """
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,12 @@ from fractal_tutte.reliability import (
     psw_rel_step,
     psw_rel_via_tutte,
     psw_reliability,
-    sci_from_ln,
     sg_rel_init,
+    sg_rel_step,
     sg_reliability,
 )
-from fractal_tutte.scalars import fraction_ln
+from fractal_tutte.recursion import psw_step
+from fractal_tutte.scalars import MAX_LOG_GENERATION, fraction_ln
 
 HALF = Fraction(1, 2)
 PROBS = (Fraction(1, 3), HALF, Fraction(2, 3))
@@ -295,9 +298,12 @@ def test_format_probability_exact_vs_float():
 
 
 def test_sci_from_ln():
-    assert sci_from_ln(math.log(0.03125)) == "3.12500000000e-02"
+    # log mode holds Decimals; they print correctly rounded
+    assert format_probability(Decimal("0.03125"), "log") == "3.12500000000e-02"
+    assert format_probability(Decimal("0.123456789012499"), "log") \
+        == "1.23456789012e-01"
     # magnitudes far below float underflow must still format
-    text = sci_from_ln(-3000 * math.log(10))
+    text = format_probability(Decimal("1e-3000"), "log")
     mantissa, exp = text.split("e")
     assert exp == "-3000"
     assert float(mantissa) == pytest.approx(1.0)
@@ -307,3 +313,119 @@ def test_exponent_always_signed_and_padded():
     assert format_probability(Fraction(1, 2), "exact").endswith("e-01")
     assert format_probability(Fraction(99, 100), "exact").endswith("e-01")
     assert format_probability(Fraction(1, 10 ** 12), "exact").endswith("e-12")
+
+
+# -- each step is plain arithmetic, written once ----------------------------
+
+
+def test_psw_rel_step_is_the_tutte_step_at_x1_y2():
+    for p in PROBS:
+        s = psw_reliability(2, p)
+        r, b = s.r, s.b
+        nxt = psw_rel_step(s)
+        assert (nxt.r, nxt.b) == (r ** 3 + 6 * r ** 2 * b, 4 * r * b * b)
+        assert (nxt.r, nxt.b) == psw_step(r, b, 0, 0, 1)[:2]
+
+
+def test_sg_rel_step_matches_expanded_form():
+    for p in PROBS:
+        s = sg_reliability(2, p)
+        rs, bs, ts = s.rs, s.bs, s.ts
+        nxt = sg_rel_step(s)
+        assert nxt.rs == rs ** 3 + 6 * rs ** 2 * bs
+        assert nxt.bs == rs ** 2 * bs + rs ** 2 * ts + 7 * rs * bs ** 2
+        assert nxt.ts == 3 * rs * bs ** 2 + 12 * rs * bs * ts + 14 * bs ** 3
+
+
+def test_modes_hold_their_number_types():
+    for mode, kind in (("exact", Fraction), ("float", float),
+                       ("log", Decimal)):
+        s = sg_reliability(3, HALF, mode)
+        assert all(isinstance(v, kind) for v in (s.rs, s.bs, s.ts))
+        assert isinstance(psw_reliability(3, HALF, mode).r, kind)
+
+
+# -- log mode prints honest digits ------------------------------------------
+
+
+def _enclosure(n: int, p: Fraction, rounding) -> tuple[Decimal, Decimal]:
+    """(R_psw, R_sg) after n steps, every operation rounded one way.
+
+    Both recursions only add and multiply positive numbers, so rounding
+    every operation down (up) gives a lower (upper) bound on the exact
+    value.
+    """
+    ctx = decimal.Context(prec=60, rounding=rounding,
+                          Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    with decimal.localcontext(ctx):
+        p = Decimal(p.numerator) / p.denominator
+        r = rs = p * p * (3 - 2 * p)
+        b = bs = p * (1 - p) ** 2
+        ts = (1 - p) ** 3
+        for _ in range(n):
+            r, b = r * r * r + 6 * r * r * b, 4 * r * b * b
+            rs, bs, ts = (rs * rs * rs + 6 * rs * rs * bs,
+                          rs * rs * bs + rs * rs * ts + 7 * rs * bs * bs,
+                          3 * rs * bs * bs + 12 * rs * bs * ts
+                          + 14 * bs * bs * bs)
+    return r, rs
+
+
+def _rounded_12(value: Decimal) -> Decimal:
+    return decimal.Context(prec=12, Emin=decimal.MIN_EMIN,
+                           Emax=decimal.MAX_EMAX).plus(value)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_log_mode_prints_correctly_rounded_digits(n):
+    grid = [Fraction(k, 16) for k in range(1, 16)]
+    rows = curves_to_csv(
+        compare_curves(n, [float(p) for p in grid], "log")).splitlines()
+    for p, row in zip(grid, rows[1:]):
+        lows = _enclosure(n, p, decimal.ROUND_FLOOR)
+        highs = _enclosure(n, p, decimal.ROUND_CEILING)
+        for printed, low, high in zip(row.split(",")[1:3], lows, highs):
+            # the exact value lies in [low, high]; when both ends round to
+            # the same 12 digits, those are its correctly rounded digits
+            assert _rounded_12(low) == _rounded_12(high)
+            assert Decimal(printed) == _rounded_12(low), (p, printed)
+
+
+def test_log_mode_ln_column_is_right_at_n30():
+    grid = [Fraction(k, 16) for k in (1, 5, 8, 11, 15)]
+    rows = curves_to_csv(
+        compare_curves(30, [float(p) for p in grid], "log")).splitlines()
+    ctx = decimal.Context(prec=60, Emin=decimal.MIN_EMIN,
+                          Emax=decimal.MAX_EMAX)
+    for p, row in zip(grid, rows[1:]):
+        low, _ = _enclosure(30, p, decimal.ROUND_FLOOR)
+        high, _ = _enclosure(30, p, decimal.ROUND_CEILING)
+        printed = row.split(",")[3]
+        assert f"{low.ln(ctx):.6f}" == f"{high.ln(ctx):.6f}" == printed
+
+
+def test_deep_log_input_names_the_limit():
+    with pytest.raises(SizeLimitExceeded, match="Decimal's exponent range"):
+        psw_reliability(100, 0.5, "log")
+    with pytest.raises(SizeLimitExceeded, match="exponent range"):
+        sg_reliability(100, Fraction(1, 10 ** 12), "log")
+    # near p = 1 nothing underflows, and the generation limit applies
+    with pytest.raises(SizeLimitExceeded, match=f"n <= {MAX_LOG_GENERATION}"):
+        psw_reliability(MAX_LOG_GENERATION + 1, 0.99, "log")
+    deepest = psw_reliability(MAX_LOG_GENERATION, 0.99, "log")
+    assert 0 < deepest.r < 1 and math.isfinite(deepest.ln_r)
+
+
+def test_compare_curves_steps_only_the_families_asked_for(monkeypatch):
+    from fractal_tutte import reliability
+
+    def no_sg(state):
+        raise AssertionError("sg stepped for a psw-only curve")
+
+    monkeypatch.setattr(reliability, "sg_rel_step", no_sg)
+    pts = compare_curves(2, [HALF], "exact", families=("psw",))
+    assert pts[0].r_sg is None
+    assert curves_to_csv(pts, ("psw",)) == (
+        "p,R_psw,lnR_psw\n0.5000,4.88281250000e-02,-3.019449\n")
+    with pytest.raises(DomainError):
+        compare_curves(2, [HALF], "exact", families=("psw", "tree"))

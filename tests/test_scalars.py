@@ -1,25 +1,40 @@
-"""The three scalar arithmetics behind the reliability recursions."""
+"""The number types behind the reliability recursions."""
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from fractal_tutte.errors import DomainError
 from fractal_tutte.scalars import (
-    MODES,
+    LOG_CONTEXT,
+    LOG_PRECISION,
+    MAX_LOG_GENERATION,
+    PRINTED_DIGITS,
+    embed,
     fraction_ln,
-    get_ops,
+    ln,
     logsumexp,
 )
 
 
-def test_modes_registry():
-    assert set(MODES) == {"exact", "float", "log"}
-    for mode in MODES:
-        assert get_ops(mode).name == mode
+def test_embed_picks_the_number_type():
+    quarter = Fraction(1, 4)
+    assert embed(quarter, "exact") == quarter
+    assert isinstance(embed(quarter, "exact"), Fraction)
+    assert embed(quarter, "float") == 0.25
+    assert embed(quarter, "log") == Decimal("0.25")
     with pytest.raises(DomainError):
-        get_ops("interval")
+        embed(quarter, "interval")
+
+
+def test_log_precision_covers_the_generation_limit():
+    # relative error grows at most threefold per step
+    lost = math.ceil(MAX_LOG_GENERATION * math.log10(3))
+    assert LOG_PRECISION >= PRINTED_DIGITS + lost + 4
+    assert LOG_CONTEXT.prec == LOG_PRECISION
 
 
 def test_fraction_ln_basics():
@@ -55,36 +70,31 @@ def test_logsumexp_with_extreme_offsets():
     assert logsumexp(-math.inf, -5.0) == -5.0
 
 
-@pytest.mark.parametrize("mode", ["exact", "float", "log"])
-def test_ops_agree_on_a_small_computation(mode):
-    # 3 * (1/4 * 1/2) + 1/8 = 1/2
-    ops = get_ops(mode)
-    quarter = ops.embed(Fraction(1, 4))
-    half = ops.embed(Fraction(1, 2))
-    eighth = ops.embed(Fraction(1, 8))
-    value = ops.add(ops.scale(3, ops.mul(quarter, half)), eighth)
-    assert ops.to_float(value) == pytest.approx(0.5, rel=1e-12)
-    assert ops.to_ln(value) == pytest.approx(math.log(0.5), rel=1e-12)
-
-
-def test_exact_ops_are_exact():
-    ops = get_ops("exact")
-    v = ops.add(ops.mul(ops.embed(Fraction(1, 3)), ops.embed(Fraction(3, 7))),
-                ops.embed(Fraction(2, 7)))
-    assert v == Fraction(3, 7)
-    assert isinstance(v, Fraction)
-
-
 def test_float_ops_to_ln_edge_cases():
-    ops = get_ops("float")
-    assert ops.to_ln(0.0) == -math.inf  # legitimate underflow result
+    # the float branch of ln, which float mode's ln columns use
+    assert ln(0.0) == -math.inf  # legitimate underflow result
     with pytest.raises(DomainError):
-        ops.to_ln(-0.25)
+        ln(-0.25)
 
 
-def test_log_ops_products_are_additions():
-    ops = get_ops("log")
-    a = ops.embed(Fraction(1, 2))
-    assert ops.mul(a, a, a) == pytest.approx(3 * math.log(0.5))
-    assert ops.scale(4, a) == pytest.approx(math.log(2))
-    assert ops.to_float(ops.embed(Fraction(1, 4))) == pytest.approx(0.25)
+def test_ln_by_value_type():
+    assert ln(Fraction(1, 2)) == pytest.approx(-math.log(2))
+    assert isinstance(ln(Fraction(1, 2)), float)
+    assert ln(0.5) == pytest.approx(-math.log(2))
+    with pytest.raises(DomainError):
+        ln(Fraction(0))
+    with pytest.raises(DomainError):
+        ln(Decimal(-1))
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "0.999999999999", "3.7054406232648230117810727662990051724E-2372",
+    "1.2345678901234567890123456789012345678E-74418022595043",
+    "1e-999999999999999999"])
+def test_ln_of_a_decimal_keeps_six_decimals_at_any_magnitude(text):
+    # beyond about 10^-(10^10) a float cannot hold ln to 6 decimals
+    value = ln(Decimal(text))
+    assert isinstance(value, Decimal)
+    reference = Decimal(text).ln(decimal.Context(
+        prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX))
+    assert abs(value - reference) < Decimal("1e-12")
