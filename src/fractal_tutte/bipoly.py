@@ -10,34 +10,34 @@ The map is canonical (no zero coefficients are ever stored), so two
 arithmetic is exact; coefficients are plain Python ints and may grow to
 thousands of digits.
 
-Multiplication dispatches between schoolbook convolution (small operands)
-and Kronecker substitution (large operands): the polynomial is packed into
-a single big integer with coefficients in fixed-width bit slots, multiplied
-once using Python's native big-integer multiplication, and unpacked with
-balanced-digit recovery to restore signed coefficients.  Both paths produce
-identical results; the crossover is purely a speed choice.
+Multiplication dispatches between schoolbook convolution (small operands,
+or a factor of at most two terms such as x-1) and Kronecker substitution
+(large operands): the polynomial is packed into a single big decimal with
+coefficients in fixed-width digit slots, multiplied once by libmpdec's
+number-theoretic transform, and unpacked with balanced-digit recovery to
+restore signed coefficients.  Both paths produce identical results; the
+crossover is purely a speed choice.
 """
 
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .errors import NonDivisible, ZeroPolynomial
-
-try:
-    # Optional: GMP multiplies the packed big integers with FFT-class
-    # complexity, where CPython tops out at Karatsuba.  Results are
-    # identical; this only changes speed at generation >= 5.
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = None
 
 Term = tuple[int, int]
 
 # Pair-count threshold above which multiplication switches to Kronecker
 # substitution.  Schoolbook wins below it because packing has fixed overhead.
 _KRONECKER_PAIRS = 4096
+
+#: Exact context of the packed products (Inexact would raise).  Every
+#: Decimal operation here names it, since the thread's context may round.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 
 class BiPoly:
@@ -185,7 +185,7 @@ class BiPoly:
         a, b = self._terms, other._terms
         if not a or not b:
             return BiPoly.zero()
-        if len(a) * len(b) <= _KRONECKER_PAIRS:
+        if min(len(a), len(b)) <= 2 or len(a) * len(b) <= _KRONECKER_PAIRS:
             out = _mul_schoolbook(a, b)
         else:
             out = _mul_kronecker(a, b)
@@ -234,8 +234,7 @@ class BiPoly:
         y0 = Fraction(y0)
         if not self._terms:
             return Fraction(0)
-        # Group by x-degree and evaluate with cached powers; terms are
-        # visited once and powers are built incrementally.
+        # Each power is built once; each term is visited once.
         max_dx, max_dy = self.degrees()
         xpow = _powers(x0, max_dx)
         ypow = _powers(y0, max_dy)
@@ -284,65 +283,59 @@ def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
 
 
 def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
-    """Multiply by packing both operands into single big integers.
+    """Multiply by packing both operands into single big decimals.
 
     Exponents (dx, dy) map to slot dx*stride + dy where stride covers the
     full y-degree of the product, so slot arithmetic mirrors exponent
-    arithmetic.  Slot width is chosen from a coefficient bound of the
-    product; signed coefficients are recovered with balanced digits
-    (a digit >= 2^(B-1) is read as digit - 2^B with a carry into the next).
+    arithmetic.  A slot is w decimal digits with 10^w above twice a bound
+    on every product coefficient, so signed coefficients are recovered as
+    balanced digits (a slot >= 10^w / 2 is read as slot - 10^w with a
+    carry into the next).  ``b is a`` packs once and squares.
     """
-    dxa = max(dx for dx, _ in a)
-    dya = max(dy for _, dy in a)
-    dxb = max(dx for dx, _ in b)
-    dyb = max(dy for _, dy in b)
-    stride = dya + dyb + 1
-    slots = (dxa + dxb + 1) * stride
+    stride = max(dy for _, dy in a) + max(dy for _, dy in b) + 1
+    bound = (min(len(a), len(b)) * max(abs(c) for c in a.values())
+             * max(abs(c) for c in b.values()))
+    w = Decimal(2 * bound).adjusted() + 1
+    # int <-> str conversions longer than 640 digits can exceed the
+    # interpreter's limit (sys.set_int_max_str_digits); Decimal's cannot.
+    text, number = ((str, int) if w <= 640 else
+                    (lambda c: str(Decimal(c)), lambda s: int(Decimal(s))))
 
-    max_a = max(abs(c) for c in a.values())
-    max_b = max(abs(c) for c in b.values())
-    bound = min(len(a), len(b)) * max_a * max_b
-    width = bound.bit_length() + 2
-    width += (-width) % 8  # byte-align slots for cheap packing/unpacking
-    nbytes = width // 8
+    na = _pack(a, stride, w, text)
+    product = _EXACT.multiply(na, na if b is a else _pack(b, stride, w, text))
+    sign = -1 if product.is_signed() else 1
+    digits = str(product.copy_abs())
+    del na, product  # free gigabytes before the out dict grows
 
-    na = _pack(a, stride, slots, nbytes)
-    nb = _pack(b, stride, slots, nbytes)
-    if _mpz is not None:
-        product = int(_mpz(na) * _mpz(nb)) % (1 << (width * (slots + 1)))
-    else:
-        product = (na * nb) % (1 << (width * (slots + 1)))
-
-    buf = product.to_bytes((slots + 1) * nbytes, "little")
-    half = 1 << (width - 1)
-    full = 1 << width
+    full = 10 ** w
+    half = full // 2
+    zero = "0" * w
     out: dict[Term, int] = {}
     carry = 0
-    for i in range(slots):
-        raw = int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little") + carry
-        if raw >= full:
+    for i, end in enumerate(range(len(digits), 0, -w)):
+        chunk = digits[max(end - w, 0):end]
+        if not carry and chunk == zero:
+            continue
+        raw = number(chunk) + carry
+        carry = raw >= half
+        if carry:
             raw -= full
-            carry = 1
-        else:
-            carry = 0
-        if raw >= half:
-            raw -= full
-            carry += 1
         if raw:
-            out[(i // stride, i % stride)] = raw
+            out[divmod(i, stride)] = sign * raw
+    if carry:  # the top coefficient is 1 above slots read as negative
+        out[divmod(i + 1, stride)] = sign
     return out
 
 
-def _pack(p: dict[Term, int], stride: int, slots: int, nbytes: int) -> int:
-    pos = bytearray(slots * nbytes)
-    neg = bytearray(slots * nbytes)
+def _pack(p: dict[Term, int], stride: int, w: int, text) -> Decimal:
+    """p as the integer sum of c 10^(w (dx*stride + dy)), exactly."""
+    top = max(dx * stride + dy for dx, dy in p)
+    zero = "0" * w
+    pos = [zero] * (top + 1)
+    neg = [zero] * (top + 1)
     for (dx, dy), c in p.items():
-        off = (dx * stride + dy) * nbytes
-        if c > 0:
-            pos[off:off + nbytes] = c.to_bytes(nbytes, "little")
-        else:
-            neg[off:off + nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        (pos if c > 0 else neg)[top - dx * stride - dy] = text(abs(c)).zfill(w)
+    return _EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg)))
 
 
 def _synthetic_divide_once(terms: dict[Term, int]) -> dict[Term, int]:

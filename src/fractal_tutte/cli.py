@@ -14,12 +14,16 @@ import math
 import os
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
 from . import graphs, invariants, oracle, recursion, reliability
 from .errors import FractalTutteError
 
 GRID_TOLERANCE = 1e-12
+
+#: Most points a --p-grid range may expand to; checked before any is made.
+MAX_GRID_POINTS = 10 ** 6
 
 
 class UsageError(Exception):
@@ -34,10 +38,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FractalTutteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FractalTutteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -142,6 +143,10 @@ def _parse_grid(text: str) -> list[float]:
     if not (0 < start and stop < 1):
         raise UsageError(
             f"grid range {start}:{stop} must lie strictly inside (0, 1)")
+    count = math.floor((Decimal(stop) - Decimal(start)) / Decimal(step)) + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} would have about {Decimal(count):.3g}"
+                         f" points, over the limit of {MAX_GRID_POINTS}")
     values = []
     i = 0
     while True:
@@ -169,12 +174,13 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
+def _build(args) -> graphs.HubGraph:
+    return (graphs.build_psw_edge_expansion if args.family == "psw"
+            else graphs.build_sierpinski)(args.n)
+
+
 def _run_generate(args) -> int:
-    if args.family == "psw":
-        g = graphs.build_psw_edge_expansion(args.n)
-    else:
-        g = graphs.build_sierpinski(args.n)
-    _emit(graphs.to_edge_list(g), args.out)
+    _emit(graphs.to_edge_list(_build(args)), args.out)
     return 0
 
 
@@ -219,8 +225,7 @@ def _run_reliability(args) -> int:
 # -- oracle checks ---------------------------------------------------------
 
 def _run_oracle(args) -> int:
-    g = (graphs.build_psw_edge_expansion(args.n) if args.family == "psw"
-         else graphs.build_sierpinski(args.n))
+    g = _build(args)
     available = _ORACLE_CHECKS
     if args.check == "all":
         names = list(available)
@@ -271,10 +276,7 @@ def _check_partition(family, n, g) -> dict:
         return _subset_limit_skip(name, g)
     parts = oracle.partition_subgraph_sum(g)
     total = oracle.tutte_subgraph_sum(g)
-    recombined = parts[0]
-    for part in parts[1:]:
-        recombined = recombined + part
-    if recombined == total and parts[1] == parts[2] == parts[3]:
+    if sum(parts[1:], parts[0]) == total and parts[1] == parts[2] == parts[3]:
         return _entry(name, "pass",
                       "class sums recombine and the three two-hub classes "
                       "are equal")

@@ -124,6 +124,14 @@ def invariant_report(n: int) -> InvariantReport:
     return InvariantReport(n=n, **values)
 
 
+def _check_tree_generation(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"generation must be nonnegative, got {n}")
+    if n > MAX_TREE_COUNT_GENERATION:
+        raise SizeLimitExceeded(
+            f"tree counts limited to n <= {MAX_TREE_COUNT_GENERATION}")
+
+
 def spanning_trees_closed_form(n: int) -> int:
     """2^((3^(n+1)-2n-3)/4) * 3^((3^(n+1)+2n+1)/4).
 
@@ -131,11 +139,7 @@ def spanning_trees_closed_form(n: int) -> int:
     fractional exponent would mean the formula was transcribed wrong,
     not a property of some n (they are integral for every n >= 0).
     """
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_TREE_COUNT_GENERATION:
-        raise SizeLimitExceeded(
-            f"tree counts limited to n <= {MAX_TREE_COUNT_GENERATION}")
+    _check_tree_generation(n)
     pow3 = 3 ** (n + 1)
     e2 = Fraction(pow3 - 2 * n - 3, 4)
     e3 = Fraction(pow3 + 2 * n + 1, 4)
@@ -149,11 +153,7 @@ def spanning_trees_closed_form(n: int) -> int:
 
 def spanning_trees_recurrence(n: int) -> int:
     """Iterate N' = 6 N^2 P, P' = 4 N P^2 from N=3, P=1."""
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_TREE_COUNT_GENERATION:
-        raise SizeLimitExceeded(
-            f"tree counts limited to n <= {MAX_TREE_COUNT_GENERATION}")
+    _check_tree_generation(n)
     trees, p = 3, 1
     for _ in range(n):
         trees, p = 6 * trees * trees * p, 4 * trees * p * p

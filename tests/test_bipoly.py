@@ -6,6 +6,7 @@ axioms, the Kronecker-substitution multiplier against the schoolbook one,
 and evaluation as a ring homomorphism.
 """
 
+import decimal
 import json
 from fractions import Fraction
 
@@ -13,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractal_tutte import bipoly
 from fractal_tutte.bipoly import (
     BiPoly,
     _mul_kronecker,
     _mul_schoolbook,
 )
 from fractal_tutte.errors import NonDivisible, ZeroPolynomial
+from fractal_tutte.recursion import tutte_psw
+from fractal_tutte.scalars import LOG_CONTEXT
 
 
 def _p(terms):
@@ -165,6 +169,108 @@ def test_kronecker_with_large_signed_coefficients():
     a = _p({(0, 0): -(10**30), (5, 7): 10**25, (3, 2): -1})
     b = _p({(1, 1): 10**28, (0, 0): 7, (8, 0): -(10**31)})
     assert _via(_mul_kronecker, a, b) == _via(_mul_schoolbook, a, b)
+
+
+# -- the decimal Kronecker multiplier ---------------------------------------
+
+
+def _packed_widths(monkeypatch):
+    """Record the slot width of every operand ``_mul_kronecker`` packs."""
+    widths = []
+    pack = bipoly._pack
+
+    def spy(p, stride, w, text):
+        widths.append(w)
+        return pack(p, stride, w, text)
+
+    monkeypatch.setattr(bipoly, "_pack", spy)
+    return widths
+
+
+@pytest.mark.parametrize("sign_a,sign_b", [(-1, 1), (1, -1), (-1, -1)])
+def test_kronecker_negative_leading_coefficient(sign_a, sign_b):
+    # The highest slot decides the sign of the packed operand and product.
+    a = {(0, 0): 5, (1, 0): -3, (2, 3): sign_a * 7 * 10**20}
+    b = {(0, 0): 2, (1, 1): 4 * 10**15, (3, 2): sign_b * 9}
+    got = _mul_kronecker(a, b)
+    assert got == _mul_schoolbook(a, b)
+    assert got[(5, 5)] == sign_a * sign_b * 63 * 10**20
+
+
+def test_kronecker_cancels_slots_to_zero():
+    # (x - y)(x + y) = x^2 - y^2 loses its x*y slot.
+    c = 10**30
+    assert _mul_kronecker({(1, 0): c, (0, 1): -c}, {(1, 0): c, (0, 1): c}) == {
+        (2, 0): c * c, (0, 2): -c * c}
+    # x^5 - 1: the -1 slot carries through four cancelled slots.
+    geometric = {(k, 0): 1 for k in range(5)}
+    assert _mul_kronecker({(1, 0): 1, (0, 0): -1}, geometric) == {
+        (5, 0): 1, (0, 0): -1}
+    # x^2 + x - 2: the carry out of the negative slot lands on a zero slot.
+    assert _mul_kronecker({(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): -1}) == {
+        (2, 0): 1, (1, 0): 1, (0, 0): -2}
+
+
+def test_kronecker_squares_the_same_object_with_one_pack(monkeypatch):
+    widths = _packed_widths(monkeypatch)
+    a = {(0, 0): -(10**25), (1, 0): 3, (2, 1): 10**24 + 1, (0, 3): -7}
+    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+    assert len(widths) == 1
+    assert _mul_kronecker(a, dict(a)) == _mul_schoolbook(a, a)
+    assert len(widths) == 3
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m,width", [((10**12 - 4) // 6, 12),
+                                     ((10**12 + 2) // 6, 13)])
+def test_kronecker_coefficient_bound_at_a_power_of_ten(monkeypatch, sign, m,
+                                                       width):
+    # Three pairs of coefficient products meet in the x^2 slot, so it
+    # reaches the bound 3 m; 2 * 3 m lies just under or just over 10^12.
+    widths = _packed_widths(monkeypatch)
+    a = {(k, 0): sign * m for k in range(3)}
+    b = {(k, 0): 1 for k in range(3)}
+    got = _mul_kronecker(a, b)
+    assert got == _mul_schoolbook(a, b)
+    assert got[(2, 0)] == sign * 3 * m
+    assert widths == [width, width]
+
+
+def test_kronecker_past_the_int_string_limit():
+    # Slots wider than the default 4300-digit int/str conversion limit.
+    a = {(0, 0): 10**3000 + 7, (1, 2): -3 * 10**2999, (2, 1): 5}
+    b = {(0, 0): -(10**2500), (3, 1): 10**2600 + 1, (1, 1): -2}
+    assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+
+
+def test_two_term_factor_is_a_linear_product(monkeypatch):
+    big = BiPoly({(i, j): (i - j) * 10**9 + 1 for i in range(80)
+                  for j in range(80)})
+    assert big.num_terms() > 5000
+    expected = {f: BiPoly(_mul_schoolbook(f.terms(), big.terms()))
+                for f in (BiPoly.x_minus_1(), BiPoly.y_minus_1(), 3 * X)}
+
+    def refuse(a, b):
+        raise AssertionError("a two-term factor reached _mul_kronecker")
+
+    monkeypatch.setattr(bipoly, "_mul_kronecker", refuse)
+    for factor, product in expected.items():
+        assert factor * big == product
+        assert big * factor == product
+
+
+@pytest.mark.parametrize("context", [
+    decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded]),
+    LOG_CONTEXT,
+], ids=["prec3-trapping", "log-context"])
+def test_kronecker_ignores_the_thread_context(context):
+    a = {(0, 0): -(10**40), (3, 1): 10**35 + 1, (1, 4): 17, (2, 2): -5}
+    b = {(1, 0): 10**38, (0, 0): -3, (4, 4): -(10**39) - 9}
+    expected = _mul_schoolbook(a, b), _mul_schoolbook(a, a), tutte_psw(3)
+    with decimal.localcontext(context):
+        got = _mul_kronecker(a, b), _mul_kronecker(a, a), tutte_psw(3)
+    assert got == expected
 
 
 @given(small_polys)

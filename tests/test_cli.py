@@ -14,7 +14,7 @@ import pytest
 
 from fractal_tutte import cli
 from fractal_tutte.bipoly import BiPoly
-from fractal_tutte.cli import _parse_grid, main
+from fractal_tutte.cli import MAX_GRID_POINTS, _parse_grid, main
 from fractal_tutte.cli import UsageError
 from fractal_tutte.graphs import build_psw_edge_expansion, from_edge_list, to_edge_list
 from fractal_tutte.invariants import (
@@ -99,10 +99,7 @@ def test_tutte_text(capsys):
     assert out.strip() == "x^2 + x + y"
 
 
-@pytest.mark.parametrize("n,fmt", [
-    pytest.param(n, fmt, marks=[pytest.mark.slow] if n == 5 else [])
-    for n, fmt in TUTTE_SHA256
-])
+@pytest.mark.parametrize("n,fmt", list(TUTTE_SHA256))
 def test_tutte_output_digest(capsys, n, fmt):
     code, out, _ = run(capsys, "tutte", "--n", str(n), "--format", fmt)
     assert code == 0
@@ -294,6 +291,17 @@ def test_cli_bad_grid_arguments_exit_2(capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("grid,count", [("0.1:0.9:1e-300", "8.00e+299"),
+                                        ("0.1:0.9:8e-7", "1.00e+6")])
+def test_cli_grid_point_cap_exits_2(capsys, grid, count):
+    # Refused before a single point is made, so asking is cheap.
+    code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid", grid)
+    assert code == 2
+    assert out == ""
+    assert f"about {count} points" in err
+    assert f"limit of {MAX_GRID_POINTS}" in err
 
 
 def test_cli_grid_errors_exit_2(capsys):

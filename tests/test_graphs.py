@@ -150,6 +150,18 @@ def test_generation_guard(build):
         build(-1)
 
 
+@pytest.mark.parametrize("n,edges,nbytes", [
+    (MAX_GENERATION + 1, "1.43e+7 edges", "6.03e+9 bytes"),
+    (10**12, "1.38e+477121254720 edges", "bytes"),
+])
+def test_generation_guard_states_its_cost(n, edges, nbytes):
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"limit {MAX_GENERATION}") as exc:
+        build_sierpinski(n)
+    assert edges in str(exc.value)
+    assert nbytes in str(exc.value)
+
+
 # -- edge-list text format --------------------------------------------------
 
 
