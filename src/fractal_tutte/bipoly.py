@@ -31,7 +31,8 @@ from .errors import NonDivisible, ZeroPolynomial
 Term = tuple[int, int]
 
 # Pair-count threshold above which multiplication switches to Kronecker
-# substitution.  Schoolbook wins below it because packing has fixed overhead.
+# substitution.  Schoolbook wins below it because packing has fixed overhead,
+# and on sparse operands whose degree box holds more slots than term pairs.
 _KRONECKER_PAIRS = 4096
 
 #: Exact context of the packed products (Inexact would raise).  Every
@@ -185,7 +186,9 @@ class BiPoly:
         a, b = self._terms, other._terms
         if not a or not b:
             return BiPoly.zero()
-        if min(len(a), len(b)) <= 2 or len(a) * len(b) <= _KRONECKER_PAIRS:
+        pairs = len(a) * len(b)
+        if (min(len(a), len(b)) <= 2 or pairs <= _KRONECKER_PAIRS
+                or _packed_slots(a, b) > pairs):
             out = _mul_schoolbook(a, b)
         else:
             out = _mul_kronecker(a, b)
@@ -280,6 +283,12 @@ def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
             else:
                 del out[key]
     return out
+
+
+def _packed_slots(a: dict[Term, int], b: dict[Term, int]) -> int:
+    """Slots of a Kronecker product of a and b: its (x, y) degree box."""
+    return ((max(dx for dx, _ in a) + max(dx for dx, _ in b) + 1)
+            * (max(dy for _, dy in a) + max(dy for _, dy in b) + 1))
 
 
 def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:

@@ -134,15 +134,16 @@ def _parse_grid(text: str) -> list[float]:
     if not all(math.isfinite(v) for v in numbers):
         raise UsageError(f"grid values must be finite, got {text!r}")
     if len(parts) == 1:
-        return numbers
-    start, stop, step = numbers
+        start = stop = numbers[0]
+        step = 1.0
+    else:
+        start, stop, step = numbers
     if step <= 0:
         raise UsageError(f"grid step must be positive, got {step}")
     if stop < start:
         raise UsageError(f"grid stop {stop} precedes start {start}")
     if not (0 < start and stop < 1):
-        raise UsageError(
-            f"grid range {start}:{stop} must lie strictly inside (0, 1)")
+        raise UsageError(f"grid {text!r} must lie strictly inside (0, 1)")
     count = math.floor((Decimal(stop) - Decimal(start)) / Decimal(step)) + 1
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} would have about {Decimal(count):.3g}"

@@ -15,10 +15,13 @@ engine can be validated against it:
 * ``reliability_enumeration``: exact all-terminal reliability and the
   probability of the {A,B} | {C} two-component split.
 
-Subset enumeration runs in pure Python up to 2^20 subsets and switches to
-a vectorized numpy label-propagation sweep beyond that (the 2^27-subset
-check on the generation-2 web needs it to finish in minutes rather than
-hours).  Both paths produce identical classifications.
+The three subset sums share one census, built in numpy by doubling: a
+table holds the component labels of every subset of the edges seen so
+far, and each further edge doubles it (the subsets without the edge, and
+a copy with its two components merged).  Past 2^14 subsets the remaining
+edges are walked depth-first over copies of the table.  The 2^27 subsets
+of the generation-2 web take seconds.  ``classify_edge_subset`` is the
+per-subset union-find reference the census is tested against.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ MAX_SUBSET_EDGES = 27
 MAX_DC_EDGES = 12
 MAX_MATRIX_TREE_VERTICES = 64
 MAX_RELIABILITY_EDGES = 20
-
-#: Edge count above which subset enumeration switches to the numpy path.
-_VECTORIZE_THRESHOLD = 20
-_BATCH_BITS = 20
 
 
 class HubPattern(IntEnum):
@@ -126,116 +125,84 @@ def classify_edge_subset(g: HubGraph, edge_mask: int) -> SubgraphClassification:
 
 # -- classified subset census ----------------------------------------------
 
-def _census_python(nv, edges, hubs) -> Counter:
-    """Counter (pattern, k, m) -> number of edge subsets, by direct loop."""
-    counts: Counter = Counter()
-    ne = len(edges)
-    for mask in range(1 << ne):
-        uf = UnionFind(nv)
-        m = 0
-        for i in range(ne):
-            if mask >> i & 1:
-                uf.union(*edges[i])
-                m += 1
-        k = uf.components
-        if hubs is None:
-            pat = 0
-        else:
-            ra, rb, rc = (uf.find(h) for h in hubs)
-            if ra == rb == rc:
-                pat = 0
-            elif rb == rc:
-                pat = 1
-            elif ra == rc:
-                pat = 2
-            elif ra == rb:
-                pat = 3
-            else:
-                pat = 4
-        counts[(pat, k, m)] += 1
-    return counts
+#: The census table stops doubling at 2^_BATCH_BITS subsets of the first
+#: edges; later edges are walked depth-first over copies of it.
+_BATCH_BITS = 14
 
-
-def _census_numpy(nv, edges, hubs) -> Counter:
-    """Same census as _census_python, vectorized over batches of subsets.
-
-    Per batch, every vertex starts labeled with its own index and edges
-    present in each subset repeatedly pull both endpoints down to the
-    smaller label.  Label sums decrease strictly until the labels are the
-    componentwise minima, so the sweep loop terminates; the number of
-    fixed points labels[v] == v is then the component count.
-    """
-    ne = len(edges)
-    batch_bits = min(_BATCH_BITS, ne)
-    batch = 1 << batch_bits
-    arange_v = np.arange(nv, dtype=np.int8)
-    key_span = (nv + 1) * (ne + 1)
-    totals = np.zeros(5 * key_span, dtype=np.int64)
-    hub_idx = list(hubs) if hubs is not None else None
-
-    for base in range(0, 1 << ne, batch):
-        masks = np.arange(base, base + batch, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(ne, dtype=np.int64)[None, :]) & 1
-        bits = bits.astype(bool)
-        m = bits.sum(axis=1).astype(np.int64)
-
-        labels = np.broadcast_to(arange_v, (batch, nv)).copy()
-        prev_sum = -1
-        while True:
-            for i, (u, v) in enumerate(edges):
-                active = bits[:, i]
-                lu = labels[:, u]
-                lv = labels[:, v]
-                mn = np.minimum(lu, lv)
-                labels[:, u] = np.where(active, mn, lu)
-                labels[:, v] = np.where(active, mn, lv)
-            s = int(labels.sum(dtype=np.int64))
-            if s == prev_sum:
-                break
-            prev_sum = s
-
-        k = (labels == arange_v[None, :]).sum(axis=1).astype(np.int64)
-        if hub_idx is None:
-            pat = np.zeros(batch, dtype=np.int64)
-        else:
-            pa = labels[:, hub_idx[0]]
-            pb = labels[:, hub_idx[1]]
-            pc = labels[:, hub_idx[2]]
-            eq_ab = pa == pb
-            eq_ac = pa == pc
-            eq_bc = pb == pc
-            pat = np.select(
-                [eq_ab & eq_ac, eq_bc & ~eq_ab, eq_ac & ~eq_ab, eq_ab & ~eq_ac],
-                [0, 1, 2, 3],
-                default=4,
-            ).astype(np.int64)
-        keys = pat * key_span + k * (ne + 1) + m
-        totals += np.bincount(keys, minlength=5 * key_span)
-
-    counts: Counter = Counter()
-    nonzero = np.nonzero(totals)[0]
-    for key in nonzero:
-        pat, rem = divmod(int(key), key_span)
-        k, m = divmod(rem, ne + 1)
-        counts[(pat, k, m)] = int(totals[key])
-    return counts
+#: HubPattern by 4*[A~B] + 2*[A~C] + [B~C]; the -1 entries cannot occur.
+_PATTERN_BY_EQUALITIES = np.array([
+    HubPattern.ALL_APART, HubPattern.BC_A, HubPattern.AC_B, -1,
+    HubPattern.AB_C, -1, -1, HubPattern.ALL_TOGETHER])
 
 
 def _census(nv, edges, hubs) -> Counter:
-    if len(edges) > MAX_SUBSET_EDGES:
+    """Counter (pattern, k, m) -> number of edge subsets.
+
+    Only the vertices an edge or a hub touches are indexed; every other
+    vertex is a component of its own in every subset.  For each subset of
+    the edges added so far the table holds every indexed vertex's label,
+    the smallest index in its component (``labels[v]`` is one array over
+    the subsets), and the key k * (ne + 1) + m of the subset's component
+    count k and edge count m.  Adding an edge doubles the table: the old
+    subsets leave it out, and a copy with its two components merged
+    (larger label -> smaller, k down by one if they differ) puts it in.
+    """
+    ne = len(edges)
+    if ne > MAX_SUBSET_EDGES:
         raise SizeLimitExceeded(
-            f"{len(edges)} edges exceed the enumeration limit "
-            f"{MAX_SUBSET_EDGES} (2^{len(edges)} subsets)")
-    if len(edges) > _VECTORIZE_THRESHOLD:
-        return _census_numpy(nv, edges, hubs)
-    return _census_python(nv, edges, hubs)
+            f"{ne} edges exceed the enumeration limit "
+            f"{MAX_SUBSET_EDGES} (2^{ne} subsets)")
+    # At most 2 * 27 + 3 indices, so int8 labels suffice.
+    index = {v: i for i, v in enumerate(
+        sorted({v for e in edges for v in e} | set(hubs or ())))}
+    ends = [(index[u], index[v]) for u, v in edges]
+    k_step = ne + 1
+    span = (len(index) + 1) * k_step
+    totals = np.zeros(5 * span, dtype=np.int64)
+
+    def merge(labels, keys, u, v):
+        lu, lv = labels[u], labels[v]
+        hi = np.maximum(lu, lv)
+        merged = labels - (labels == hi) * (hi - np.minimum(lu, lv))
+        return merged, keys + 1 - k_step * (lu != lv)
+
+    def tally(labels, keys):
+        if hubs is not None:
+            a, b, c = (labels[index[h]] for h in hubs)
+            eq = 4 * (a == b) + 2 * (a == c) + (b == c)
+            keys = keys + span * _PATTERN_BY_EQUALITIES[eq]
+        totals[:] += np.bincount(keys, minlength=5 * span)
+
+    def walk(labels, keys, i):
+        if i == ne:
+            tally(labels, keys)
+            return
+        walk(labels, keys, i + 1)
+        walk(*merge(labels, keys, *ends[i]), i + 1)
+
+    labels = np.arange(len(index), dtype=np.int8)[:, None]
+    keys = np.full(1, len(index) * k_step, dtype=np.int64)
+    split = min(ne, _BATCH_BITS)
+    for u, v in ends[:split]:
+        merged, merged_keys = merge(labels, keys, u, v)
+        labels = np.concatenate((labels, merged), axis=1)
+        keys = np.concatenate((keys, merged_keys))
+    walk(labels, keys, split)
+
+    counts: Counter = Counter()
+    for key in np.nonzero(totals)[0]:
+        pat, rem = divmod(int(key), span)
+        k, m = divmod(rem, k_step)
+        counts[(pat, k + nv - len(index), m)] = int(totals[key])
+    return counts
 
 
-def _poly_from_census(nv, rank_g, counts, patterns) -> BiPoly:
-    """Assemble sum of (x-1)^(rank_g - r(H)) (y-1)^(n(H)) over chosen patterns."""
+def _poly_from_census(nv, counts, patterns) -> BiPoly:
+    """Assemble sum of (x-1)^(r(G) - r(H)) (y-1)^(n(H)) over chosen patterns."""
     xm1 = BiPoly.x_minus_1()
     ym1 = BiPoly.y_minus_1()
-    kg = nv - rank_g
+    # G itself is the one subset with the most edges.
+    kg = max(counts, key=lambda key: key[2])[1]
     xpow: dict[int, BiPoly] = {}
     ypow: dict[int, BiPoly] = {}
 
@@ -248,7 +215,7 @@ def _poly_from_census(nv, rank_g, counts, patterns) -> BiPoly:
     for (pat, k, m), cnt in sorted(counts.items()):
         if pat not in patterns:
             continue
-        ex = k - kg          # rank_g - r(H) = (nv - kg) - (nv - k)
+        ex = k - kg          # r(G) - r(H) = (nv - kg) - (nv - k)
         ey = m - nv + k      # nullity of H
         term = power(xpow, xm1, ex) * power(ypow, ym1, ey) * cnt
         total = total + term
@@ -264,9 +231,7 @@ def tutte_subgraph_sum(g: GraphLike) -> BiPoly:
     """
     nv, edges = _vertices_edges(g)
     _require_simple(nv, edges)
-    counts = _census(nv, edges, None)
-    kg = _component_count(nv, edges)
-    return _poly_from_census(nv, nv - kg, counts, {0})
+    return _poly_from_census(nv, _census(nv, edges, None), {0})
 
 
 def partition_subgraph_sum(
@@ -281,10 +246,8 @@ def partition_subgraph_sum(
     """
     nv, edges = _vertices_edges(g)
     counts = _census(nv, edges, g.hubs)
-    rank_g = nv - _component_count(nv, edges)
     return tuple(
-        _poly_from_census(nv, rank_g, counts, {int(pat)}) for pat in HubPattern
-    )
+        _poly_from_census(nv, counts, {int(pat)}) for pat in HubPattern)
 
 
 def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
@@ -407,10 +370,3 @@ def reliability_enumeration(
         if k == 2 and pat == int(HubPattern.AB_C):
             b_total += weight
     return r_total, b_total
-
-
-def _component_count(nv, edges) -> int:
-    uf = UnionFind(nv)
-    for u, v in edges:
-        uf.union(u, v)
-    return uf.components

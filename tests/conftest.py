@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--run-slow",
         action="store_true",
         default=False,
-        help="run exhaustive cross-checks (the 2^27-subset oracle takes minutes)",
+        help="run exhaustive cross-checks (each 2^27-subset oracle takes 1-4 s)",
     )
 
 

@@ -8,6 +8,7 @@ and evaluation as a ring homomorphism.
 
 import decimal
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,41 @@ def test_two_term_factor_is_a_linear_product(monkeypatch):
     for factor, product in expected.items():
         assert factor * big == product
         assert big * factor == product
+
+
+def _sparse_wide(seed):
+    """65 terms spread over a degree box of side 10^5."""
+    rng = random.Random(seed)
+    terms = {(10**5, 0): 1, (0, 10**5): -1}
+    while len(terms) < 65:
+        terms[(rng.randrange(10**5), rng.randrange(10**5))] = rng.choice(
+            [-3, -1, 2, 5])
+    return BiPoly(terms)
+
+
+def test_sparse_operands_over_a_wide_degree_box_are_not_packed(monkeypatch):
+    # 65 x 65 pairs pass the pair threshold, but a packed product would
+    # hold about 4 * 10^10 slots; it must run as a schoolbook product.
+    a, b = _sparse_wide(1), _sparse_wide(2)
+    assert a.num_terms() * b.num_terms() > bipoly._KRONECKER_PAIRS
+
+    def refuse(a, b):
+        raise AssertionError("a sparse product reached _mul_kronecker")
+
+    monkeypatch.setattr(bipoly, "_mul_kronecker", refuse)
+    product = a * b
+
+    def value(p, swap):
+        """p(2, -1), or p(-1, 2) if swap; powers of 2 as shifts."""
+        total = 0
+        for (dx, dy), c in p.terms().items():
+            if swap:
+                dx, dy = dy, dx
+            total += (-c if dy & 1 else c) << dx
+        return total
+
+    for swap in (False, True):
+        assert value(product, swap) == value(a, swap) * value(b, swap)
 
 
 @pytest.mark.parametrize("context", [

@@ -224,9 +224,14 @@ def test_reliability_rejects_unknown_family(capsys):
 
 
 def test_reliability_out_of_range_grid_value(capsys):
-    code, _, err = run(capsys, "reliability", "--n", "2", "--p-grid", "0")
-    assert code == 1
-    assert err.startswith("error:")
+    # A single value outside (0, 1) is a usage error, as a range is.
+    for value in ("0", "1", "1.5", "-0.2"):
+        code, out, err = run(capsys, "reliability", "--n", "2",
+                             "--p-grid", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "strictly inside (0, 1)" in err
 
 
 @pytest.mark.parametrize("n", ["100", "700"])

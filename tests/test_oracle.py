@@ -7,10 +7,13 @@ both are right.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from fractal_tutte import oracle
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
@@ -30,7 +33,6 @@ from fractal_tutte.oracle import (
     tutte_deletion_contraction,
     tutte_subgraph_sum,
 )
-from fractal_tutte.oracle import _census_numpy, _census_python
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -199,15 +201,47 @@ def test_partition_divisibility():
         t3.div_exact_xminus1(2)
 
 
-def test_vectorized_census_matches_python_census():
+def _assert_census_matches_classification(nv, edges, hubs):
+    """The census against one rebuilt mask by mask from classify_edge_subset.
+
+    With ``hubs=None`` the census puts every subset in pattern 0; the
+    reference then classifies against arbitrary hubs and drops the pattern.
+    """
+    g = SimpleNamespace(num_vertices=nv, edges=edges, hubs=hubs or (0, 1, 2))
+    expect = Counter()
+    for mask in range(1 << len(edges)):
+        c = classify_edge_subset(g, mask)
+        pat = 0 if hubs is None else int(c.pattern)
+        expect[(pat, c.components, c.rank + c.nullity)] += 1
+    assert oracle._census(nv, edges, hubs) == expect
+
+
+def test_census_matches_per_subset_classification():
     rng = random.Random(99)
-    graphs = [build_psw_edge_expansion(1), build_sierpinski(1)]
-    for g in graphs:
-        args = (g.num_vertices, list(g.edges), g.hubs)
-        assert _census_numpy(*args) == _census_python(*args)
     nv, edges = _random_connected(rng, 7, 6)
-    args = (nv, edges, (0, 1, 2))
-    assert _census_numpy(*args) == _census_python(*args)
+    # isolated vertices and hubs past 256 must keep distinct labels
+    wide = [(0, 256), (256, 299), (1, 257), (257, 299), (2, 298), (0, 1)]
+    cases = [(g.num_vertices, list(g.edges), g.hubs)
+             for g in (build_psw_edge_expansion(1), build_sierpinski(1))]
+    cases += [(nv, edges, (0, 1, 2)), (300, wide, (0, 256, 299))]
+    for nv, edges, hubs in cases:
+        _assert_census_matches_classification(nv, edges, hubs)
+        _assert_census_matches_classification(nv, edges, None)
+
+
+def test_census_walks_edges_past_the_batch(monkeypatch):
+    monkeypatch.setattr(oracle, "_BATCH_BITS", 4)
+    rng = random.Random(3)
+    nv, edges = _random_connected(rng, 7, 5)
+    assert len(edges) == 11
+    _assert_census_matches_classification(nv, edges, (0, 3, 6))
+    _assert_census_matches_classification(nv, edges, None)
+
+
+def test_subset_sum_labels_vertices_past_256():
+    # a 21-edge forest on 300 vertices: vertex 256 is not vertex 0
+    forest = (300, [(0, 256)] + [(i, i + 1) for i in range(1, 21)])
+    assert tutte_subgraph_sum(forest) == X ** 21
 
 
 # -- reliability enumeration ------------------------------------------------

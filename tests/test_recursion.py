@@ -125,5 +125,5 @@ def test_json_wrapper():
 
 @pytest.mark.slow
 def test_matches_subset_oracle_generation_two():
-    # 2^27 subsets through the vectorized census; minutes-scale
+    # 2^27 subsets through the doubling census; seconds
     assert tutte_psw(2) == tutte_subgraph_sum(build_psw_edge_expansion(2))

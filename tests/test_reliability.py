@@ -14,6 +14,7 @@ from fractal_tutte.graphs import build_psw_edge_expansion, build_sierpinski
 from fractal_tutte.oracle import (
     HubPattern,
     classify_edge_subset,
+    partition_subgraph_sum,
     reliability_enumeration,
 )
 from fractal_tutte.reliability import (
@@ -142,6 +143,30 @@ def test_via_tutte_endpoints_and_guard():
     assert psw_rel_via_tutte(2, Fraction(0)) == 0
     with pytest.raises(SizeLimitExceeded):
         psw_rel_via_tutte(MAX_VIA_TUTTE_GENERATION + 1, HALF)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["psw", "sg"])
+def test_generation_two_states_match_the_hub_class_sums(family):
+    # The 2^27-subset census of the generation-2 graph.  With V vertices
+    # and E edges, the class of j hub components gives the state value
+    # p^(V-j) (1-p)^(E-V+j) (T_j / (x-1)^(j-1))(1, 1/(1-p)), where T_1 = T1,
+    # T_2 = T2C (A and B together) and T_3 = T3.
+    p = Fraction(1, 3)
+    if family == "psw":
+        g = build_psw_edge_expansion(2)
+        s = psw_reliability(2, p)
+        states = (s.r, s.b)
+    else:
+        g = build_sierpinski(2)
+        s = sg_reliability(2, p)
+        states = (s.rs, s.bs, s.ts)
+    t1, _, _, t2c, t3 = partition_subgraph_sum(g)
+    classes = (t1, t2c.div_exact_xminus1(1), t3.div_exact_xminus1(2))
+    nv, ne = g.num_vertices, len(g.edges)
+    for j, (state, cls) in enumerate(zip(states, classes), start=1):
+        weight = p ** (nv - j) * (1 - p) ** (ne - nv + j)
+        assert state == weight * cls.eval_exact(1, 1 / (1 - p))
 
 
 # -- structural inequalities ------------------------------------------------
