@@ -26,7 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .errors import NonDivisible, ZeroPolynomial
+from .errors import ZeroPolynomial
 
 Term = tuple[int, int]
 
@@ -210,25 +210,6 @@ class BiPoly:
             n >>= 1
         return result
 
-    # -- exact division by (x-1)^k ----------------------------------------
-
-    def div_exact_xminus1(self, k: int) -> "BiPoly":
-        """Divide exactly by (x-1)^k; NonDivisible if a remainder appears.
-
-        Runs k rounds of synthetic division in x, treating each coefficient
-        as a univariate polynomial in y.  A nonzero remainder means the
-        caller violated a proven divisibility property, so it raises rather
-        than returning a quotient/remainder pair.
-        """
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        terms = self._terms
-        for _ in range(k):
-            terms = _synthetic_divide_once(terms)
-        result = BiPoly.__new__(BiPoly)
-        result._terms = terms
-        return result
-
     # -- evaluation --------------------------------------------------------
 
     def eval_exact(self, x0: Fraction | int, y0: Fraction | int) -> Fraction:
@@ -345,36 +326,3 @@ def _pack(p: dict[Term, int], stride: int, w: int, text) -> Decimal:
     for (dx, dy), c in p.items():
         (pos if c > 0 else neg)[top - dx * stride - dy] = text(abs(c)).zfill(w)
     return _EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg)))
-
-
-def _synthetic_divide_once(terms: dict[Term, int]) -> dict[Term, int]:
-    """One synthetic-division round by (x - 1) over y-polynomial columns."""
-    if not terms:
-        return {}
-    columns: dict[int, dict[int, int]] = {}
-    for (dx, dy), c in terms.items():
-        columns.setdefault(dx, {})[dy] = c
-    top = max(columns)
-    out: dict[Term, int] = {}
-    carry: dict[int, int] = {}
-    for dx in range(top, 0, -1):
-        for dy, c in columns.get(dx, {}).items():
-            s = carry.get(dy, 0) + c
-            if s:
-                carry[dy] = s
-            else:
-                carry.pop(dy, None)
-        for dy, c in carry.items():
-            out[(dx - 1, dy)] = c
-    remainder = dict(carry)
-    for dy, c in columns.get(0, {}).items():
-        s = remainder.get(dy, 0) + c
-        if s:
-            remainder[dy] = s
-        else:
-            remainder.pop(dy, None)
-    if remainder:
-        raise NonDivisible(
-            f"polynomial is not divisible by (x - 1): remainder has "
-            f"{len(remainder)} term(s)")
-    return out

@@ -320,10 +320,8 @@ def _check_matrix_tree(family, n, g) -> dict:
 
 def _check_reliability(family, n, g) -> dict:
     name = "reliability"
-    if g.num_edges > oracle.MAX_RELIABILITY_EDGES:
-        return _entry(name, "skip",
-                      f"{g.num_edges} edges exceed the enumeration limit "
-                      f"{oracle.MAX_RELIABILITY_EDGES}")
+    if g.num_edges > oracle.MAX_SUBSET_EDGES:
+        return _subset_limit_skip(name, g)
     p = Fraction(1, 2)
     r_enum, _ = oracle.reliability_enumeration(g, p)
     t1 = oracle.partition_subgraph_sum(g)[0]

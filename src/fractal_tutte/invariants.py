@@ -1,13 +1,18 @@
 """Numeric invariants of the pseudofractal web via scalar recursion.
 
 The symbolic recursion (module ``recursion``) is exponential in output
-size.  Evaluating at a fixed rational point first runs the same
-product-form step, ``recursion.psw_step``, on numbers instead of
-polynomials: five big-number multiplications per generation, so counts
-like T_n(1,1) are reachable far beyond the symbolic limit.  This module
-provides
+size.  Evaluating at a fixed rational point instead runs the same
+product-form step on numbers: a few big-integer products per generation,
+so counts like T_n(1,1) are reachable far beyond the symbolic limit.
+With X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers
+over one common denominator D, so a rational point pays for a single
+gcd at the end instead of one at every ``Fraction`` operation; at an
+integer point d = e = D = 1 and the step is ``psw_step`` on ints.  This
+module provides
 
-* ``eval_state_at_point``: the (t1, p, q) recursion on exact rationals;
+* ``scaled_state`` / ``common_denominator``: that integer recursion;
+* ``eval_state_at_point`` / ``eval_tutte_at_point``: the reduced
+  (t1, p, q) and T_n at a rational point;
 * ``invariant_report``: the classical Tutte evaluations
   (spanning trees, connected spanning subgraphs, spanning forests,
   acyclic orientations, all subgraphs) at one generation;
@@ -30,19 +35,20 @@ from .errors import (
     NonIntegralExponent,
     SizeLimitExceeded,
 )
-from .recursion import psw_assemble, psw_step
+from .recursion import psw_assemble
 
 MAX_EVAL_GENERATION = 14
 MAX_TREE_COUNT_GENERATION = 20
 
 
-def eval_state_at_point(
-    n: int, x0: Fraction | int, y0: Fraction | int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (t1, p, q) values at generation n and rational point (x0, y0).
+def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int, int]:
+    """Integers (T, P, Q) with t1 = T/D, p = d P/D, q = d^2 Q/D at generation n.
 
-    Runs n steps of ``psw_step``, the step the symbolic engine uses.
-    Values stay in plain integer arithmetic when the point is integral.
+    X = x0-1 = a/d and Y = y0-1 = b/e in lowest terms; D is
+    ``common_denominator``.  With u = T + a P and w = 2 P + a Q one
+    generation is T' = u^2 (b u + 3 d e w), P' = d e u w^2, Q' = d e w^3,
+    which is ``psw_step`` with the denominators multiplied out (and is
+    ``psw_step`` on ints when d = e = 1).
     """
     if n < 0:
         raise DomainError(f"generation must be nonnegative, got {n}")
@@ -50,23 +56,40 @@ def eval_state_at_point(
         raise SizeLimitExceeded(
             f"exact evaluation limited to n <= {MAX_EVAL_GENERATION} "
             f"(value bit-length grows like 3^n)")
-    x0 = Fraction(x0)
-    y0 = Fraction(y0)
-    if x0.denominator == 1 and y0.denominator == 1:
-        # Integer point: run on ints, which is the common case for the
-        # classical invariants and noticeably faster at large n.
-        x0, y0 = x0.numerator, y0.numerator
-    X, Y = x0 - 1, y0 - 1
-    t1, p, q = y0 + 2, 1, 1
+    a, d = X.numerator, X.denominator
+    b, e = Y.numerator, Y.denominator
+    de = d * e
+    T, P, Q = d * d * (b + 3 * e), de, e
     for _ in range(n):
-        t1, p, q = psw_step(t1, p, q, X, Y)
-    return Fraction(t1), Fraction(p), Fraction(q)
+        u = T + a * P
+        w = 2 * P + a * Q
+        ww = w * w
+        T, P, Q = u * u * (b * u + 3 * de * w), de * u * ww, de * ww * w
+    return T, P, Q
+
+
+def common_denominator(n: int, X: Fraction, Y: Fraction) -> int:
+    """D_n = e^((3^(n+1)-1)/2) d^(2 3^n): D_0 = e d^2 and D' = e D^3."""
+    return Y.denominator ** ((3 ** (n + 1) - 1) // 2) * X.denominator ** (
+        2 * 3 ** n)
+
+
+def eval_state_at_point(
+    n: int, x0: Fraction | int, y0: Fraction | int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (t1, p, q) values at generation n and rational point (x0, y0)."""
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    T, P, Q = scaled_state(n, X, Y)
+    D, d = common_denominator(n, X, Y), X.denominator
+    return Fraction(T, D), Fraction(d * P, D), Fraction(d * d * Q, D)
 
 
 def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
-    """T_n(x0, y0) = t1 + 3 (x0-1) p + (x0-1)^2 q, exactly."""
-    t1, p, q = eval_state_at_point(n, x0, y0)
-    return psw_assemble(t1, p, q, Fraction(x0) - 1)
+    """T_n(x0, y0) = (T + a (3 P + a Q)) / D, reduced once."""
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    T, P, Q = scaled_state(n, X, Y)
+    return Fraction(psw_assemble(T, P, Q, X.numerator),
+                    common_denominator(n, X, Y))
 
 
 @dataclass(frozen=True)

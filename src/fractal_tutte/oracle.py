@@ -41,7 +41,6 @@ from .unionfind import UnionFind
 MAX_SUBSET_EDGES = 27
 MAX_DC_EDGES = 12
 MAX_MATRIX_TREE_VERTICES = 64
-MAX_RELIABILITY_EDGES = 20
 
 
 class HubPattern(IntEnum):
@@ -350,10 +349,6 @@ def reliability_enumeration(
             "reliability enumeration needs hub labels; pass a HubGraph")
     nv, edges = _vertices_edges(g)
     ne = len(edges)
-    if ne > MAX_RELIABILITY_EDGES:
-        raise SizeLimitExceeded(
-            f"{ne} edges exceed the reliability enumeration limit "
-            f"{MAX_RELIABILITY_EDGES}")
     counts = _census(nv, edges, g.hubs)
     q = 1 - p
     ppow = [Fraction(1)]

@@ -16,8 +16,9 @@ step is a product form,
 
 and the full polynomial is T_n = t1 + 3 X p + X^2 q.  ``psw_step`` and
 ``psw_assemble`` write these once with plain + and *, so the same code
-runs on ``BiPoly`` (the symbolic path here) and on int or Fraction values
-of X and Y (the point evaluators in ``invariants``).
+runs on ``BiPoly`` (the symbolic path here) and on plain numbers (psw
+reliability).  The point evaluators in ``invariants`` run the step with
+its denominators multiplied out and assemble with ``psw_assemble``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def psw_step(t1, p, q, X, Y):
 
     Multiplied out this is a 20-monomial polynomial map; the product form
     needs five full-size multiplications (u^2, u^2 (Y u + 3 w), w^2,
-    u w^2 and w^3).  The arguments may be BiPoly, int or Fraction.
+    u w^2 and w^3).  The arguments may be BiPoly or numbers.
     """
     u = t1 + X * p
     w = 2 * p + X * q

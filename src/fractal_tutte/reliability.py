@@ -24,9 +24,9 @@ quantities for p in (0, 1), so each step is written once with plain
 The psw step is the Tutte step ``recursion.psw_step`` at X = 0, Y = 1.
 
 An independent exact route goes through the Tutte polynomial:
-R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the point evaluator
-of module ``invariants``; the two must agree exactly, and a test holds
-them to it.
+R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer point
+recursion of module ``invariants``; the two must agree exactly, and a
+test holds them to it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import eval_state_at_point
+from .invariants import scaled_state
 from .recursion import psw_step
 from .scalars import (
     LOG_CONTEXT,
@@ -180,6 +180,8 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
 
     R(n) = p^(V-1) (1-p)^(E-V+1) * T_1,n(1, 1/(1-p)).  Equals the direct
     probability recursion identically; exists as its second witness.
+    For p = r/s it is r^(V-1) T / s^E, with T from
+    ``invariants.scaled_state``, reduced once.
     p = 0 and p = 1 are answered directly (0 and 1) since 1/(1-p) is
     singular at p = 1.
     """
@@ -194,10 +196,11 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
         return Fraction(1)
     if p == 0:
         return Fraction(0)
-    t1, _, _ = eval_state_at_point(n, 1, 1 / (1 - p))
-    nv = psw_vertex_count(n)
-    ne = psw_edge_count(n)
-    return p ** (nv - 1) * (1 - p) ** (ne - nv + 1) * t1
+    # At x = 1, Y = p/(1-p) = r/(s-r), and T's common denominator
+    # (s-r)^((3^(n+1)-1)/2) = (s-r)^(E-V+1) cancels against (1-p)^(E-V+1).
+    r, s = p.numerator, p.denominator
+    t, _, _ = scaled_state(n, Fraction(0), Fraction(r, s - r))
+    return Fraction(r ** (psw_vertex_count(n) - 1) * t, s ** psw_edge_count(n))
 
 
 def psw_rel_approx_log(n: int, p: float) -> float:

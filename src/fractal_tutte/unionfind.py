@@ -34,11 +34,3 @@ class UnionFind:
 
     def connected(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
-
-
-def component_count(n: int, edges) -> int:
-    """Number of connected components of the graph (range(n), edges)."""
-    uf = UnionFind(n)
-    for u, v in edges:
-        uf.union(u, v)
-    return uf.components

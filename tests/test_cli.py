@@ -346,10 +346,22 @@ def test_oracle_subset_of_checks(capsys):
 
 
 def test_oracle_skips_oversized_checks(capsys):
-    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "2",
+    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "3",
                        "--check", "deletion-contraction,reliability")
     assert code == 0
-    assert all(line.startswith("SKIP") for line in out.splitlines())
+    assert out.splitlines() == [
+        "SKIP deletion-contraction: 81 edges exceed the recursion limit 12",
+        "SKIP reliability: 81 edges exceed the enumeration limit 27"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["psw", "sg"])
+def test_oracle_reliability_at_generation_two(capsys, family):
+    # 27 edges: within the one subset-enumeration limit.
+    code, out, _ = run(capsys, "oracle", "--family", family, "--n", "2",
+                       "--check", "reliability")
+    assert code == 0
+    assert out.startswith("PASS reliability: ")
 
 
 @pytest.mark.parametrize("family", ["psw", "sg"])

@@ -21,7 +21,7 @@ from fractal_tutte.graphs import (
     psw_vertex_count,
     to_edge_list,
 )
-from fractal_tutte.unionfind import component_count
+from helpers import component_count
 
 
 def test_generation_zero_is_a_triangle():

@@ -16,15 +16,17 @@ from fractal_tutte.graphs import (
 from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
+    common_denominator,
     eval_state_at_point,
     eval_tutte_at_point,
     exponent_sequences,
     invariant_report,
+    scaled_state,
     spanning_trees_closed_form,
     spanning_trees_recurrence,
 )
 from fractal_tutte.oracle import matrix_tree_count
-from fractal_tutte.recursion import state_at, tutte_psw
+from fractal_tutte.recursion import psw_assemble, psw_step, state_at, tutte_psw
 
 
 def test_eval_state_examples():
@@ -82,6 +84,74 @@ def test_eval_state_matches_symbolic_components():
     assert t1 == s.t1.eval_exact(x0, y0)
     assert p == s.p.eval_exact(x0, y0)
     assert q == s.q.eval_exact(x0, y0)
+
+
+#: (x0, y0) covering a = 0 (x0 = 1), b = 0 (y0 = 1), negative X and Y,
+#: integer points, and d, e sharing a prime (X = 1/6, Y = 5/4).
+SCALED_POINTS = [
+    (1, 2), (Fraction(2, 3), 1), (1, 1), (2, 2), (-3, 5),
+    (Fraction(-1, 4), Fraction(-2, 3)), (Fraction(5, 7), Fraction(-3, 2)),
+    (Fraction(7, 6), Fraction(9, 4)), (Fraction(1, 3), 2),
+    (4, Fraction(1, 5)),
+]
+
+
+def _fraction_states(x0, y0, n_max):
+    """(t1, p, q) for n = 0..n_max by ``psw_step`` over Fraction."""
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    state = (Y + 3, Fraction(1), Fraction(1))
+    states = [state]
+    for _ in range(n_max):
+        state = psw_step(*state, X, Y)
+        states.append(state)
+    return states
+
+
+def _parts(value):
+    return value.numerator, value.denominator
+
+
+@pytest.mark.parametrize("x0,y0", SCALED_POINTS)
+def test_scaled_state_matches_fraction_step(x0, y0):
+    # The integer state over D, and the reduced values the entry points
+    # return, equal psw_step over Fraction to the numerator and denominator.
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    d = X.denominator
+    for n, state in enumerate(_fraction_states(x0, y0, 7)):
+        T, P, Q = scaled_state(n, X, Y)
+        D = common_denominator(n, X, Y)
+        assert (Fraction(T, D), Fraction(d * P, D),
+                Fraction(d * d * Q, D)) == state
+        assert list(map(_parts, eval_state_at_point(n, x0, y0))) == list(
+            map(_parts, state))
+        value = eval_tutte_at_point(n, x0, y0)
+        assert type(value) is Fraction
+        assert _parts(value) == _parts(psw_assemble(*state, X))
+
+
+@pytest.mark.parametrize("x0,y0", SCALED_POINTS)
+def test_common_denominator_unrolls_its_recursion(x0, y0):
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    e, d = Y.denominator, X.denominator
+    D = e * d * d
+    for n in range(9):
+        assert common_denominator(n, X, Y) == D
+        D = e * D ** 3
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(3, 8),
+                               Fraction(1, 2), Fraction(7, 9),
+                               Fraction(999, 1000)])
+def test_reliability_point_denominator_cancels(p):
+    # At x0 = 1, y0 = 1/(1-p): Y = r/(s-r), and D_n must be exactly the
+    # (1-p)^(E-V+1) denominator that psw_rel_via_tutte cancels.
+    r, s = p.numerator, p.denominator
+    X, Y = Fraction(0), 1 / (1 - p) - 1
+    assert Y == Fraction(r, s - r)
+    for n in range(9):
+        excess = psw_edge_count(n) - psw_vertex_count(n) + 1
+        assert excess == (3 ** (n + 1) - 1) // 2
+        assert common_denominator(n, X, Y) == (s - r) ** excess
 
 
 def test_invariant_report_generation_zero():

@@ -23,7 +23,6 @@ from fractal_tutte.graphs import (
 from fractal_tutte.oracle import (
     MAX_DC_EDGES,
     MAX_MATRIX_TREE_VERTICES,
-    MAX_RELIABILITY_EDGES,
     MAX_SUBSET_EDGES,
     HubPattern,
     classify_edge_subset,
@@ -33,6 +32,7 @@ from fractal_tutte.oracle import (
     tutte_deletion_contraction,
     tutte_subgraph_sum,
 )
+from helpers import div_exact_xminus1
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -197,8 +197,8 @@ def test_partition_divisibility():
     for g in (build_psw_edge_expansion(1), build_sierpinski(1)):
         _, t2a, t2b, t2c, t3 = partition_subgraph_sum(g)
         for part in (t2a, t2b, t2c):
-            part.div_exact_xminus1(1)
-        t3.div_exact_xminus1(2)
+            div_exact_xminus1(part, 1)
+        div_exact_xminus1(t3, 2)
 
 
 def _assert_census_matches_classification(nv, edges, hubs):
@@ -327,7 +327,7 @@ def test_matrix_tree_vertex_guard():
 
 
 def test_reliability_edge_guard():
-    g = build_psw_edge_expansion(2)  # 27 edges
-    assert len(g.edges) > MAX_RELIABILITY_EDGES
+    g = build_psw_edge_expansion(3)  # 81 edges
+    assert len(g.edges) > MAX_SUBSET_EDGES
     with pytest.raises(SizeLimitExceeded):
         reliability_enumeration(g, Fraction(1, 2))

@@ -28,6 +28,7 @@ from fractal_tutte.recursion import (
     tutte_psw,
     tutte_psw_json,
 )
+from helpers import div_exact_xminus1
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -56,8 +57,8 @@ def test_level_one_state_matches_classified_oracle():
     assert s.t1 == t1
     assert assemble_tutte(s).degrees() == (5, 4)  # rank and nullity of G(1)
     assert t2a == t2b == t2c
-    assert s.p == t2a.div_exact_xminus1(1)
-    assert s.q == t3.div_exact_xminus1(2)
+    assert s.p == div_exact_xminus1(t2a, 1)
+    assert s.q == div_exact_xminus1(t3, 2)
 
 
 def test_level_one_values():
