@@ -60,18 +60,12 @@ from .recursion import (
 )
 from .reliability import (
     CurvePoint,
-    RelStatePsw,
-    RelStateSg,
+    RelState,
     compare_curves,
     curves_to_csv,
     psw_rel_approx_log,
-    psw_rel_init,
-    psw_rel_step,
     psw_rel_via_tutte,
-    psw_reliability,
-    sg_rel_init,
-    sg_rel_step,
-    sg_reliability,
+    reliability_state,
 )
 
 __version__ = "0.1.0"

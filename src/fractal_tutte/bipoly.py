@@ -122,6 +122,9 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant hashes as the int it equals
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:

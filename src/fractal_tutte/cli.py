@@ -323,7 +323,7 @@ def _check_reliability(family, n, g) -> dict:
     if g.num_edges > oracle.MAX_SUBSET_EDGES:
         return _subset_limit_skip(name, g)
     p = Fraction(1, 2)
-    r_enum, _ = oracle.reliability_enumeration(g, p)
+    r_enum = oracle.reliability_enumeration(g, p)[0]
     t1 = oracle.partition_subgraph_sum(g)[0]
     nv, ne = g.num_vertices, g.num_edges
     bridged = (p ** (nv - 1) * (1 - p) ** (ne - nv + 1)

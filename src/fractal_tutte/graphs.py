@@ -226,10 +226,13 @@ def from_edge_list(text: str, generation: int | None = None) -> HubGraph:
         nv, ne = map(int, lines[0].split())
     except ValueError:
         raise DomainError(f"bad header line: {lines[0]!r}") from None
-    hub_parts = lines[1].split()
-    if len(hub_parts) != 4 or hub_parts[0] != "H":
+    tag, *hub_parts = lines[1].split()
+    try:
+        hubs = tuple(int(h) for h in hub_parts)
+    except ValueError:
+        hubs = ()
+    if tag != "H" or len(hubs) != 3:
         raise DomainError(f"bad hub line: {lines[1]!r}")
-    hubs = tuple(int(h) for h in hub_parts[1:])
     if len(lines) - 2 != ne:
         raise DomainError(
             f"header promises {ne} edges but {len(lines) - 2} lines follow")

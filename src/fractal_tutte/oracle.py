@@ -334,12 +334,13 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def reliability_enumeration(
     g: HubGraph, p: Fraction | int
-) -> tuple[Fraction, Fraction]:
-    """Exact (R, B) at edge probability p by enumerating all edge states.
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (R, B, T) at edge probability p by enumerating all edge states.
 
     R is the probability that the operational edges connect every vertex;
     B is the probability that they leave exactly two components, one
-    containing hubs A and B and the other containing hub C.
+    containing hubs A and B and the other containing hub C; T is the
+    probability that they leave exactly three components, one hub in each.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -356,12 +357,11 @@ def reliability_enumeration(
     for _ in range(ne):
         ppow.append(ppow[-1] * p)
         qpow.append(qpow[-1] * q)
-    r_total = Fraction(0)
-    b_total = Fraction(0)
+    # (hub pattern, component count) of R, B and T
+    totals = dict.fromkeys(((HubPattern.ALL_TOGETHER, 1),
+                            (HubPattern.AB_C, 2),
+                            (HubPattern.ALL_APART, 3)), Fraction(0))
     for (pat, k, m), cnt in counts.items():
-        weight = cnt * ppow[m] * qpow[ne - m]
-        if k == 1:
-            r_total += weight
-        if k == 2 and pat == int(HubPattern.AB_C):
-            b_total += weight
-    return r_total, b_total
+        if (pat, k) in totals:
+            totals[pat, k] += cnt * ppow[m] * qpow[ne - m]
+    return tuple(totals.values())

@@ -1,27 +1,32 @@
 """All-terminal reliability of the pseudofractal web and Sierpinski gasket.
 
 With every edge independently operational with probability p, the
-self-similar structure of both families turns reliability into a scalar
-recursion per generation:
+self-similar structure of both families turns reliability into a
+recursion on one state of three scalars per generation:
 
-* pseudofractal web, with R = P(everything connected) and
-  B = P(exactly two components, hubs A and B in one, hub C in the other)::
+* R = P(everything connected),
+* B = P(exactly two components, hubs A and B in one, hub C in the other),
+* T = P(exactly three components, one hub in each).
 
-      R' = R^3 + 6 R^2 B          B' = 4 R B^2
+Both families start from the triangle, R(0) = p^2 (3-2p),
+B(0) = p (1-p)^2, T(0) = (1-p)^3, and differ only in their step, which
+``STEPS`` holds by family name:
 
-* Sierpinski gasket, which needs a third scalar
-  Ts = P(three components, each hub in its own)::
+* pseudofractal web, the Tutte step ``recursion.psw_step`` at X = 0,
+  Y = 1, which T does not feed::
 
-      Rs' = Rs^3 + 6 Rs^2 Bs
-      Bs' = Rs^2 Bs + Rs^2 Ts + 7 Rs Bs^2
-      Ts' = 3 Rs Bs^2 + 12 Rs Bs Ts + 14 Bs^3
+      R' = R^3 + 6 R^2 B          B' = 4 R B^2          T' = 8 B^3
 
-Initial values: R(0) = Rs(0) = p^2 (3-2p), B(0) = Bs(0) = p (1-p)^2,
-Ts(0) = (1-p)^3.  Every right-hand term is a product of positive
-quantities for p in (0, 1), so each step is written once with plain
-+ and * and runs on whatever number type the mode picks: Fraction
-(``exact``), float (``float``) or Decimal (``log``, module ``scalars``).
-The psw step is the Tutte step ``recursion.psw_step`` at X = 0, Y = 1.
+* Sierpinski gasket::
+
+      R' = R^3 + 6 R^2 B
+      B' = R^2 B + R^2 T + 7 R B^2
+      T' = 3 R B^2 + 12 R B T + 14 B^3
+
+Every right-hand term is a product of positive quantities for p in
+(0, 1), so each step is written once with plain + and * and runs on
+whatever number type the mode picks: Fraction (``exact``), float
+(``float``) or Decimal (``log``, module ``scalars``).
 
 An independent exact route goes through the Tutte polynomial:
 R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer point
@@ -51,56 +56,58 @@ from .scalars import (
 
 MAX_VIA_TUTTE_GENERATION = 10
 
-FAMILIES = ("psw", "sg")
-
 
 def _as_probability(p) -> Fraction:
-    p = Fraction(p)
-    if not 0 <= p <= 1:
+    """p as an exact probability in [0, 1].
+
+    A float is read as the nearest fraction with denominator at most
+    10^12, so 0.1 means 1/10 rather than the binary double next to it.
+    """
+    fr = (Fraction(p).limit_denominator(10**12) if isinstance(p, float)
+          else Fraction(p))
+    if not 0 <= fr <= 1:
         raise DomainError(f"edge probability {p} outside [0, 1]")
-    return p
+    return fr
 
 
-def _require_open_interval(p: Fraction, mode: str) -> None:
-    if mode == "log" and not 0 < p < 1:
-        raise DomainError(
-            f"log mode needs p strictly inside (0, 1), got {p}")
+def _sg_step(r, b, t):
+    """One gasket generation of (R, B, T), over any ring."""
+    return (r * r * (r + 6 * b),
+            r * (r * (b + t) + 7 * b * b),
+            b * (3 * r * b + 12 * r * t + 14 * b * b))
+
+
+#: One generation of (R, B, T) by family, over any ring.  At X = 0 the
+#: psw step does not read its q slot, so 0 stands in for T there.
+STEPS = {"psw": lambda r, b, t: psw_step(r, b, 0, 0, 1), "sg": _sg_step}
+FAMILIES = tuple(STEPS)
 
 
 @dataclass(frozen=True)
-class RelStatePsw:
+class RelState:
+    """(R, B, T) of one family's generation, in the number type of mode."""
+
+    family: str
     level: int
     r: object
     b: object
-    mode: str = "exact"
+    t: object
+    mode: str
 
     @property
     def ln_r(self) -> float:
         return float(ln(self.r))
 
 
-@dataclass(frozen=True)
-class RelStateSg:
-    level: int
-    rs: object
-    bs: object
-    ts: object
-    mode: str = "exact"
-
-    @property
-    def ln_rs(self) -> float:
-        return float(ln(self.rs))
-
-
-def _run_step(s, step, *values):
-    """step(*values) for the state s, in the arithmetic of its mode.
+def _run_step(s: RelState, step):
+    """step(R, B, T) for the state s, in the arithmetic of its mode.
 
     A Decimal step runs under ``LOG_CONTEXT``; one past
     ``MAX_LOG_GENERATION``, or one whose values leave the exponent range,
     ends in ``SizeLimitExceeded``.
     """
     if s.mode != "log":
-        return step(*values)
+        return step(s.r, s.b, s.t)
     if s.level >= MAX_LOG_GENERATION:
         raise SizeLimitExceeded(
             f"log mode is limited to n <= {MAX_LOG_GENERATION}: its "
@@ -108,7 +115,7 @@ def _run_step(s, step, *values):
             f"digits correct only that deep")
     try:
         with decimal.localcontext(LOG_CONTEXT):
-            return step(*values)
+            return step(s.r, s.b, s.t)
     except decimal.Underflow:
         raise SizeLimitExceeded(
             f"log mode: generation {s.level + 1} holds a value below "
@@ -116,62 +123,26 @@ def _run_step(s, step, *values):
         ) from None
 
 
-def psw_rel_init(p, mode: str = "exact") -> RelStatePsw:
-    """Level-0 state: R = p^2 (3-2p), B = p (1-p)^2."""
+def reliability_state(family: str, n: int, p,
+                      mode: str = "exact") -> RelState:
+    """(R, B, T) of the family's generation n at edge probability p."""
+    if family not in STEPS:
+        raise DomainError(
+            f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    step = STEPS[family]
     p = _as_probability(p)
-    _require_open_interval(p, mode)
-    return RelStatePsw(
-        level=0,
-        r=embed(p * p * (3 - 2 * p), mode),
-        b=embed(p * (1 - p) ** 2, mode),
-        mode=mode,
-    )
-
-
-def psw_rel_step(s: RelStatePsw) -> RelStatePsw:
-    """R' = R^2 (R + 6B);  B' = 4 R B^2: the Tutte step at X = 0, Y = 1."""
-    r, b, _ = _run_step(s, psw_step, s.r, s.b, 0, 0, 1)
-    return RelStatePsw(level=s.level + 1, r=r, b=b, mode=s.mode)
-
-
-def sg_rel_init(p, mode: str = "exact") -> RelStateSg:
-    """Level-0 state: Rs = p^2 (3-2p), Bs = p (1-p)^2, Ts = (1-p)^3."""
-    p = _as_probability(p)
-    _require_open_interval(p, mode)
-    return RelStateSg(
-        level=0,
-        rs=embed(p * p * (3 - 2 * p), mode),
-        bs=embed(p * (1 - p) ** 2, mode),
-        ts=embed((1 - p) ** 3, mode),
-        mode=mode,
-    )
-
-
-def _sg_step(rs, bs, ts):
-    """One gasket generation of (Rs, Bs, Ts), over any ring."""
-    return (rs * rs * (rs + 6 * bs),
-            rs * (rs * (bs + ts) + 7 * bs * bs),
-            bs * (3 * rs * bs + 12 * rs * ts + 14 * bs * bs))
-
-
-def sg_rel_step(s: RelStateSg) -> RelStateSg:
-    """One gasket generation on (Rs, Bs, Ts)."""
-    rs, bs, ts = _run_step(s, _sg_step, s.rs, s.bs, s.ts)
-    return RelStateSg(level=s.level + 1, rs=rs, bs=bs, ts=ts, mode=s.mode)
-
-
-def psw_reliability(n: int, p, mode: str = "exact") -> RelStatePsw:
-    """State after n recursion steps."""
-    s = psw_rel_init(p, mode)
+    if mode == "log" and not 0 < p < 1:
+        raise DomainError(
+            f"log mode needs p strictly inside (0, 1), got {p}")
+    # The triangle at p = a/d: R, B and T over the common denominator d^3,
+    # one reduction each rather than one per Fraction operation.
+    a, d = p.numerator, p.denominator
+    s = RelState(family, 0, *(
+        embed(Fraction(v, d ** 3), mode)
+        for v in (a * a * (3 * d - 2 * a), a * (d - a) ** 2, (d - a) ** 3)),
+        mode)
     for _ in range(n):
-        s = psw_rel_step(s)
-    return s
-
-
-def sg_reliability(n: int, p, mode: str = "exact") -> RelStateSg:
-    s = sg_rel_init(p, mode)
-    for _ in range(n):
-        s = sg_rel_step(s)
+        s = RelState(family, s.level + 1, *_run_step(s, step), mode)
     return s
 
 
@@ -220,23 +191,12 @@ def psw_rel_approx_log(n: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One grid point of the PSW-vs-gasket comparison.
-
-    A family that was not asked for holds None.
-    """
+    """One grid point of the PSW-vs-gasket comparison: R by family, for
+    the families asked for."""
 
     p: float
     mode: str
-    r_psw: object
-    r_sg: object
-
-    @property
-    def ln_r_psw(self) -> float:
-        return float(ln(self.r_psw))
-
-    @property
-    def ln_r_sg(self) -> float:
-        return float(ln(self.r_sg))
+    r: dict
 
 
 def compare_curves(n: int, p_grid, mode: str = "exact",
@@ -255,12 +215,11 @@ def compare_curves(n: int, p_grid, mode: str = "exact",
             f"got {', '.join(families) or 'none'}")
     points = []
     for p in sorted(p_grid):
-        pf = Fraction(p).limit_denominator(10**12) if isinstance(p, float) else Fraction(p)
+        pf = _as_probability(p)
         if not 0 < pf < 1:
             raise DomainError(f"grid value {p} outside (0, 1)")
-        psw = psw_reliability(n, pf, mode).r if "psw" in families else None
-        sg = sg_reliability(n, pf, mode).rs if "sg" in families else None
-        points.append(CurvePoint(p=float(p), mode=mode, r_psw=psw, r_sg=sg))
+        points.append(CurvePoint(p=float(p), mode=mode, r={
+            f: reliability_state(f, n, pf, mode).r for f in families}))
     return points
 
 
@@ -309,7 +268,7 @@ def curves_to_csv(points: list[CurvePoint], families=FAMILIES) -> str:
     lines = [",".join(["p"] + [f"R_{f}" for f in families]
                       + [f"lnR_{f}" for f in families])]
     for pt in points:
-        values = [pt.r_psw if f == "psw" else pt.r_sg for f in families]
+        values = [pt.r[f] for f in families]
         lines.append(",".join(
             [f"{pt.p:.4f}"]
             + [format_probability(v, pt.mode) for v in values]

@@ -36,8 +36,7 @@ from fractal_tutte.recursion import (
 from fractal_tutte.reliability import (
     psw_rel_approx_log,
     psw_rel_via_tutte,
-    psw_reliability,
-    sg_reliability,
+    reliability_state,
 )
 
 THIRDS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -112,11 +111,13 @@ def test_criterion_4_reliability_bridge(capsys):
     def body():
         for n in range(0, 7):
             for p in THIRDS:
-                assert psw_rel_via_tutte(n, p) == psw_reliability(n, p).r
+                assert psw_rel_via_tutte(n, p) \
+                    == reliability_state("psw", n, p).r
         g1 = build_psw_edge_expansion(1)
-        s = psw_reliability(1, Fraction(1, 2))
-        assert (s.r, s.b) == (Fraction(5, 16), Fraction(1, 32))
-        assert (s.r, s.b) == reliability_enumeration(g1, Fraction(1, 2))
+        s = reliability_state("psw", 1, Fraction(1, 2))
+        assert (s.r, s.b, s.t) \
+            == (Fraction(5, 16), Fraction(1, 32), Fraction(1, 64))
+        assert (s.r, s.b, s.t) == reliability_enumeration(g1, Fraction(1, 2))
 
     _report(capsys, 4, "reliability recursion = Tutte bridge = enumeration",
             body)
@@ -125,19 +126,21 @@ def test_criterion_4_reliability_bridge(capsys):
 def test_criterion_5_comparison_theorem(capsys):
     def body():
         for p in THIRDS:
-            assert sg_reliability(1, p).rs == psw_reliability(1, p).r
+            assert reliability_state("sg", 1, p).r \
+                == reliability_state("psw", 1, p).r
         for n in range(2, 5):
             for p in GRID_99:
-                assert sg_reliability(n, p).rs > psw_reliability(n, p).r
+                assert reliability_state("sg", n, p).r \
+                    > reliability_state("psw", n, p).r
         for n in range(5, 9):
             for p in GRID_99:
                 pf = float(p)
-                assert sg_reliability(n, pf, "log").ln_rs \
-                    > psw_reliability(n, pf, "log").ln_r
+                assert reliability_state("sg", n, pf, "log").ln_r \
+                    > reliability_state("psw", n, pf, "log").ln_r
         # stability claim alongside the ordering
         for n in range(0, 11):
             for p in GRID_99:
-                s = psw_reliability(n, float(p), "float")
+                s = reliability_state("psw", n, float(p), "float")
                 assert s.r + 2 * s.b < 1
 
     _report(capsys, 5, "gasket beats web for n=2..8 on the 99-point grid",
@@ -185,11 +188,11 @@ def test_criterion_7_scalability(capsys):
         assert trees_12 == spanning_trees_closed_form(12)
 
         start = time.perf_counter()
-        web = psw_reliability(30, 0.5, "log")
-        gasket = sg_reliability(30, 0.5, "log")
+        web = reliability_state("psw", 30, 0.5, "log")
+        gasket = reliability_state("sg", 30, 0.5, "log")
         assert time.perf_counter() - start < 1.0
         assert math.isfinite(web.ln_r) and web.ln_r < 0
-        assert math.isfinite(gasket.ln_rs) and gasket.ln_rs < 0
-        assert gasket.ln_rs > web.ln_r
+        assert math.isfinite(gasket.ln_r) and gasket.ln_r < 0
+        assert gasket.ln_r > web.ln_r
 
     _report(capsys, 7, "T_12(1,1) under 10s; log-mode n=30 under 1s", body)

@@ -91,6 +91,17 @@ def test_equality_ignores_term_order():
     assert hash(a) == hash(b)
 
 
+def test_hash_agrees_with_equality_to_int():
+    assert hash(BiPoly.one()) == hash(1)
+    assert hash(BiPoly.zero()) == hash(0)
+    assert hash(BiPoly.constant(-7)) == hash(-7)
+    assert len({BiPoly.one(), 1}) == 1
+    assert len({BiPoly.zero(), 0}) == 1
+    # a non-constant polynomial equals no int and stays its own key
+    assert len({X + ONE, 1, 2}) == 3
+    assert {X + ONE: "a"}[ONE + X] == "a"
+
+
 # -- addition ---------------------------------------------------------------
 
 

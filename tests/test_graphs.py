@@ -205,3 +205,5 @@ def test_from_edge_list_rejects_malformed_input():
         from_edge_list("4 2\nH 0 1 2\n0 1\n2 3\n")  # disconnected
     with pytest.raises(DomainError):
         from_edge_list("3 3\n0 1\n0 2\n1 2\n")  # missing hub line
+    with pytest.raises(DomainError, match="bad hub line"):
+        from_edge_list("3 3\nH 0 1 x\n0 1\n0 2\n1 2\n")  # non-integer hub

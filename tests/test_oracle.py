@@ -248,23 +248,25 @@ def test_subset_sum_labels_vertices_past_256():
 
 
 def test_reliability_triangle():
-    r, b = reliability_enumeration(build_psw_edge_expansion(0), Fraction(1, 2))
+    r, b, t = reliability_enumeration(build_psw_edge_expansion(0),
+                                      Fraction(1, 2))
     assert r == Fraction(1, 2)
     assert b == Fraction(1, 8)
+    assert t == Fraction(1, 8)
 
 
 def test_reliability_generation_one():
     g = build_psw_edge_expansion(1)
     assert reliability_enumeration(g, Fraction(1, 2)) == (
-        Fraction(5, 16), Fraction(1, 32))
+        Fraction(5, 16), Fraction(1, 32), Fraction(1, 64))
     assert reliability_enumeration(g, Fraction(1, 3)) == (
-        Fraction(1519, 19683), Fraction(448, 19683))
+        Fraction(1519, 19683), Fraction(448, 19683), Fraction(512, 19683))
 
 
 def test_reliability_endpoints():
     g = build_psw_edge_expansion(1)
-    assert reliability_enumeration(g, Fraction(1)) == (Fraction(1), Fraction(0))
-    assert reliability_enumeration(g, Fraction(0)) == (Fraction(0), Fraction(0))
+    assert reliability_enumeration(g, Fraction(1)) == (1, 0, 0)
+    assert reliability_enumeration(g, Fraction(0)) == (0, 0, 0)
 
 
 def test_reliability_bridge_to_tutte_at_graph_level():

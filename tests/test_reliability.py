@@ -12,24 +12,19 @@ import pytest
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import build_psw_edge_expansion, build_sierpinski
 from fractal_tutte.oracle import (
-    HubPattern,
-    classify_edge_subset,
     partition_subgraph_sum,
     reliability_enumeration,
 )
 from fractal_tutte.reliability import (
+    FAMILIES,
     MAX_VIA_TUTTE_GENERATION,
+    STEPS,
     compare_curves,
     curves_to_csv,
     format_probability,
     psw_rel_approx_log,
-    psw_rel_init,
-    psw_rel_step,
     psw_rel_via_tutte,
-    psw_reliability,
-    sg_rel_init,
-    sg_rel_step,
-    sg_reliability,
+    reliability_state,
 )
 from fractal_tutte.recursion import psw_step
 from fractal_tutte.scalars import MAX_LOG_GENERATION, fraction_ln
@@ -37,49 +32,60 @@ from helpers import div_exact_xminus1
 
 HALF = Fraction(1, 2)
 PROBS = (Fraction(1, 3), HALF, Fraction(2, 3))
+BUILDERS = {"psw": build_psw_edge_expansion, "sg": build_sierpinski}
 
 
 # -- initial conditions -----------------------------------------------------
 
 
 def test_psw_init_values():
-    s = psw_rel_init(HALF)
-    assert s.level == 0
-    assert s.r == HALF
-    assert s.b == Fraction(1, 8)
+    s = reliability_state("psw", 0, HALF)
+    assert (s.family, s.level, s.mode) == ("psw", 0, "exact")
+    assert (s.r, s.b, s.t) == (HALF, Fraction(1, 8), Fraction(1, 8))
 
 
 def test_sg_init_values():
-    s = sg_rel_init(HALF)
-    assert (s.rs, s.bs, s.ts) == (HALF, Fraction(1, 8), Fraction(1, 8))
+    s = reliability_state("sg", 0, HALF)
+    assert (s.r, s.b, s.t) == (HALF, Fraction(1, 8), Fraction(1, 8))
 
 
 def test_init_matches_enumeration_on_triangle():
     tri = build_psw_edge_expansion(0)
     for p in PROBS:
-        s = psw_rel_init(p)
-        assert (s.r, s.b) == reliability_enumeration(tri, p)
+        s = reliability_state("psw", 0, p)
+        assert (s.r, s.b, s.t) == reliability_enumeration(tri, p)
 
 
 def test_fixed_points():
-    s = psw_rel_init(Fraction(1))
-    assert (s.r, s.b) == (1, 0)
-    s = psw_rel_step(s)
-    assert (s.r, s.b) == (1, 0)
-    dead = psw_rel_init(Fraction(0))
-    assert (dead.r, dead.b) == (0, 0)
+    for family in FAMILIES:
+        for n in (0, 1, 2):
+            s = reliability_state(family, n, Fraction(1))
+            assert (s.r, s.b, s.t) == (1, 0, 0)
+            dead = reliability_state(family, n, Fraction(0))
+            assert (dead.r, dead.b) == (0, 0)
 
 
 def test_probability_validation():
     with pytest.raises(DomainError):
-        psw_rel_init(Fraction(3, 2))
+        reliability_state("psw", 0, Fraction(3, 2))
     with pytest.raises(DomainError):
-        sg_rel_init(Fraction(-1, 10))
+        reliability_state("sg", 0, Fraction(-1, 10))
     # log mode cannot represent the endpoint values
     with pytest.raises(DomainError):
-        psw_rel_init(Fraction(1), mode="log")
+        reliability_state("psw", 0, Fraction(1), mode="log")
     with pytest.raises(DomainError):
-        psw_rel_init(Fraction(0), mode="log")
+        reliability_state("psw", 0, Fraction(0), mode="log")
+    with pytest.raises(DomainError, match="unknown family"):
+        reliability_state("tree", 0, HALF)
+
+
+def test_float_probability_is_read_as_its_nearest_small_fraction():
+    # every entry point reads 0.1 as 1/10, not as the binary double
+    tenth = Fraction(1, 10)
+    assert reliability_state("psw", 2, 0.1).r \
+        == reliability_state("psw", 2, tenth).r \
+        == compare_curves(2, [0.1])[0].r["psw"]
+    assert psw_rel_via_tutte(2, 0.1) == psw_rel_via_tutte(2, tenth)
 
 
 # -- one step equals exhaustive enumeration --------------------------------
@@ -88,46 +94,40 @@ def test_probability_validation():
 def test_psw_level_one_matches_enumeration():
     g = build_psw_edge_expansion(1)
     for p in PROBS:
-        s = psw_reliability(1, p)
-        assert (s.r, s.b) == reliability_enumeration(g, p)
+        s = reliability_state("psw", 1, p)
+        assert (s.r, s.b, s.t) == reliability_enumeration(g, p)
 
 
 def test_psw_level_one_half_values():
-    s = psw_reliability(1, HALF)
+    s = reliability_state("psw", 1, HALF)
     assert s.r == Fraction(5, 16)
     assert s.b == Fraction(1, 32)
+    assert s.t == Fraction(1, 64)
 
 
 def test_sg_level_one_matches_enumeration():
     g = build_sierpinski(1)
     for p in PROBS:
-        s = sg_reliability(1, p)
-        r_enum, b_enum = reliability_enumeration(g, p)
-        assert s.rs == r_enum
-        assert s.bs == b_enum
+        s = reliability_state("sg", 1, p)
+        assert (s.r, s.b, s.t) == reliability_enumeration(g, p)
 
 
 def test_sg_level_one_half_values():
-    s = sg_reliability(1, HALF)
-    assert s.rs == Fraction(5, 16)
-    assert s.bs == Fraction(15, 128)
-    assert s.ts == Fraction(37, 256)
+    s = reliability_state("sg", 1, HALF)
+    assert s.r == Fraction(5, 16)
+    assert s.b == Fraction(15, 128)
+    assert s.t == Fraction(37, 256)
 
 
-def test_sg_three_component_class_matches_enumeration():
-    # Ts is the probability that the corners sit in three different
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_three_component_class_matches_enumeration(family, n):
+    # T is the probability that the hubs sit in three different
     # components and the subgraph has exactly three components in total.
-    g = build_sierpinski(1)
-    ne = len(g.edges)
+    g = BUILDERS[family](n)
     for p in PROBS:
-        q = 1 - p
-        total = Fraction(0)
-        for mask in range(1 << ne):
-            c = classify_edge_subset(g, mask)
-            if c.pattern == HubPattern.ALL_APART and c.components == 3:
-                m = bin(mask).count("1")
-                total += p ** m * q ** (ne - m)
-        assert sg_reliability(1, p).ts == total
+        assert reliability_state(family, n, p).t \
+            == reliability_enumeration(g, p)[2]
 
 
 # -- bridge to the hub-together Tutte class ---------------------------------
@@ -136,7 +136,7 @@ def test_sg_three_component_class_matches_enumeration():
 @pytest.mark.parametrize("n", range(0, 7))
 def test_via_tutte_equals_recursion(n):
     for p in PROBS:
-        assert psw_rel_via_tutte(n, p) == psw_reliability(n, p).r
+        assert psw_rel_via_tutte(n, p) == reliability_state("psw", n, p).r
 
 
 def test_via_tutte_endpoints_and_guard():
@@ -154,18 +154,13 @@ def test_generation_two_states_match_the_hub_class_sums(family):
     # p^(V-j) (1-p)^(E-V+j) (T_j / (x-1)^(j-1))(1, 1/(1-p)), where T_1 = T1,
     # T_2 = T2C (A and B together) and T_3 = T3.
     p = Fraction(1, 3)
-    if family == "psw":
-        g = build_psw_edge_expansion(2)
-        s = psw_reliability(2, p)
-        states = (s.r, s.b)
-    else:
-        g = build_sierpinski(2)
-        s = sg_reliability(2, p)
-        states = (s.rs, s.bs, s.ts)
+    g = BUILDERS[family](2)
+    s = reliability_state(family, 2, p)
     t1, _, _, t2c, t3 = partition_subgraph_sum(g)
     classes = (t1, div_exact_xminus1(t2c, 1), div_exact_xminus1(t3, 2))
     nv, ne = g.num_vertices, len(g.edges)
-    for j, (state, cls) in enumerate(zip(states, classes), start=1):
+    for j, (state, cls) in enumerate(zip((s.r, s.b, s.t), classes),
+                                      start=1):
         weight = p ** (nv - j) * (1 - p) ** (ne - nv + j)
         assert state == weight * cls.eval_exact(1, 1 / (1 - p))
 
@@ -176,7 +171,7 @@ def test_generation_two_states_match_the_hub_class_sums(family):
 def test_r_plus_2b_stays_below_one_exact():
     for n in range(0, 7):
         for p in PROBS:
-            s = psw_reliability(n, p)
+            s = reliability_state("psw", n, p)
             assert 0 < s.r < 1 and 0 <= s.b
             assert s.r + 2 * s.b < 1
 
@@ -184,15 +179,15 @@ def test_r_plus_2b_stays_below_one_exact():
 def test_r_plus_2b_stays_below_one_float_grid():
     for n in (8, 10):
         for k in range(1, 100):
-            s = psw_reliability(n, k / 100, mode="float")
+            s = reliability_state("psw", n, k / 100, mode="float")
             assert s.r + 2 * s.b < 1
 
 
 def test_reliability_decreases_with_generation():
     for p in PROBS:
-        prev = psw_reliability(0, p).r
+        prev = reliability_state("psw", 0, p).r
         for n in range(1, 8):
-            cur = psw_reliability(n, p).r
+            cur = reliability_state("psw", n, p).r
             assert cur < prev
             prev = cur
 
@@ -200,29 +195,32 @@ def test_reliability_decreases_with_generation():
 def test_sg_state_components_stay_in_unit_interval():
     for p in PROBS:
         for n in range(0, 7):
-            s = sg_reliability(n, p)
-            assert 0 < s.rs < 1
-            assert 0 < s.bs < 1
-            assert 0 < s.ts < 1
+            s = reliability_state("sg", n, p)
+            assert 0 < s.r < 1
+            assert 0 < s.b < 1
+            assert 0 < s.t < 1
 
 
 def test_gasket_is_at_least_as_reliable():
     # equality through level 1, then strictly better
+    def r(family, n, p):
+        return reliability_state(family, n, p).r
+
     for p in PROBS:
-        assert sg_reliability(0, p).rs == psw_reliability(0, p).r
-        assert sg_reliability(1, p).rs == psw_reliability(1, p).r
+        assert r("sg", 0, p) == r("psw", 0, p)
+        assert r("sg", 1, p) == r("psw", 1, p)
     for n in (2, 3, 4):
         for k in range(1, 20):
             p = Fraction(k, 20)
-            assert sg_reliability(n, p).rs > psw_reliability(n, p).r
+            assert r("sg", n, p) > r("psw", n, p)
 
 
 def test_gasket_strictly_better_in_log_mode():
     for n in (5, 8):
         for k in range(1, 100):
             p = k / 100
-            assert sg_reliability(n, p, "log").ln_rs \
-                > psw_reliability(n, p, "log").ln_r
+            assert reliability_state("sg", n, p, "log").ln_r \
+                > reliability_state("psw", n, p, "log").ln_r
 
 
 # -- scalar modes agree -----------------------------------------------------
@@ -230,25 +228,23 @@ def test_gasket_strictly_better_in_log_mode():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_log_mode_tracks_exact_mode(n):
-    for p in PROBS:
-        exact_ln = fraction_ln(psw_reliability(n, p).r)
-        log_ln = psw_reliability(n, p, "log").ln_r
-        assert abs(log_ln - exact_ln) <= 1e-10 * abs(exact_ln)
-        exact_ln = fraction_ln(sg_reliability(n, p).rs)
-        log_ln = sg_reliability(n, p, "log").ln_rs
-        assert abs(log_ln - exact_ln) <= 1e-10 * abs(exact_ln)
+    for family in FAMILIES:
+        for p in PROBS:
+            exact_ln = fraction_ln(reliability_state(family, n, p).r)
+            log_ln = reliability_state(family, n, p, "log").ln_r
+            assert abs(log_ln - exact_ln) <= 1e-10 * abs(exact_ln)
 
 
 def test_log_mode_survives_deep_generations():
-    s = psw_reliability(30, 0.5, mode="log")
+    s = reliability_state("psw", 30, 0.5, mode="log")
     assert math.isfinite(s.ln_r)
     assert s.ln_r < -(3 ** 20)  # far below float underflow as a probability
 
 
 def test_float_mode_matches_exact_shallow():
     for n in (1, 3):
-        exact = psw_reliability(n, HALF).r
-        approx = psw_reliability(n, 0.5, mode="float").r
+        exact = reliability_state("psw", n, HALF).r
+        approx = reliability_state("psw", n, 0.5, mode="float").r
         assert approx == pytest.approx(float(exact), rel=1e-12)
 
 
@@ -276,7 +272,7 @@ def test_approx_log_tracks_true_value():
     # to a band.  The monotone-improvement statement lives in the
     # acceptance suite with high-precision arithmetic.
     for p in (0.3, 0.5, 0.7):
-        true_ln = psw_reliability(8, p, "log").ln_r
+        true_ln = reliability_state("psw", 8, p, "log").ln_r
         approx = psw_rel_approx_log(8, p)
         assert true_ln < approx < 0  # same sign, smaller magnitude
         assert 0.2 < approx / true_ln < 0.5
@@ -346,29 +342,30 @@ def test_exponent_always_signed_and_padded():
 
 def test_psw_rel_step_is_the_tutte_step_at_x1_y2():
     for p in PROBS:
-        s = psw_reliability(2, p)
+        s = reliability_state("psw", 2, p)
         r, b = s.r, s.b
-        nxt = psw_rel_step(s)
-        assert (nxt.r, nxt.b) == (r ** 3 + 6 * r ** 2 * b, 4 * r * b * b)
-        assert (nxt.r, nxt.b) == psw_step(r, b, 0, 0, 1)[:2]
+        nxt = reliability_state("psw", 3, p)
+        assert (nxt.r, nxt.b, nxt.t) \
+            == (r ** 3 + 6 * r ** 2 * b, 4 * r * b * b, 8 * b ** 3)
+        assert (nxt.r, nxt.b, nxt.t) == psw_step(r, b, 0, 0, 1)
 
 
 def test_sg_rel_step_matches_expanded_form():
     for p in PROBS:
-        s = sg_reliability(2, p)
-        rs, bs, ts = s.rs, s.bs, s.ts
-        nxt = sg_rel_step(s)
-        assert nxt.rs == rs ** 3 + 6 * rs ** 2 * bs
-        assert nxt.bs == rs ** 2 * bs + rs ** 2 * ts + 7 * rs * bs ** 2
-        assert nxt.ts == 3 * rs * bs ** 2 + 12 * rs * bs * ts + 14 * bs ** 3
+        s = reliability_state("sg", 2, p)
+        r, b, t = s.r, s.b, s.t
+        nxt = reliability_state("sg", 3, p)
+        assert nxt.r == r ** 3 + 6 * r ** 2 * b
+        assert nxt.b == r ** 2 * b + r ** 2 * t + 7 * r * b ** 2
+        assert nxt.t == 3 * r * b ** 2 + 12 * r * b * t + 14 * b ** 3
 
 
 def test_modes_hold_their_number_types():
     for mode, kind in (("exact", Fraction), ("float", float),
                        ("log", Decimal)):
-        s = sg_reliability(3, HALF, mode)
-        assert all(isinstance(v, kind) for v in (s.rs, s.bs, s.ts))
-        assert isinstance(psw_reliability(3, HALF, mode).r, kind)
+        for family in FAMILIES:
+            s = reliability_state(family, 3, HALF, mode)
+            assert all(isinstance(v, kind) for v in (s.r, s.b, s.t))
 
 
 # -- log mode prints honest digits ------------------------------------------
@@ -432,25 +429,23 @@ def test_log_mode_ln_column_is_right_at_n30():
 
 def test_deep_log_input_names_the_limit():
     with pytest.raises(SizeLimitExceeded, match="Decimal's exponent range"):
-        psw_reliability(100, 0.5, "log")
+        reliability_state("psw", 100, 0.5, "log")
     with pytest.raises(SizeLimitExceeded, match="exponent range"):
-        sg_reliability(100, Fraction(1, 10 ** 12), "log")
+        reliability_state("sg", 100, Fraction(1, 10 ** 12), "log")
     # near p = 1 nothing underflows, and the generation limit applies
     with pytest.raises(SizeLimitExceeded, match=f"n <= {MAX_LOG_GENERATION}"):
-        psw_reliability(MAX_LOG_GENERATION + 1, 0.99, "log")
-    deepest = psw_reliability(MAX_LOG_GENERATION, 0.99, "log")
+        reliability_state("psw", MAX_LOG_GENERATION + 1, 0.99, "log")
+    deepest = reliability_state("psw", MAX_LOG_GENERATION, 0.99, "log")
     assert 0 < deepest.r < 1 and math.isfinite(deepest.ln_r)
 
 
 def test_compare_curves_steps_only_the_families_asked_for(monkeypatch):
-    from fractal_tutte import reliability
-
-    def no_sg(state):
+    def no_sg(r, b, t):
         raise AssertionError("sg stepped for a psw-only curve")
 
-    monkeypatch.setattr(reliability, "sg_rel_step", no_sg)
+    monkeypatch.setitem(STEPS, "sg", no_sg)
     pts = compare_curves(2, [HALF], "exact", families=("psw",))
-    assert pts[0].r_sg is None
+    assert pts[0].r.keys() == {"psw"}
     assert curves_to_csv(pts, ("psw",)) == (
         "p,R_psw,lnR_psw\n0.5000,4.88281250000e-02,-3.019449\n")
     with pytest.raises(DomainError):
