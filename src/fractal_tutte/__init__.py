@@ -33,7 +33,6 @@ from .graphs import (
 from .invariants import (
     ExponentSeq,
     InvariantReport,
-    eval_state_at_point,
     eval_tutte_at_point,
     exponent_sequences,
     invariant_report,
@@ -53,8 +52,6 @@ from .oracle import (
 from .recursion import (
     PswTutteState,
     assemble_tutte,
-    initial_state,
-    step_state,
     tutte_psw,
     tutte_psw_json,
 )

@@ -233,10 +233,10 @@ def _run_oracle(args) -> int:
     else:
         names = [c.strip() for c in args.check.split(",") if c.strip()]
         bad = [c for c in names if c not in available]
-        if bad:
+        if bad or not names:
             raise UsageError(
-                f"unknown check(s) {', '.join(bad)}; "
-                f"available: {', '.join(available)}, all")
+                f"--check must name checks from {', '.join(available)} "
+                f"or all, got {args.check!r}")
     entries = [available[name](args.family, args.n, g) for name in names]
     if args.format == "json":
         _emit(json.dumps(entries, indent=2) + "\n", args.out)

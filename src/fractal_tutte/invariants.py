@@ -2,17 +2,17 @@
 
 The symbolic recursion (module ``recursion``) is exponential in output
 size.  Evaluating at a fixed rational point instead runs the same
-product-form step on numbers: a few big-integer products per generation,
-so counts like T_n(1,1) are reachable far beyond the symbolic limit.
+(u, w) step on numbers: four big-integer products per generation, so
+counts like T_n(1,1) are reachable far beyond the symbolic limit.
 With X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers
 over one common denominator D, so a rational point pays for a single
 gcd at the end instead of one at every ``Fraction`` operation; at an
-integer point d = e = D = 1 and the step is ``psw_step`` on ints.  This
-module provides
+integer point d = e = D = 1 and the step is ``psw_uw_step`` on ints.
+The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
+``Fraction``.  This module provides
 
 * ``scaled_state`` / ``common_denominator``: that integer recursion;
-* ``eval_state_at_point`` / ``eval_tutte_at_point``: the reduced
-  (t1, p, q) and T_n at a rational point;
+* ``eval_tutte_at_point``: T_n at a rational point, reduced once;
 * ``invariant_report``: the classical Tutte evaluations
   (spanning trees, connected spanning subgraphs, spanning forests,
   acyclic orientations, all subgraphs) at one generation;
@@ -35,20 +35,19 @@ from .errors import (
     NonIntegralExponent,
     SizeLimitExceeded,
 )
-from .recursion import psw_assemble
 
 MAX_EVAL_GENERATION = 14
 MAX_TREE_COUNT_GENERATION = 20
 
 
-def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int, int]:
-    """Integers (T, P, Q) with t1 = T/D, p = d P/D, q = d^2 Q/D at generation n.
+def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int]:
+    """Integers (U, W) with u = U/D and w = d W/D at generation n.
 
     X = x0-1 = a/d and Y = y0-1 = b/e in lowest terms; D is
-    ``common_denominator``.  With u = T + a P and w = 2 P + a Q one
-    generation is T' = u^2 (b u + 3 d e w), P' = d e u w^2, Q' = d e w^3,
-    which is ``psw_step`` with the denominators multiplied out (and is
-    ``psw_step`` on ints when d = e = 1).
+    ``common_denominator``.  One generation is
+    U' = U (U (b U + 3 d e W) + a d e W^2) and W' = d e W^2 (2 U + a W),
+    which is ``psw_uw_step`` with the denominators multiplied out (and is
+    ``psw_uw_step`` on ints when d = e = 1).
     """
     if n < 0:
         raise DomainError(f"generation must be nonnegative, got {n}")
@@ -59,13 +58,12 @@ def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int, int]:
     a, d = X.numerator, X.denominator
     b, e = Y.numerator, Y.denominator
     de = d * e
-    T, P, Q = d * d * (b + 3 * e), de, e
+    U, W = d * d * (b + 3 * e) + a * de, e * (2 * d + a)
     for _ in range(n):
-        u = T + a * P
-        w = 2 * P + a * Q
-        ww = w * w
-        T, P, Q = u * u * (b * u + 3 * de * w), de * u * ww, de * ww * w
-    return T, P, Q
+        WW = W * W
+        U, W = (U * (U * (b * U + 3 * de * W) + a * de * WW),
+                de * WW * (2 * U + a * W))
+    return U, W
 
 
 def common_denominator(n: int, X: Fraction, Y: Fraction) -> int:
@@ -74,22 +72,11 @@ def common_denominator(n: int, X: Fraction, Y: Fraction) -> int:
         2 * 3 ** n)
 
 
-def eval_state_at_point(
-    n: int, x0: Fraction | int, y0: Fraction | int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (t1, p, q) values at generation n and rational point (x0, y0)."""
-    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    T, P, Q = scaled_state(n, X, Y)
-    D, d = common_denominator(n, X, Y), X.denominator
-    return Fraction(T, D), Fraction(d * P, D), Fraction(d * d * Q, D)
-
-
 def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
-    """T_n(x0, y0) = (T + a (3 P + a Q)) / D, reduced once."""
+    """T_n(x0, y0) = (U + a W) / D, reduced once."""
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    T, P, Q = scaled_state(n, X, Y)
-    return Fraction(psw_assemble(T, P, Q, X.numerator),
-                    common_denominator(n, X, Y))
+    U, W = scaled_state(n, X, Y)
+    return Fraction(U + X.numerator * W, common_denominator(n, X, Y))
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,32 @@
 
 The graph G(n+1) is three copies of G(n) merged at hubs, so the
 rank-nullity sum over its spanning subgraphs factors through how each
-copy's subgraph distributes the hubs over components.  Tracking the triple
+copy's subgraph distributes the hubs over components.  With X = x-1 and
+Y = y-1, the hub-class triple
 
     t1 = sum over subgraphs with all three hubs in one component,
     p, q = the two-hub-split and three-way-split sums divided by
-           (x-1) and (x-1)^2,
+           X and X^2,
 
-one graph generation becomes one step.  With X = x-1 and Y = y-1 the
-step is a product form,
+takes one generation in the product form ``psw_step``,
 
     u = t1 + X p,   w = 2 p + X q,
     t1' = u^2 (Y u + 3 w),   p' = u w^2,   q' = w^3,
 
-and the full polynomial is T_n = t1 + 3 X p + X^2 q.  ``psw_step`` and
-``psw_assemble`` write these once with plain + and *, so the same code
-runs on ``BiPoly`` (the symbolic path here) and on plain numbers (psw
-reliability).  The point evaluators in ``invariants`` run the step with
-its denominators multiplied out and assemble with ``psw_assemble``.
+and T_n = t1 + 3 X p + X^2 q.  The triple reaches the next generation
+only through u, the sum over subgraphs that join hubs A and B, and X w,
+the sum over those that do not, so the recursion carries (u, w) alone:
+
+    u' = u (u (Y u + 3 w) + X w^2),   w' = w^2 (2 u + X w),
+
+from u = x + y + 1, w = x + 1 at the triangle, with T_n = u + X w.
+``psw_uw_step`` is that step with plain + and *: four full-size products
+per generation (w^2, u (Y u + 3 w), u (...) and w^2 (2 u + X w)); the
+factors X and Y are linear passes.  It runs on ``BiPoly`` here, and the
+point evaluators in ``invariants`` run it with its denominators
+multiplied out.  ``psw_step`` stays as the hub-class map: psw
+reliability runs it at X = 0, Y = 1, and the tests derive the (u, w)
+step from it.
 """
 
 from __future__ import annotations
@@ -36,30 +45,17 @@ MAX_SYMBOLIC_GENERATION = 6
 
 @dataclass(frozen=True)
 class PswTutteState:
-    """(T_1, P, Q) of the pseudofractal web at one generation."""
+    """(u, w) of the pseudofractal web at one generation."""
 
     level: int
-    t1: BiPoly
-    p: BiPoly
-    q: BiPoly
-
-
-def initial_state() -> PswTutteState:
-    """Level 0: the triangle has t1 = y + 2, p = q = 1."""
-    return PswTutteState(
-        level=0,
-        t1=BiPoly({(0, 1): 1, (0, 0): 2}),
-        p=BiPoly.one(),
-        q=BiPoly.one(),
-    )
+    u: BiPoly
+    w: BiPoly
 
 
 def psw_step(t1, p, q, X, Y):
     """One generation of (t1, p, q) at X = x-1, Y = y-1, over any ring.
 
-    Multiplied out this is a 20-monomial polynomial map; the product form
-    needs five full-size multiplications (u^2, u^2 (Y u + 3 w), w^2,
-    u w^2 and w^3).  The arguments may be BiPoly or numbers.
+    The arguments may be BiPoly or numbers.
     """
     u = t1 + X * p
     w = 2 * p + X * q
@@ -67,20 +63,15 @@ def psw_step(t1, p, q, X, Y):
     return u * u * (Y * u + 3 * w), u * ww, ww * w
 
 
-def psw_assemble(t1, p, q, X):
-    """T = t1 + 3 X p + X^2 q, over the same rings as ``psw_step``."""
-    return t1 + X * (3 * p + X * q)
-
-
-def step_state(s: PswTutteState) -> PswTutteState:
-    """Advance (t1, p, q) by one generation."""
-    t1, p, q = psw_step(s.t1, s.p, s.q, BiPoly.x_minus_1(), BiPoly.y_minus_1())
-    return PswTutteState(level=s.level + 1, t1=t1, p=p, q=q)
+def psw_uw_step(u, w, X, Y):
+    """One generation of (u, w) at X = x-1, Y = y-1, over any ring."""
+    ww = w * w
+    return u * (u * (Y * u + 3 * w) + X * ww), ww * (2 * u + X * w)
 
 
 def assemble_tutte(s: PswTutteState) -> BiPoly:
-    """T_n = t1 + 3 (x-1) p + (x-1)^2 q."""
-    return psw_assemble(s.t1, s.p, s.q, BiPoly.x_minus_1())
+    """T_n = u + (x-1) w."""
+    return s.u + BiPoly.x_minus_1() * s.w
 
 
 def state_at(n: int) -> PswTutteState:
@@ -91,10 +82,12 @@ def state_at(n: int) -> PswTutteState:
         raise SizeLimitExceeded(
             f"symbolic recursion is limited to n <= {MAX_SYMBOLIC_GENERATION}; "
             f"use the numeric evaluators for n = {n}")
-    s = initial_state()
+    X, Y = BiPoly.x_minus_1(), BiPoly.y_minus_1()
+    u = BiPoly({(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    w = BiPoly({(1, 0): 1, (0, 0): 1})
     for _ in range(n):
-        s = step_state(s)
-    return s
+        u, w = psw_uw_step(u, w, X, Y)
+    return PswTutteState(level=n, u=u, w=w)
 
 
 def tutte_psw(n: int) -> BiPoly:

@@ -30,8 +30,8 @@ whatever number type the mode picks: Fraction (``exact``), float
 
 An independent exact route goes through the Tutte polynomial:
 R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer point
-recursion of module ``invariants``; the two must agree exactly, and a
-test holds them to it.
+recursion of module ``invariants``, whose u is t1 at x = 1; the two must
+agree exactly, and a test holds them to it.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
 
     R(n) = p^(V-1) (1-p)^(E-V+1) * T_1,n(1, 1/(1-p)).  Equals the direct
     probability recursion identically; exists as its second witness.
-    For p = r/s it is r^(V-1) T / s^E, with T from
-    ``invariants.scaled_state``, reduced once.
+    For p = r/s it is r^(V-1) U / s^E, with U from
+    ``invariants.scaled_state`` (u = t1 at X = 0), reduced once.
     p = 0 and p = 1 are answered directly (0 and 1) since 1/(1-p) is
     singular at p = 1.
     """
@@ -167,11 +167,11 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
         return Fraction(1)
     if p == 0:
         return Fraction(0)
-    # At x = 1, Y = p/(1-p) = r/(s-r), and T's common denominator
+    # At x = 1, Y = p/(1-p) = r/(s-r), and U's common denominator
     # (s-r)^((3^(n+1)-1)/2) = (s-r)^(E-V+1) cancels against (1-p)^(E-V+1).
     r, s = p.numerator, p.denominator
-    t, _, _ = scaled_state(n, Fraction(0), Fraction(r, s - r))
-    return Fraction(r ** (psw_vertex_count(n) - 1) * t, s ** psw_edge_count(n))
+    u, _ = scaled_state(n, Fraction(0), Fraction(r, s - r))
+    return Fraction(r ** (psw_vertex_count(n) - 1) * u, s ** psw_edge_count(n))
 
 
 def psw_rel_approx_log(n: int, p: float) -> float:

@@ -27,12 +27,7 @@ from fractal_tutte.oracle import (
     reliability_enumeration,
     tutte_subgraph_sum,
 )
-from fractal_tutte.recursion import (
-    assemble_tutte,
-    initial_state,
-    step_state,
-    tutte_psw,
-)
+from fractal_tutte.recursion import tutte_psw
 from fractal_tutte.reliability import (
     psw_rel_approx_log,
     psw_rel_via_tutte,
@@ -94,11 +89,8 @@ def test_criterion_2_spanning_trees(capsys):
 
 def test_criterion_3_structural_identities(capsys):
     def body():
-        state = initial_state()
         for n in range(0, 5):
-            if n > 0:
-                state = step_state(state)
-            total = assemble_tutte(state)
+            total = tutte_psw(n)
             nv, ne = psw_vertex_count(n), psw_edge_count(n)
             assert total.degrees() == (nv - 1, ne - nv + 1)
             assert all(c > 0 for c in total.terms().values())

@@ -404,6 +404,15 @@ def test_oracle_unknown_check(capsys):
     assert "chromatic" in err
 
 
+@pytest.mark.parametrize("checks", [",", " "])
+def test_oracle_empty_check_list(capsys, checks):
+    code, out, err = run(capsys, "oracle", "--family", "psw", "--n", "1",
+                         "--check", checks)
+    assert code == 2
+    assert out == ""
+    assert "--check" in err
+
+
 def test_oracle_unknown_family_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["oracle", "--family", "kagome", "--n", "1"])

@@ -17,7 +17,6 @@ from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
     common_denominator,
-    eval_state_at_point,
     eval_tutte_at_point,
     exponent_sequences,
     invariant_report,
@@ -26,15 +25,23 @@ from fractal_tutte.invariants import (
     spanning_trees_recurrence,
 )
 from fractal_tutte.oracle import matrix_tree_count
-from fractal_tutte.recursion import psw_assemble, psw_step, state_at, tutte_psw
+from fractal_tutte.recursion import psw_step, state_at, tutte_psw
+
+
+def _uw_at_point(n, x0, y0):
+    """(u, w) at generation n from the integer state, reduced."""
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    U, W = scaled_state(n, X, Y)
+    D = common_denominator(n, X, Y)
+    return Fraction(U, D), Fraction(X.denominator * W, D)
 
 
 def test_eval_state_examples():
-    assert eval_state_at_point(1, 2, 2) == (350, 45, 27)
-    t1, p, _ = eval_state_at_point(1, 1, 1)
-    assert (t1, p) == (54, 12)
+    # (t1, p, q) = (350, 45, 27) at (2, 2) and (54, 12, .) at (1, 1)
+    assert _uw_at_point(1, 2, 2) == (350 + 45, 2 * 45 + 27)
+    assert scaled_state(1, Fraction(0), Fraction(0)) == (54, 24)
     x0, y0 = Fraction(5, 7), Fraction(-3, 2)
-    assert eval_state_at_point(0, x0, y0) == (y0 + 2, 1, 1)
+    assert _uw_at_point(0, x0, y0) == (x0 + y0 + 1, x0 + 1)
 
 
 def test_eval_tutte_known_values():
@@ -80,10 +87,8 @@ def test_hyperbola_at_points(n, x0):
 def test_eval_state_matches_symbolic_components():
     s = state_at(3)
     x0, y0 = Fraction(3, 4), Fraction(-2, 5)
-    t1, p, q = eval_state_at_point(3, x0, y0)
-    assert t1 == s.t1.eval_exact(x0, y0)
-    assert p == s.p.eval_exact(x0, y0)
-    assert q == s.q.eval_exact(x0, y0)
+    assert _uw_at_point(3, x0, y0) == (
+        s.u.eval_exact(x0, y0), s.w.eval_exact(x0, y0))
 
 
 #: (x0, y0) covering a = 0 (x0 = 1), b = 0 (y0 = 1), negative X and Y,
@@ -113,20 +118,15 @@ def _parts(value):
 
 @pytest.mark.parametrize("x0,y0", SCALED_POINTS)
 def test_scaled_state_matches_fraction_step(x0, y0):
-    # The integer state over D, and the reduced values the entry points
-    # return, equal psw_step over Fraction to the numerator and denominator.
-    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    d = X.denominator
-    for n, state in enumerate(_fraction_states(x0, y0, 7)):
-        T, P, Q = scaled_state(n, X, Y)
-        D = common_denominator(n, X, Y)
-        assert (Fraction(T, D), Fraction(d * P, D),
-                Fraction(d * d * Q, D)) == state
-        assert list(map(_parts, eval_state_at_point(n, x0, y0))) == list(
-            map(_parts, state))
+    # The integer state over D gives u = t1 + X p and w = 2 p + X q of
+    # psw_step over Fraction, and T_n reduced once, to the numerator and
+    # denominator.
+    X = Fraction(x0) - 1
+    for n, (t1, p, q) in enumerate(_fraction_states(x0, y0, 7)):
+        assert _uw_at_point(n, x0, y0) == (t1 + X * p, 2 * p + X * q)
         value = eval_tutte_at_point(n, x0, y0)
         assert type(value) is Fraction
-        assert _parts(value) == _parts(psw_assemble(*state, X))
+        assert _parts(value) == _parts(t1 + X * (3 * p + X * q))
 
 
 @pytest.mark.parametrize("x0,y0", SCALED_POINTS)
@@ -228,7 +228,7 @@ def test_tree_count_guards():
 
 def test_eval_guard():
     with pytest.raises(SizeLimitExceeded):
-        eval_state_at_point(MAX_EVAL_GENERATION + 1, 1, 1)
+        eval_tutte_at_point(MAX_EVAL_GENERATION + 1, 1, 1)
     with pytest.raises(DomainError):
         invariant_report(-1)
 

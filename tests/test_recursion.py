@@ -1,12 +1,16 @@
 """Self-similarity recursion for the triangle-expansion family.
 
-The state (t1, p, q) carries the hub-class sums with T2 = (x-1)p and
-T3 = (x-1)^2 q factored out.  The assembled polynomial must agree with
-the brute-force subset census at small generations, and with identities
-every psw(n) satisfies (degrees, T(2,2) = 2^E, the chromatic line of a
-2-tree, the hyperbola (x-1)(y-1) = 1) through n = 4.
+The hub-class step ``psw_step`` carries (t1, p, q), the hub-class sums
+with T2 = (x-1)p and T3 = (x-1)^2 q factored out; the symbolic state
+carries only u = t1 + (x-1)p and w = 2p + (x-1)q.  Both must agree with
+the brute-force subset census, the (u, w) step must equal the hub-class
+step on a grid that proves the identity, and the assembled polynomial
+must satisfy identities every psw(n) satisfies (degrees, T(2,2) = 2^E,
+the chromatic line of a 2-tree, the hyperbola (x-1)(y-1) = 1) through
+n = 4.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,13 +22,17 @@ from fractal_tutte.graphs import (
     psw_edge_count,
     psw_vertex_count,
 )
-from fractal_tutte.oracle import partition_subgraph_sum, tutte_subgraph_sum
+from fractal_tutte.oracle import (
+    HubPattern,
+    partition_subgraph_sum,
+    tutte_subgraph_sum,
+)
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
     assemble_tutte,
-    initial_state,
+    psw_step,
+    psw_uw_step,
     state_at,
-    step_state,
     tutte_psw,
     tutte_psw_json,
 )
@@ -38,11 +46,10 @@ TWOF = Fraction(2)
 
 
 def test_initial_state():
-    s = initial_state()
+    s = state_at(0)
     assert s.level == 0
-    assert s.t1 == Y + BiPoly.constant(2)
-    assert s.p == ONE
-    assert s.q == ONE
+    assert s.u == X + Y + ONE
+    assert s.w == X + ONE
     assert assemble_tutte(s) == X * X + X + Y
 
 
@@ -51,23 +58,79 @@ def test_matches_subset_oracle(n):
     assert tutte_psw(n) == tutte_subgraph_sum(build_psw_edge_expansion(n))
 
 
-def test_level_one_state_matches_classified_oracle():
-    s = step_state(initial_state())
-    t1, t2a, t2b, t2c, t3 = partition_subgraph_sum(build_psw_edge_expansion(1))
-    assert s.t1 == t1
-    assert assemble_tutte(s).degrees() == (5, 4)  # rank and nullity of G(1)
+def _hub_classes(n):
+    """(t1, p, q) at generation n by ``psw_step`` over BiPoly."""
+    state = (Y + BiPoly.constant(2), ONE, ONE)
+    for _ in range(n):
+        state = psw_step(*state, BiPoly.x_minus_1(), BiPoly.y_minus_1())
+    return state
+
+
+def _check_hub_classes(n):
+    # u sums the subgraphs that join hubs A and B; (x-1) w sums the rest.
+    parts = partition_subgraph_sum(build_psw_edge_expansion(n))
+    t2a, t2b, t2c = (parts[pat] for pat in (
+        HubPattern.BC_A, HubPattern.AC_B, HubPattern.AB_C))
+    t3 = parts[HubPattern.ALL_APART]
+    s = state_at(n)
+    assert s.u == parts[HubPattern.ALL_TOGETHER] + t2c
+    assert BiPoly.x_minus_1() * s.w == t2a + t2b + t3
     assert t2a == t2b == t2c
-    assert s.p == div_exact_xminus1(t2a, 1)
-    assert s.q == div_exact_xminus1(t3, 2)
+    t1, p, q = _hub_classes(n)
+    assert t1 == parts[HubPattern.ALL_TOGETHER]
+    assert p == div_exact_xminus1(t2a, 1)
+    assert q == div_exact_xminus1(t3, 2)
+
+
+def test_level_one_state_matches_classified_oracle():
+    _check_hub_classes(1)
+    assert tutte_psw(1).degrees() == (5, 4)  # rank and nullity of G(1)
+
+
+@pytest.mark.slow
+def test_level_two_state_matches_classified_oracle():
+    # 2^27 subsets through the doubling census; seconds
+    _check_hub_classes(2)
 
 
 def test_level_one_values():
-    s = step_state(initial_state())
+    s = state_at(1)
     assert s.level == 1
-    at22 = tuple(c.eval_exact(TWOF, TWOF) for c in (s.t1, s.p, s.q))
-    assert at22 == (350, 45, 27)
-    assert sum(at22[0:1]) + 3 * at22[1] + at22[2] == 512
-    assert s.t1.eval_exact(ONEF, ONEF) == 54
+    assert (s.u.eval_exact(TWOF, TWOF), s.w.eval_exact(TWOF, TWOF)) == (
+        395, 117)
+    assert tuple(c.eval_exact(TWOF, TWOF) for c in _hub_classes(1)) == (
+        350, 45, 27)
+    assert assemble_tutte(s).eval_exact(TWOF, TWOF) == 512
+    assert s.u.eval_exact(ONEF, ONEF) == 54
+
+
+def test_uw_step_is_the_hub_class_step():
+    # Both sides have degree at most 4 in each of t1, p, q, X and Y, so
+    # agreement on six integers per variable proves the identity over
+    # every commutative ring, for every generation.
+    for t1, p, q, x, y in itertools.product(range(-2, 4), repeat=5):
+        t1n, pn, qn = psw_step(t1, p, q, x, y)
+        assert psw_uw_step(t1 + x * p, 2 * p + x * q, x, y) == (
+            t1n + x * pn, 2 * pn + x * qn)
+
+
+def test_four_full_size_products_per_generation(monkeypatch):
+    # A product with a factor of at most two terms is a linear pass; the
+    # step makes four of the other kind once w has more than two terms.
+    counts = []
+    mul = BiPoly.__mul__
+
+    def counting(a, b):
+        if isinstance(b, BiPoly) and min(a.num_terms(), b.num_terms()) > 2:
+            counts[-1] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counting)
+    monkeypatch.setattr(BiPoly, "__rmul__", counting)
+    for n in range(1, 5):
+        counts.append(0)
+        tutte_psw(n)
+    assert counts == [3, 7, 11, 15]
 
 
 def test_level_two_tree_count():
