@@ -5,13 +5,18 @@ size.  Evaluating at a fixed rational point instead runs the same
 (u, w) step on numbers: four big-integer products per generation, so
 counts like T_n(1,1) are reachable far beyond the symbolic limit.
 With X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers
-over one common denominator D, so a rational point pays for a single
-gcd at the end instead of one at every ``Fraction`` operation; at an
-integer point d = e = D = 1 and the step is ``psw_uw_step`` on ints.
+over one common denominator D, a power product of d and e, so a
+rational point pays for one reduction at the end instead of a gcd at
+every ``Fraction`` operation; at an integer point d = e = D = 1 and the
+step is ``psw_uw_step`` on ints.  That reduction divides out the known
+primes of D rather than taking a gcd of two full-size integers.
 The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 ``Fraction``.  This module provides
 
-* ``scaled_state`` / ``common_denominator``: that integer recursion;
+* ``scaled_state`` / ``denominator_powers`` / ``common_denominator``:
+  that integer recursion and its denominator;
+* ``lowest_terms``: N over a product of prime powers, reduced by the
+  primes of the bases;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
 * ``invariant_report``: the classical Tutte evaluations
   (spanning trees, connected spanning subgraphs, spanning forests,
@@ -25,6 +30,8 @@ The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -66,17 +73,93 @@ def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int]:
     return U, W
 
 
+def denominator_powers(n: int, X: Fraction, Y: Fraction) -> tuple:
+    """D_n = e^((3^(n+1)-1)/2) d^(2 3^n) as (base, exponent) pairs.
+
+    D_0 = e d^2 and D' = e D^3.
+    """
+    return ((Y.denominator, (3 ** (n + 1) - 1) // 2),
+            (X.denominator, 2 * 3 ** n))
+
+
 def common_denominator(n: int, X: Fraction, Y: Fraction) -> int:
-    """D_n = e^((3^(n+1)-1)/2) d^(2 3^n): D_0 = e d^2 and D' = e D^3."""
-    return Y.denominator ** ((3 ** (n + 1) - 1) // 2) * X.denominator ** (
-        2 * 3 ** n)
+    """D_n as one integer."""
+    return math.prod(b ** k for b, k in denominator_powers(n, X, Y))
 
 
 def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
-    """T_n(x0, y0) = (U + a W) / D, reduced once."""
+    """T_n(x0, y0) = (U + a W) / D, in lowest terms."""
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
     U, W = scaled_state(n, X, Y)
-    return Fraction(U + X.numerator * W, common_denominator(n, X, Y))
+    return lowest_terms(U + X.numerator * W, denominator_powers(n, X, Y))
+
+
+#: Trial division of a denominator's bases stops at this divisor.
+TRIAL_DIVISION_LIMIT = 1 << 12
+
+
+def lowest_terms(N: int, powers) -> Fraction:
+    """N / prod(b^k for b, k in powers) in lowest terms, with no
+    full-size gcd.
+
+    Every prime p of the denominator D divides a base, so for each prime
+    that trial division of the bases finds, N and D share p^min(v_p(N),
+    v_p(D)).  A part of D left unfactored (primes above
+    ``TRIAL_DIVISION_LIMIT`` only) costs one gcd against N.
+    """
+    if N == 0:
+        return Fraction(0)
+    caps, rest = Counter(), 1
+    for b, k in powers:
+        f = 2
+        while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
+            if b % f:
+                f += 1 if f == 2 else 2
+            else:
+                caps[f] += k
+                b //= f
+        if 1 < b < f * f:  # b is prime
+            caps[b] += k
+            b = 1
+        rest *= b ** k
+    den = 1
+    for p, cap in caps.items():
+        if p == 2:
+            v = min((N & -N).bit_length() - 1, cap)
+            N >>= v
+        else:
+            v, N = _divide_out(N, p, cap)
+        den *= p ** (cap - v)
+    g = math.gcd(N, rest)
+    return _coprime_fraction(N // g, den * (rest // g))
+
+
+def _divide_out(N: int, p: int, cap: int) -> tuple[int, int]:
+    """(v, N / p^v) with v = min(v_p(N), cap): divide by p, p^2, p^4, ...
+    while they divide, then walk back down the same powers."""
+    v, q, k, ladder = 0, p, 1, []
+    while v + k <= cap:
+        quo, r = divmod(N, q)
+        if r:
+            break
+        N, v = quo, v + k
+        ladder.append((q, k))
+        q, k = q * q, 2 * k
+    for q, k in reversed(ladder):
+        if v + k <= cap:
+            quo, r = divmod(N, q)
+            if not r:
+                N, v = quo, v + k
+    return v, N
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, without the full-size gcd the
+    public constructor would repeat (as CPython 3.12's
+    ``Fraction._from_coprime_ints``)."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 @dataclass(frozen=True)

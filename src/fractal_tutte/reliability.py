@@ -30,8 +30,9 @@ whatever number type the mode picks: Fraction (``exact``), float
 
 An independent exact route goes through the Tutte polynomial:
 R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer point
-recursion of module ``invariants``, whose u is t1 at x = 1; the two must
-agree exactly, and a test holds them to it.
+recursion of module ``invariants``, whose u is t1 at x = 1, reduced by
+the primes of p's denominator (``invariants.lowest_terms``); the two
+must agree exactly, and a test holds them to it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import scaled_state
+from .invariants import MAX_EVAL_GENERATION, lowest_terms, scaled_state
 from .recursion import psw_step
 from .scalars import (
     LOG_CONTEXT,
@@ -53,8 +54,6 @@ from .scalars import (
     embed,
     ln,
 )
-
-MAX_VIA_TUTTE_GENERATION = 10
 
 
 def _as_probability(p) -> Fraction:
@@ -152,16 +151,18 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     R(n) = p^(V-1) (1-p)^(E-V+1) * T_1,n(1, 1/(1-p)).  Equals the direct
     probability recursion identically; exists as its second witness.
     For p = r/s it is r^(V-1) U / s^E, with U from
-    ``invariants.scaled_state`` (u = t1 at X = 0), reduced once.
+    ``invariants.scaled_state`` (u = t1 at X = 0), reduced once by the
+    primes of s.
     p = 0 and p = 1 are answered directly (0 and 1) since 1/(1-p) is
-    singular at p = 1.
+    singular at p = 1, after the exact-point guard
+    ``invariants.MAX_EVAL_GENERATION``.
     """
     if n < 0:
         raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_VIA_TUTTE_GENERATION:
+    if n > MAX_EVAL_GENERATION:
         raise SizeLimitExceeded(
             f"exact Tutte-route reliability limited to "
-            f"n <= {MAX_VIA_TUTTE_GENERATION}")
+            f"n <= {MAX_EVAL_GENERATION}")
     p = _as_probability(p)
     if p == 1:
         return Fraction(1)
@@ -171,7 +172,8 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     # (s-r)^((3^(n+1)-1)/2) = (s-r)^(E-V+1) cancels against (1-p)^(E-V+1).
     r, s = p.numerator, p.denominator
     u, _ = scaled_state(n, Fraction(0), Fraction(r, s - r))
-    return Fraction(r ** (psw_vertex_count(n) - 1) * u, s ** psw_edge_count(n))
+    return lowest_terms(r ** (psw_vertex_count(n) - 1) * u,
+                        ((s, psw_edge_count(n)),))
 
 
 def psw_rel_approx_log(n: int, p: float) -> float:

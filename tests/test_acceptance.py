@@ -180,6 +180,14 @@ def test_criterion_7_scalability(capsys):
         assert trees_12 == spanning_trees_closed_form(12)
 
         start = time.perf_counter()
+        rel_12 = psw_rel_via_tutte(12, Fraction(3, 8))
+        assert time.perf_counter() - start < 10.0
+        assert rel_12.denominator.bit_count() == 1
+        assert math.log(rel_12.numerator) - math.log(rel_12.denominator) \
+            == pytest.approx(
+                reliability_state("psw", 12, 0.375, "log").ln_r, rel=1e-12)
+
+        start = time.perf_counter()
         web = reliability_state("psw", 30, 0.5, "log")
         gasket = reliability_state("sg", 30, 0.5, "log")
         assert time.perf_counter() - start < 1.0
@@ -187,4 +195,5 @@ def test_criterion_7_scalability(capsys):
         assert math.isfinite(gasket.ln_r) and gasket.ln_r < 0
         assert gasket.ln_r > web.ln_r
 
-    _report(capsys, 7, "T_12(1,1) under 10s; log-mode n=30 under 1s", body)
+    _report(capsys, 7, "T_12(1,1) and Tutte-route R_12(3/8) under 10s; "
+            "log-mode n=30 under 1s", body)

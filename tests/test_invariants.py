@@ -2,7 +2,9 @@
 through three independent routes, and the unrolled exponent sequences.
 """
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,12 +22,14 @@ from fractal_tutte.invariants import (
     eval_tutte_at_point,
     exponent_sequences,
     invariant_report,
+    lowest_terms,
     scaled_state,
     spanning_trees_closed_form,
     spanning_trees_recurrence,
 )
 from fractal_tutte.oracle import matrix_tree_count
 from fractal_tutte.recursion import psw_step, state_at, tutte_psw
+from fractal_tutte.reliability import psw_rel_via_tutte
 
 
 def _uw_at_point(n, x0, y0):
@@ -152,6 +156,93 @@ def test_reliability_point_denominator_cancels(p):
         excess = psw_edge_count(n) - psw_vertex_count(n) + 1
         assert excess == (3 ** (n + 1) - 1) // 2
         assert common_denominator(n, X, Y) == (s - r) ** excess
+
+
+#: A 40-digit prime and two 20-digit primes, all far above the trial
+#: division limit.
+P40 = 10 ** 39 + 3
+P20, Q20 = 10 ** 19 + 51, 3 * 10 ** 19 + 41
+
+
+@pytest.mark.parametrize("N,powers", [
+    (0, ((6, 5),)),
+    (-(3 ** 7) * 11, ((3, 4), (2, 1))),
+    (5 ** 30 * 13, ((5, 6),)),
+    (123456789, ((1, 9),)),
+    (-(2 ** 40) * 7, ((2, 12), (4, 3))),
+    (2 ** 5 * 9, ((2, 12),)),
+    (3 ** 9 * 5 ** 2 * 7 ** 4 * 11, ((3, 4), (25, 3), (49, 1))),
+    (-(2 ** 9) * 3 ** 2 * 5 ** 40 * 7 * 11, ((210, 7), (6, 5), (35, 3))),
+    # 4099 is found in 2*4099 and stays in the unfactored part 4099*P40.
+    (4099 ** 5 * P40 * 3, ((2 * 4099, 3), (4099 * P40, 2))),
+    (-(P20 ** 3) * 6, ((P20 * Q20 * 12, 2),)),
+])
+def test_lowest_terms_matches_fraction(N, powers):
+    value = lowest_terms(N, powers)
+    expected = Fraction(N, math.prod(b ** k for b, k in powers))
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator, hash(value)) == (
+        expected.numerator, expected.denominator, hash(expected))
+
+
+def test_lowest_terms_every_valuation_and_cap():
+    # The ladder climbs and walks back across powers of two of v and K.
+    for p in (2, 3):
+        for v in range(34):
+            for cap in range(34):
+                value = lowest_terms(-(p ** v) * 7, ((p, cap),))
+                assert _parts(value) == _parts(Fraction(-(p ** v) * 7,
+                                                        p ** cap))
+
+
+@pytest.mark.parametrize("x0,y0", [
+    (Fraction(1, P40), Fraction(5, 6)),
+    (Fraction(1, P20 * Q20), Fraction(5, 6)),
+    (Fraction(1, P40), 1 + Fraction(1, 6 * P40)),
+])
+def test_eval_with_large_prime_denominators(x0, y0):
+    # Trial division is bounded, so a large prime costs one gcd against
+    # its own power of D instead of a search to its square root.
+    start = time.perf_counter()
+    value = eval_tutte_at_point(2, x0, y0)
+    assert time.perf_counter() - start < 0.5
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    U, W = scaled_state(2, X, Y)
+    expected = Fraction(U + X.numerator * W, common_denominator(2, X, Y))
+    assert type(value) is Fraction
+    assert _parts(value) == _parts(expected)
+
+
+#: The abscissae of the counts benchmark's rational points (x, x/(x-1)).
+HYPERBOLA_X = tuple(Fraction(s) for s in (
+    "-3/2", "5/2", "-2/3", "-1/3", "5/3", "-3/4", "-1/4", "1/4"))
+
+
+def test_rational_points_reduce_without_a_full_size_gcd(monkeypatch):
+    # Every prime of D divides d e (or s for p = r/s), so no gcd needs
+    # two operands over 64 bits.
+    widths = []
+    gcd = math.gcd
+
+    def recording(*args):
+        widths.append(min((abs(a).bit_length() for a in args), default=0))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording)
+    points = [(n, x) for x in HYPERBOLA_X for n in range(10)]
+    values = [eval_tutte_at_point(n, x, x / (x - 1)) for n, x in points]
+    probs = (Fraction(1, 5), Fraction(3, 8), Fraction(5, 8))
+    rel = [psw_rel_via_tutte(9, p) for p in probs]
+    monkeypatch.undo()
+    assert max(widths, default=0) <= 64
+    for (n, x), value in zip(points, values):
+        nv, ne = psw_vertex_count(n), psw_edge_count(n)
+        assert value == x ** ne * (x - 1) ** (nv - 1 - ne)
+    for p, value in zip(probs, rel):
+        r, s = p.numerator, p.denominator
+        u, _ = scaled_state(9, Fraction(0), Fraction(r, s - r))
+        assert _parts(value) == _parts(Fraction(
+            r ** (psw_vertex_count(9) - 1) * u, s ** psw_edge_count(9)))
 
 
 def test_invariant_report_generation_zero():

@@ -11,13 +11,13 @@ import pytest
 
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import build_psw_edge_expansion, build_sierpinski
+from fractal_tutte.invariants import MAX_EVAL_GENERATION
 from fractal_tutte.oracle import (
     partition_subgraph_sum,
     reliability_enumeration,
 )
 from fractal_tutte.reliability import (
     FAMILIES,
-    MAX_VIA_TUTTE_GENERATION,
     STEPS,
     compare_curves,
     curves_to_csv,
@@ -142,8 +142,9 @@ def test_via_tutte_equals_recursion(n):
 def test_via_tutte_endpoints_and_guard():
     assert psw_rel_via_tutte(2, Fraction(1)) == 1
     assert psw_rel_via_tutte(2, Fraction(0)) == 0
-    with pytest.raises(SizeLimitExceeded):
-        psw_rel_via_tutte(MAX_VIA_TUTTE_GENERATION + 1, HALF)
+    for p in (Fraction(0), HALF, Fraction(1)):
+        with pytest.raises(SizeLimitExceeded):
+            psw_rel_via_tutte(MAX_EVAL_GENERATION + 1, p)
 
 
 @pytest.mark.slow
