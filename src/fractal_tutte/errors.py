@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the generation check, shared across the package."""
 
 
 class FractalTutteError(Exception):
@@ -7,15 +7,6 @@ class FractalTutteError(Exception):
 
 class SizeLimitExceeded(FractalTutteError):
     """A requested computation would exceed a hard size guard."""
-
-
-class NonDivisible(FractalTutteError):
-    """Exact polynomial division left a nonzero remainder.
-
-    The divisibility of the hub-partition polynomials by powers of (x - 1)
-    is a theorem, so this error always indicates an implementation bug in
-    the caller, never bad user input.
-    """
 
 
 class ZeroPolynomial(FractalTutteError):
@@ -28,3 +19,13 @@ class DomainError(FractalTutteError):
 
 class NonIntegralExponent(FractalTutteError):
     """A closed-form exponent failed its integrality check."""
+
+
+def check_generation(n: int, limit: float, what: str) -> None:
+    """Refuse n outside 0..limit before any work; ``what`` names the
+    computation and the cost that sets its limit."""
+    if n < 0:
+        raise DomainError(f"generation must be nonnegative, got {n}")
+    if n > limit:
+        raise SizeLimitExceeded(
+            f"{what} is limited to n <= {limit}, got n = {n}")

@@ -34,7 +34,7 @@ import decimal
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError, SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded, check_generation
 from .unionfind import UnionFind
 
 #: Peak memory per edge of the builders, measured at n = 10 and 11 on
@@ -103,14 +103,13 @@ class HubGraph:
 
 
 def _check_generation(n: int) -> None:
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
     if n > MAX_GENERATION:
         edges = _ESTIMATE.power(3, n + 1)  # no float holds 3^(n+1) for all n
         nbytes = _ESTIMATE.multiply(edges, BYTES_PER_EDGE)
         raise SizeLimitExceeded(
             f"generation {n} exceeds limit {MAX_GENERATION}: {edges:.3g} "
             f"edges would need about {nbytes:.3g} bytes")
+    check_generation(n, MAX_GENERATION, "graph building")
 
 
 def build_psw_edge_expansion(n: int) -> HubGraph:

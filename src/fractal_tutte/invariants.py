@@ -7,9 +7,9 @@ counts like T_n(1,1) are reachable far beyond the symbolic limit.
 With X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers
 over one common denominator D, a power product of d and e, so a
 rational point pays for one reduction at the end instead of a gcd at
-every ``Fraction`` operation; at an integer point d = e = D = 1 and the
-step is ``psw_uw_step`` on ints.  That reduction divides out the known
-primes of D rather than taking a gcd of two full-size integers.
+every ``Fraction`` operation.  The step is ``psw_uw_step`` on integers,
+scaled by d e (1 at an integer point).  That reduction divides out the
+known primes of D rather than taking a gcd of two full-size integers.
 The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 ``Fraction``.  This module provides
 
@@ -40,8 +40,9 @@ from .errors import (
     DomainError,
     FractalTutteError,
     NonIntegralExponent,
-    SizeLimitExceeded,
+    check_generation,
 )
+from .recursion import psw_uw_step
 
 MAX_EVAL_GENERATION = 14
 MAX_TREE_COUNT_GENERATION = 20
@@ -51,25 +52,17 @@ def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int]:
     """Integers (U, W) with u = U/D and w = d W/D at generation n.
 
     X = x0-1 = a/d and Y = y0-1 = b/e in lowest terms; D is
-    ``common_denominator``.  One generation is
-    U' = U (U (b U + 3 d e W) + a d e W^2) and W' = d e W^2 (2 U + a W),
-    which is ``psw_uw_step`` with the denominators multiplied out (and is
-    ``psw_uw_step`` on ints when d = e = 1).
+    ``common_denominator``.  One generation is ``psw_uw_step`` at a, b
+    with scale d e:
+    U' = U (U (b U + 3 d e W) + a d e W^2) and W' = d e W^2 (2 U + a W).
     """
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_EVAL_GENERATION:
-        raise SizeLimitExceeded(
-            f"exact evaluation limited to n <= {MAX_EVAL_GENERATION} "
-            f"(value bit-length grows like 3^n)")
+    check_generation(n, MAX_EVAL_GENERATION,
+                     "exact evaluation (value bit-length grows like 3^n)")
     a, d = X.numerator, X.denominator
     b, e = Y.numerator, Y.denominator
-    de = d * e
-    U, W = d * d * (b + 3 * e) + a * de, e * (2 * d + a)
+    U, W = d * d * (b + 3 * e) + a * d * e, e * (2 * d + a)
     for _ in range(n):
-        WW = W * W
-        U, W = (U * (U * (b * U + 3 * de * W) + a * de * WW),
-                de * WW * (2 * U + a * W))
+        U, W = psw_uw_step(U, W, a, b, d * e)
     return U, W
 
 
@@ -217,14 +210,6 @@ def invariant_report(n: int) -> InvariantReport:
     return InvariantReport(n=n, **values)
 
 
-def _check_tree_generation(n: int) -> None:
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_TREE_COUNT_GENERATION:
-        raise SizeLimitExceeded(
-            f"tree counts limited to n <= {MAX_TREE_COUNT_GENERATION}")
-
-
 def spanning_trees_closed_form(n: int) -> int:
     """2^((3^(n+1)-2n-3)/4) * 3^((3^(n+1)+2n+1)/4).
 
@@ -232,7 +217,8 @@ def spanning_trees_closed_form(n: int) -> int:
     fractional exponent would mean the formula was transcribed wrong,
     not a property of some n (they are integral for every n >= 0).
     """
-    _check_tree_generation(n)
+    check_generation(n, MAX_TREE_COUNT_GENERATION,
+                     "the closed-form tree count (bit-length grows like 3^n)")
     pow3 = 3 ** (n + 1)
     e2 = Fraction(pow3 - 2 * n - 3, 4)
     e3 = Fraction(pow3 + 2 * n + 1, 4)
@@ -246,7 +232,8 @@ def spanning_trees_closed_form(n: int) -> int:
 
 def spanning_trees_recurrence(n: int) -> int:
     """Iterate N' = 6 N^2 P, P' = 4 N P^2 from N=3, P=1."""
-    _check_tree_generation(n)
+    check_generation(n, MAX_TREE_COUNT_GENERATION,
+                     "the tree-count recurrence (bit-length grows like 3^n)")
     trees, p = 3, 1
     for _ in range(n):
         trees, p = 6 * trees * trees * p, 4 * trees * p * p

@@ -149,8 +149,7 @@ def _census(nv, edges, hubs) -> Counter:
     ne = len(edges)
     if ne > MAX_SUBSET_EDGES:
         raise SizeLimitExceeded(
-            f"{ne} edges exceed the enumeration limit "
-            f"{MAX_SUBSET_EDGES} (2^{ne} subsets)")
+            f"{ne} edges exceed the enumeration limit {MAX_SUBSET_EDGES}")
     # At most 2 * 27 + 3 indices, so int8 labels suffice.
     index = {v: i for i, v in enumerate(
         sorted({v for e in edges for v in e} | set(hubs or ())))}
@@ -261,8 +260,7 @@ def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
     _require_simple(nv, edges)
     if len(edges) > MAX_DC_EDGES:
         raise SizeLimitExceeded(
-            f"{len(edges)} edges exceed the deletion-contraction limit "
-            f"{MAX_DC_EDGES}")
+            f"{len(edges)} edges exceed the recursion limit {MAX_DC_EDGES}")
     return _tutte_dc(nv, tuple(edges))
 
 

@@ -24,10 +24,10 @@ from u = x + y + 1, w = x + 1 at the triangle, with T_n = u + X w.
 ``psw_uw_step`` is that step with plain + and *: four full-size products
 per generation (w^2, u (Y u + 3 w), u (...) and w^2 (2 u + X w)); the
 factors X and Y are linear passes.  It runs on ``BiPoly`` here, and the
-point evaluators in ``invariants`` run it with its denominators
-multiplied out.  ``psw_step`` stays as the hub-class map: psw
-reliability runs it at X = 0, Y = 1, and the tests derive the (u, w)
-step from it.
+point evaluators in ``invariants`` run it on integers, with a scale c
+that multiplies out the denominators of X and Y.  ``psw_step`` stays as
+the hub-class map: psw reliability runs it at X = 0, Y = 1, and the
+tests derive the (u, w) step from it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import BiPoly
-from .errors import DomainError, SizeLimitExceeded
+from .errors import check_generation
 
 #: Largest generation for full symbolic computation.  Term count and
 #: coefficient size both grow with 3^n; beyond this the numeric-point
@@ -63,10 +63,15 @@ def psw_step(t1, p, q, X, Y):
     return u * u * (Y * u + 3 * w), u * ww, ww * w
 
 
-def psw_uw_step(u, w, X, Y):
-    """One generation of (u, w) at X = x-1, Y = y-1, over any ring."""
-    ww = w * w
-    return u * (u * (Y * u + 3 * w) + X * ww), ww * (2 * u + X * w)
+def psw_uw_step(u, w, X, Y, c=1):
+    """One generation of (u, w) at X = x-1, Y = y-1, over any ring.
+
+    With a scale c it is u' = u (u (Y u + 3 c w) + c X w^2) and
+    w' = w^2 (2 c u + c X w), which ``invariants.scaled_state`` runs on
+    the numerators of X and Y, with c the product of their denominators.
+    """
+    ww, cX = w * w, c * X
+    return u * (u * (Y * u + 3 * c * w) + cX * ww), ww * (2 * c * u + cX * w)
 
 
 def assemble_tutte(s: PswTutteState) -> BiPoly:
@@ -76,12 +81,9 @@ def assemble_tutte(s: PswTutteState) -> BiPoly:
 
 def state_at(n: int) -> PswTutteState:
     """The symbolic state after n steps from the triangle."""
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_SYMBOLIC_GENERATION:
-        raise SizeLimitExceeded(
-            f"symbolic recursion is limited to n <= {MAX_SYMBOLIC_GENERATION}; "
-            f"use the numeric evaluators for n = {n}")
+    check_generation(n, MAX_SYMBOLIC_GENERATION,
+                     "the symbolic polynomial (terms and coefficient digits "
+                     "grow like 3^n)")
     X, Y = BiPoly.x_minus_1(), BiPoly.y_minus_1()
     u = BiPoly({(1, 0): 1, (0, 1): 1, (0, 0): 1})
     w = BiPoly({(1, 0): 1, (0, 0): 1})

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DomainError, SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded, check_generation
 from .graphs import psw_edge_count, psw_vertex_count
 from .invariants import MAX_EVAL_GENERATION, lowest_terms, scaled_state
 from .recursion import psw_step
@@ -75,6 +75,11 @@ def _sg_step(r, b, t):
             r * (r * (b + t) + 7 * b * b),
             b * (3 * r * b + 12 * r * t + 14 * b * b))
 
+
+#: Deepest ``exact``-mode generation; each costs about 9 times the last.
+#: On a 2-vCPU VM (Python 3.11) n = 10 takes 16 s (psw) and 40 s (sg) at
+#: p = 0.1234, and 108 s and 229 s at the nine-digit p = 0.123456789.
+MAX_EXACT_GENERATION = 10
 
 #: One generation of (R, B, T) by family, over any ring.  At X = 0 the
 #: psw step does not read its q slot, so 0 stands in for T there.
@@ -124,7 +129,14 @@ def _run_step(s: RelState, step):
 
 def reliability_state(family: str, n: int, p,
                       mode: str = "exact") -> RelState:
-    """(R, B, T) of the family's generation n at edge probability p."""
+    """(R, B, T) of the family's generation n at edge probability p.
+
+    Log mode's depth is checked step by step (``_run_step``), so that a
+    value leaving the exponent range first is reported as such.
+    """
+    check_generation(n, MAX_EXACT_GENERATION if mode == "exact" else math.inf,
+                     "exact reliability (each generation costs about 9 times "
+                     "the last)")
     if family not in STEPS:
         raise DomainError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
@@ -157,12 +169,9 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     singular at p = 1, after the exact-point guard
     ``invariants.MAX_EVAL_GENERATION``.
     """
-    if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
-    if n > MAX_EVAL_GENERATION:
-        raise SizeLimitExceeded(
-            f"exact Tutte-route reliability limited to "
-            f"n <= {MAX_EVAL_GENERATION}")
+    check_generation(n, MAX_EVAL_GENERATION,
+                     "exact Tutte-route reliability (value bit-length grows "
+                     "like 3^n)")
     p = _as_probability(p)
     if p == 1:
         return Fraction(1)

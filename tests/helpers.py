@@ -5,8 +5,15 @@ connectivity of built graphs.
 """
 
 from fractal_tutte.bipoly import BiPoly
-from fractal_tutte.errors import NonDivisible
 from fractal_tutte.unionfind import UnionFind
+
+
+class NonDivisible(ArithmeticError):
+    """Exact division by (x - 1) left a nonzero remainder.
+
+    The divisibility of the hub-partition polynomials by powers of (x - 1)
+    is a theorem, so for those this means a bug, never bad input.
+    """
 
 
 def div_exact_xminus1(poly: BiPoly, k: int) -> BiPoly:

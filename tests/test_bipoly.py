@@ -21,10 +21,10 @@ from fractal_tutte.bipoly import (
     _mul_kronecker,
     _mul_schoolbook,
 )
-from fractal_tutte.errors import NonDivisible, ZeroPolynomial
+from fractal_tutte.errors import ZeroPolynomial
 from fractal_tutte.recursion import tutte_psw
 from fractal_tutte.scalars import LOG_CONTEXT
-from helpers import div_exact_xminus1
+from helpers import NonDivisible, div_exact_xminus1
 
 
 def _p(terms):

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from fractal_tutte import cli
+from fractal_tutte import cli, oracle
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.cli import MAX_GRID_POINTS, _parse_grid, main
 from fractal_tutte.cli import UsageError
+from fractal_tutte.errors import SizeLimitExceeded
 from fractal_tutte.graphs import build_psw_edge_expansion, from_edge_list, to_edge_list
 from fractal_tutte.invariants import (
     eval_tutte_at_point,
@@ -384,6 +385,36 @@ def test_oracle_matrix_tree_vertex_limit_skips(capsys):
     assert code == 0
     assert out == ("SKIP matrix-tree: 123 vertices exceed the "
                    "matrix-tree limit 64\n")
+
+
+def _refusal(oracle_fn, *args) -> str:
+    with pytest.raises(SizeLimitExceeded) as info:
+        oracle_fn(*args)
+    return str(info.value)
+
+
+def test_oracle_skip_details_are_the_oracle_guards_messages(capsys):
+    g3 = build_psw_edge_expansion(3)
+    census = _refusal(oracle.tutte_subgraph_sum, g3)
+    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "3",
+                       "--format", "json")
+    assert code == 0
+    assert {e["check"]: (e["status"], e["detail"])
+            for e in json.loads(out)} == {
+        "recursion": ("skip", census),
+        "partition": ("skip", _refusal(oracle.partition_subgraph_sum, g3)),
+        "deletion-contraction":
+            ("skip", _refusal(oracle.tutte_deletion_contraction, g3)),
+        # 42 vertices pass the matrix-tree guard; its T(1,1) census does not.
+        "matrix-tree": ("skip", census),
+        "reliability": ("skip", _refusal(oracle.reliability_enumeration,
+                                         g3, Fraction(1, 2))),
+    }
+    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "4",
+                       "--check", "matrix-tree")
+    assert code == 0
+    assert out == ("SKIP matrix-tree: " + _refusal(
+        oracle.matrix_tree_count, build_psw_edge_expansion(4)) + "\n")
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

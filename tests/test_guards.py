@@ -1,0 +1,94 @@
+"""Every public entry point that takes a generation refuses n = -1 with
+DomainError and the generation one past its limit with SizeLimitExceeded,
+before any costly work starts.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fractal_tutte.errors import DomainError, SizeLimitExceeded
+from fractal_tutte.graphs import (
+    MAX_GENERATION,
+    build_psw_copy_merge,
+    build_psw_edge_expansion,
+    build_sierpinski,
+)
+from fractal_tutte.invariants import (
+    MAX_EVAL_GENERATION,
+    MAX_TREE_COUNT_GENERATION,
+    eval_tutte_at_point,
+    invariant_report,
+    scaled_state,
+    spanning_trees_closed_form,
+    spanning_trees_recurrence,
+)
+from fractal_tutte.recursion import (
+    MAX_SYMBOLIC_GENERATION,
+    state_at,
+    tutte_psw,
+    tutte_psw_json,
+)
+from fractal_tutte.reliability import (
+    MAX_EXACT_GENERATION,
+    compare_curves,
+    psw_rel_via_tutte,
+    reliability_state,
+)
+from fractal_tutte.scalars import MAX_LOG_GENERATION
+
+#: (entry point of n, its limit); None where no depth limit applies.
+GUARDED = {
+    "build_psw_edge_expansion": (build_psw_edge_expansion, MAX_GENERATION),
+    "build_psw_copy_merge": (build_psw_copy_merge, MAX_GENERATION),
+    "build_sierpinski": (build_sierpinski, MAX_GENERATION),
+    "state_at": (state_at, MAX_SYMBOLIC_GENERATION),
+    "tutte_psw": (tutte_psw, MAX_SYMBOLIC_GENERATION),
+    "tutte_psw_json": (tutte_psw_json, MAX_SYMBOLIC_GENERATION),
+    "scaled_state": (lambda n: scaled_state(n, Fraction(-1, 3), Fraction(2)),
+                     MAX_EVAL_GENERATION),
+    "eval_tutte_at_point": (lambda n: eval_tutte_at_point(n, 1, 1),
+                            MAX_EVAL_GENERATION),
+    "invariant_report": (invariant_report, MAX_EVAL_GENERATION),
+    "spanning_trees_closed_form": (spanning_trees_closed_form,
+                                   MAX_TREE_COUNT_GENERATION),
+    "spanning_trees_recurrence": (spanning_trees_recurrence,
+                                  MAX_TREE_COUNT_GENERATION),
+    "psw_rel_via_tutte": (lambda n: psw_rel_via_tutte(n, Fraction(3, 8)),
+                          MAX_EVAL_GENERATION),
+    "psw_rel_via_tutte.p1": (lambda n: psw_rel_via_tutte(n, 1),
+                             MAX_EVAL_GENERATION),
+    "reliability_state.psw.exact": (
+        lambda n: reliability_state("psw", n, Fraction(1, 3), "exact"),
+        MAX_EXACT_GENERATION),
+    "reliability_state.sg.exact": (
+        lambda n: reliability_state("sg", n, Fraction(1, 3), "exact"),
+        MAX_EXACT_GENERATION),
+    "reliability_state.psw.float": (
+        lambda n: reliability_state("psw", n, 0.5, "float"), None),
+    # Near p = 1 no value leaves Decimal's exponent range by n = 41.
+    "reliability_state.sg.log": (
+        lambda n: reliability_state("sg", n, 0.99, "log"),
+        MAX_LOG_GENERATION),
+    "compare_curves.exact": (
+        lambda n: compare_curves(n, [0.5], "exact"), MAX_EXACT_GENERATION),
+    "compare_curves.float": (
+        lambda n: compare_curves(n, [0.5], "float"), None),
+    "compare_curves.log": (
+        lambda n: compare_curves(n, [0.99], "log"), MAX_LOG_GENERATION),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_negative_generation_is_a_domain_error(name):
+    entry, _ = GUARDED[name]
+    with pytest.raises(DomainError, match="generation must be nonnegative"):
+        entry(-1)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (_, limit) in GUARDED.items() if limit])
+def test_generation_past_the_limit_is_refused(name):
+    entry, limit = GUARDED[name]
+    with pytest.raises(SizeLimitExceeded):
+        entry(limit + 1)
