@@ -39,8 +39,10 @@ from .invariants import (
     spanning_trees_recurrence,
 )
 from .oracle import (
+    Census,
     HubPattern,
     SubgraphClassification,
+    census,
     classify_edge_subset,
     matrix_tree_count,
     partition_subgraph_sum,

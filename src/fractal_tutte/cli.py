@@ -9,6 +9,7 @@ renamed into place, so an interrupted run never leaves partial output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -235,11 +236,13 @@ def _run_oracle(args) -> int:
             raise UsageError(
                 f"--check must name checks from {', '.join(available)} "
                 f"or all, got {args.check!r}")
+    # One census serves every check, taken when the first asks for it.
+    census = functools.cache(lambda: oracle.census(g))
     entries = []
     for name in names:
         # An oracle refuses a graph too large for it before it starts.
         try:
-            status, detail = available[name](args.family, args.n, g)
+            status, detail = available[name](args.family, args.n, g, census)
         except SizeLimitExceeded as exc:
             status, detail = "skip", str(exc)
         entries.append({"check": name, "status": status, "detail": detail})
@@ -254,44 +257,45 @@ def _run_oracle(args) -> int:
     return 0 if all(e["status"] != "fail" for e in entries) else 1
 
 
-def _check_recursion(family, n, g) -> tuple[str, str]:
+def _check_recursion(family, n, g, census) -> tuple[str, str]:
     if family != "psw":
         return "skip", "no Tutte recursion is implemented for sg"
     # The census refuses an oversized graph at once, where the symbolic
     # recursion would first run for minutes.
-    if oracle.tutte_subgraph_sum(g) == recursion.tutte_psw(n):
+    if oracle.tutte_subgraph_sum(census()) == recursion.tutte_psw(n):
         return "pass", (f"subgraph sum over 2^{g.num_edges} subsets matches "
                         f"the recursion polynomial")
     return "fail", "subgraph sum differs from recursion"
 
 
-def _check_partition(family, n, g) -> tuple[str, str]:
-    parts = oracle.partition_subgraph_sum(g)
-    total = oracle.tutte_subgraph_sum(g)
+def _check_partition(family, n, g, census) -> tuple[str, str]:
+    parts = oracle.partition_subgraph_sum(census())
+    total = oracle.tutte_subgraph_sum(census())
     if sum(parts[1:], parts[0]) == total and parts[1] == parts[2] == parts[3]:
         return "pass", ("class sums recombine and the three two-hub classes "
                         "are equal")
     return "fail", "partition sums inconsistent"
 
 
-def _check_deletion_contraction(family, n, g) -> tuple[str, str]:
-    if oracle.tutte_deletion_contraction(g) == oracle.tutte_subgraph_sum(g):
+def _check_deletion_contraction(family, n, g, census) -> tuple[str, str]:
+    if (oracle.tutte_deletion_contraction(g)
+            == oracle.tutte_subgraph_sum(census())):
         return "pass", "agrees with the subgraph sum"
     return "fail", "differs from the subgraph sum"
 
 
-def _check_matrix_tree(family, n, g) -> tuple[str, str]:
+def _check_matrix_tree(family, n, g, census) -> tuple[str, str]:
     trees = oracle.matrix_tree_count(g)
-    reference = oracle.tutte_subgraph_sum(g).eval_exact(1, 1)
+    reference = oracle.tutte_subgraph_sum(census()).eval_exact(1, 1)
     if trees == reference:
         return "pass", f"Laplacian cofactor = T(1,1) = {trees}"
     return "fail", f"cofactor {trees} != T(1,1) = {reference}"
 
 
-def _check_reliability(family, n, g) -> tuple[str, str]:
+def _check_reliability(family, n, g, census) -> tuple[str, str]:
     p = Fraction(1, 2)
-    r_enum = oracle.reliability_enumeration(g, p)[0]
-    t1 = oracle.partition_subgraph_sum(g)[0]
+    r_enum = oracle.reliability_enumeration(census(), p)[0]
+    t1 = oracle.partition_subgraph_sum(census())[0]
     nv, ne = g.num_vertices, g.num_edges
     bridged = (p ** (nv - 1) * (1 - p) ** (ne - nv + 1)
                * t1.eval_exact(1, 1 / (1 - p)))

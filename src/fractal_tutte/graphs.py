@@ -31,6 +31,7 @@ families; this one is chosen for reproducible edge files.
 from __future__ import annotations
 
 import decimal
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -247,9 +248,11 @@ def from_edge_list(text: str, generation: int | None = None) -> HubGraph:
 
 def psw_vertex_count(n: int) -> int:
     """V_n = (3^(n+1) + 3) / 2."""
+    check_generation(n, math.inf, "vertex count")
     return (3 ** (n + 1) + 3) // 2
 
 
 def psw_edge_count(n: int) -> int:
     """E_n = 3^(n+1)."""
+    check_generation(n, math.inf, "edge count")
     return 3 ** (n + 1)

@@ -71,6 +71,7 @@ def denominator_powers(n: int, X: Fraction, Y: Fraction) -> tuple:
 
     D_0 = e d^2 and D' = e D^3.
     """
+    check_generation(n, math.inf, "denominator")
     return ((Y.denominator, (3 ** (n + 1) - 1) // 2),
             (X.denominator, 2 * 3 ** n))
 

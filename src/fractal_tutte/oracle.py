@@ -15,7 +15,8 @@ engine can be validated against it:
 * ``reliability_enumeration``: exact all-terminal reliability and the
   probability of the {A,B} | {C} two-component split.
 
-The three subset sums share one census, built in numpy by doubling: a
+The three subset sums read one ``Census`` of a graph (``census(g)``),
+or take their own from the graph.  It is built in numpy by doubling: a
 table holds the component labels of every subset of the edges seen so
 far, and each further edge doubles it (the subsets without the edge, and
 a copy with its two components merged).  Past 2^14 subsets the remaining
@@ -36,6 +37,7 @@ import numpy as np
 from .bipoly import BiPoly
 from .errors import DomainError, SizeLimitExceeded
 from .graphs import HubGraph
+from .scalars import as_probability
 from .unionfind import UnionFind
 
 MAX_SUBSET_EDGES = 27
@@ -195,6 +197,37 @@ def _census(nv, edges, hubs) -> Counter:
     return counts
 
 
+@dataclass(frozen=True)
+class Census:
+    """One count of a graph's edge subsets: ``counts`` maps (pattern, k, m)
+    to the number of subsets with m edges, k components and hub pattern
+    ``pattern`` (0 throughout when ``hubs`` is None)."""
+
+    num_vertices: int
+    edges: tuple
+    hubs: tuple | None
+    counts: Counter
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+
+def census(g: GraphLike) -> Census:
+    """The census of g, keyed by hub pattern if g is a HubGraph."""
+    nv, edges = _vertices_edges(g)
+    _require_simple(nv, edges)
+    hubs = g.hubs if isinstance(g, HubGraph) else None
+    return Census(nv, tuple(edges), hubs, _census(nv, edges, hubs))
+
+
+def _hub_census(g, what: str) -> Census:
+    """The hub-keyed census of g; a g without hubs is refused uncounted."""
+    if getattr(g, "hubs", None) is None:
+        raise DomainError(f"{what} needs hub labels; pass a HubGraph")
+    return g if isinstance(g, Census) else census(g)
+
+
 def _poly_from_census(nv, counts, patterns) -> BiPoly:
     """Assemble sum of (x-1)^(r(G) - r(H)) (y-1)^(n(H)) over chosen patterns."""
     xm1 = BiPoly.x_minus_1()
@@ -222,18 +255,19 @@ def _poly_from_census(nv, counts, patterns) -> BiPoly:
 
 # -- public oracles --------------------------------------------------------
 
-def tutte_subgraph_sum(g: GraphLike) -> BiPoly:
+def tutte_subgraph_sum(g: GraphLike | Census) -> BiPoly:
     """Tutte polynomial by the defining sum over all edge subsets.
 
-    Hub information is ignored; a bare (num_vertices, edges) pair works.
+    Hub information is ignored: a bare (num_vertices, edges) pair works, a
+    graph is counted without hub patterns, and a Census is summed over all
+    its patterns.
     """
-    nv, edges = _vertices_edges(g)
-    _require_simple(nv, edges)
-    return _poly_from_census(nv, _census(nv, edges, None), {0})
+    c = g if isinstance(g, Census) else census(_vertices_edges(g))
+    return _poly_from_census(c.num_vertices, c.counts, set(HubPattern))
 
 
 def partition_subgraph_sum(
-    g: HubGraph,
+    g: HubGraph | Census,
 ) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly, BiPoly]:
     """The subgraph sum restricted to each hub pattern class.
 
@@ -242,10 +276,9 @@ def partition_subgraph_sum(
     likewise T2B, T2C), and T3 those with all hubs apart.  The five parts
     add up to tutte_subgraph_sum(g).
     """
-    nv, edges = _vertices_edges(g)
-    counts = _census(nv, edges, g.hubs)
-    return tuple(
-        _poly_from_census(nv, counts, {int(pat)}) for pat in HubPattern)
+    c = _hub_census(g, "the partition sum")
+    return tuple(_poly_from_census(c.num_vertices, c.counts, {pat})
+                 for pat in HubPattern)
 
 
 def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
@@ -331,7 +364,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 def reliability_enumeration(
-    g: HubGraph, p: Fraction | int
+    g: HubGraph | Census, p: Fraction | int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (R, B, T) at edge probability p by enumerating all edge states.
 
@@ -339,16 +372,11 @@ def reliability_enumeration(
     B is the probability that they leave exactly two components, one
     containing hubs A and B and the other containing hub C; T is the
     probability that they leave exactly three components, one hub in each.
+    p is read by ``scalars.as_probability``, as the recursions read it.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise DomainError(f"edge probability {p} outside [0, 1]")
-    if not isinstance(g, HubGraph):
-        raise DomainError(
-            "reliability enumeration needs hub labels; pass a HubGraph")
-    nv, edges = _vertices_edges(g)
-    ne = len(edges)
-    counts = _census(nv, edges, g.hubs)
+    p = as_probability(p)
+    c = _hub_census(g, "reliability enumeration")
+    ne = c.num_edges
     q = 1 - p
     ppow = [Fraction(1)]
     qpow = [Fraction(1)]
@@ -359,7 +387,7 @@ def reliability_enumeration(
     totals = dict.fromkeys(((HubPattern.ALL_TOGETHER, 1),
                             (HubPattern.AB_C, 2),
                             (HubPattern.ALL_APART, 3)), Fraction(0))
-    for (pat, k, m), cnt in counts.items():
+    for (pat, k, m), cnt in c.counts.items():
         if (pat, k) in totals:
             totals[pat, k] += cnt * ppow[m] * qpow[ne - m]
     return tuple(totals.values())

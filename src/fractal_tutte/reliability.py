@@ -51,22 +51,10 @@ from .scalars import (
     LOG_CONTEXT,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
+    as_probability,
     embed,
     ln,
 )
-
-
-def _as_probability(p) -> Fraction:
-    """p as an exact probability in [0, 1].
-
-    A float is read as the nearest fraction with denominator at most
-    10^12, so 0.1 means 1/10 rather than the binary double next to it.
-    """
-    fr = (Fraction(p).limit_denominator(10**12) if isinstance(p, float)
-          else Fraction(p))
-    if not 0 <= fr <= 1:
-        raise DomainError(f"edge probability {p} outside [0, 1]")
-    return fr
 
 
 def _sg_step(r, b, t):
@@ -141,7 +129,7 @@ def reliability_state(family: str, n: int, p,
         raise DomainError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     step = STEPS[family]
-    p = _as_probability(p)
+    p = as_probability(p)
     if mode == "log" and not 0 < p < 1:
         raise DomainError(
             f"log mode needs p strictly inside (0, 1), got {p}")
@@ -172,7 +160,7 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     check_generation(n, MAX_EVAL_GENERATION,
                      "exact Tutte-route reliability (value bit-length grows "
                      "like 3^n)")
-    p = _as_probability(p)
+    p = as_probability(p)
     if p == 1:
         return Fraction(1)
     if p == 0:
@@ -185,16 +173,24 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
                         ((s, psw_edge_count(n)),))
 
 
+#: 3^(n-1) fits a float up to this n: 3^646 < 1.8e308 < 3^647.
+MAX_APPROX_GENERATION = 647
+
+
 def psw_rel_approx_log(n: int, p: float) -> float:
     """The decay approximation ln R(n) ~ 3^(n-1) * ln(p (2-p)).
 
-    Defined for n >= 1 and p in (0, 1]; at p = 1 the value is exactly 0.
+    Defined for n >= 1 and p in (0, 1]; at p = 1 it is exactly 0 at any n.
     """
     if n < 1:
         raise DomainError(f"approximation needs n >= 1, got {n}")
     p = float(p)
     if not 0 < p <= 1:
         raise DomainError(f"p must lie in (0, 1], got {p}")
+    if p == 1:
+        return 0.0
+    check_generation(n, MAX_APPROX_GENERATION,
+                     "the decay approximation (3^(n-1) must fit a float)")
     return 3 ** (n - 1) * math.log(p * (2 - p))
 
 
@@ -226,7 +222,7 @@ def compare_curves(n: int, p_grid, mode: str = "exact",
             f"got {', '.join(families) or 'none'}")
     points = []
     for p in sorted(p_grid):
-        pf = _as_probability(p)
+        pf = as_probability(p)
         if not 0 < pf < 1:
             raise DomainError(f"grid value {p} outside (0, 1)")
         points.append(CurvePoint(p=float(p), mode=mode, r={

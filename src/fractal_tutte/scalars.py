@@ -45,6 +45,19 @@ LOG_CONTEXT = decimal.Context(
            decimal.Overflow, decimal.Underflow])
 
 
+def as_probability(p) -> Fraction:
+    """p as an exact probability in [0, 1].
+
+    A float is read as the nearest fraction with denominator at most
+    10^12, so 0.1 means 1/10 rather than the binary double next to it.
+    """
+    fr = (Fraction(p).limit_denominator(10**12) if isinstance(p, float)
+          else Fraction(p))
+    if not 0 <= fr <= 1:
+        raise DomainError(f"edge probability {p} outside [0, 1]")
+    return fr
+
+
 def embed(fr: Fraction, mode: str):
     """The rational fr as the number type of ``mode``."""
     if mode == "exact":

@@ -355,14 +355,44 @@ def test_oracle_skips_oversized_checks(capsys):
         "SKIP reliability: 81 edges exceed the enumeration limit 27"]
 
 
+#: ``oracle --n 2``'s T(1,1) and R at p = 1/2 by family.
+GENERATION_TWO = {"psw": ("209952", "25/512"), "sg": ("524880", "1625/16384")}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("family", ["psw", "sg"])
 def test_oracle_reliability_at_generation_two(capsys, family):
     # 27 edges: within the one subset-enumeration limit.
     code, out, _ = run(capsys, "oracle", "--family", family, "--n", "2",
-                       "--check", "reliability")
+                       "--check", "all")
     assert code == 0
-    assert out.startswith("PASS reliability: ")
+    trees, r = GENERATION_TWO[family]
+    assert out.splitlines() == [
+        "PASS recursion: subgraph sum over 2^27 subsets matches the "
+        "recursion polynomial" if family == "psw" else
+        "SKIP recursion: no Tutte recursion is implemented for sg",
+        "PASS partition: class sums recombine and the three two-hub classes "
+        "are equal",
+        "SKIP deletion-contraction: 27 edges exceed the recursion limit 12",
+        f"PASS matrix-tree: Laplacian cofactor = T(1,1) = {trees}",
+        f"PASS reliability: enumeration equals the Tutte bridge at p=1/2 "
+        f"(R = {r})"]
+
+
+@pytest.mark.parametrize("family", ["psw", "sg"])
+def test_oracle_counts_the_subsets_once(capsys, monkeypatch, family):
+    calls = []
+    census = oracle._census
+
+    def counted(*args):
+        calls.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(oracle, "_census", counted)
+    code, out, _ = run(capsys, "oracle", "--family", family, "--n", "1")
+    assert code == 0
+    assert out.count("PASS") == (5 if family == "psw" else 4)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family", ["psw", "sg"])

@@ -13,10 +13,14 @@ from fractal_tutte.graphs import (
     build_psw_copy_merge,
     build_psw_edge_expansion,
     build_sierpinski,
+    psw_edge_count,
+    psw_vertex_count,
 )
 from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
+    common_denominator,
+    denominator_powers,
     eval_tutte_at_point,
     invariant_report,
     scaled_state,
@@ -42,6 +46,8 @@ GUARDED = {
     "build_psw_edge_expansion": (build_psw_edge_expansion, MAX_GENERATION),
     "build_psw_copy_merge": (build_psw_copy_merge, MAX_GENERATION),
     "build_sierpinski": (build_sierpinski, MAX_GENERATION),
+    "psw_vertex_count": (psw_vertex_count, None),
+    "psw_edge_count": (psw_edge_count, None),
     "state_at": (state_at, MAX_SYMBOLIC_GENERATION),
     "tutte_psw": (tutte_psw, MAX_SYMBOLIC_GENERATION),
     "tutte_psw_json": (tutte_psw_json, MAX_SYMBOLIC_GENERATION),
@@ -49,6 +55,10 @@ GUARDED = {
                      MAX_EVAL_GENERATION),
     "eval_tutte_at_point": (lambda n: eval_tutte_at_point(n, 1, 1),
                             MAX_EVAL_GENERATION),
+    "denominator_powers": (
+        lambda n: denominator_powers(n, Fraction(1, 3), Fraction(2, 5)), None),
+    "common_denominator": (
+        lambda n: common_denominator(n, Fraction(1, 3), Fraction(2, 5)), None),
     "invariant_report": (invariant_report, MAX_EVAL_GENERATION),
     "spanning_trees_closed_form": (spanning_trees_closed_form,
                                    MAX_TREE_COUNT_GENERATION),

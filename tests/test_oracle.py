@@ -295,6 +295,28 @@ def test_reliability_rejects_bare_pair():
         reliability_enumeration(K3, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("build", [build_psw_edge_expansion, build_sierpinski])
+def test_subset_sums_read_a_census_as_they_read_its_graph(build):
+    g = build(1)
+    c = oracle.census(g)
+    assert (c.num_vertices, c.num_edges, c.hubs) == (
+        g.num_vertices, g.num_edges, g.hubs)
+    assert tutte_subgraph_sum(c) == tutte_subgraph_sum(g) \
+        == tutte_subgraph_sum(oracle.census((g.num_vertices, g.edges)))
+    assert partition_subgraph_sum(c) == partition_subgraph_sum(g)
+    for p in (Fraction(1, 2), Fraction(1, 3)):
+        assert reliability_enumeration(c, p) == reliability_enumeration(g, p)
+
+
+@pytest.mark.parametrize("hub_oracle", [
+    partition_subgraph_sum,
+    lambda g: reliability_enumeration(g, Fraction(1, 2))])
+def test_hub_oracles_refuse_a_graph_without_hubs(hub_oracle):
+    for g in (K3, oracle.census(K3)):
+        with pytest.raises(DomainError, match="needs hub labels"):
+            hub_oracle(g)
+
+
 # -- input validation and guards -------------------------------------------
 
 

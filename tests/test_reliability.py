@@ -18,6 +18,7 @@ from fractal_tutte.oracle import (
 )
 from fractal_tutte.reliability import (
     FAMILIES,
+    MAX_APPROX_GENERATION,
     STEPS,
     compare_curves,
     curves_to_csv,
@@ -117,6 +118,14 @@ def test_sg_level_one_half_values():
     assert s.r == Fraction(5, 16)
     assert s.b == Fraction(15, 128)
     assert s.t == Fraction(37, 256)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_enumeration_reads_a_float_p_as_the_recursion_does(family):
+    # Both read 0.1 as 1/10, not as the binary double next to it.
+    s = reliability_state(family, 1, 0.1)
+    assert (s.r, s.b, s.t) == reliability_enumeration(BUILDERS[family](1), 0.1)
+    assert s.r == reliability_state(family, 1, Fraction(1, 10)).r
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -265,6 +274,17 @@ def test_approx_log_validation():
         psw_rel_approx_log(3, 0.0)
     with pytest.raises(DomainError):
         psw_rel_approx_log(3, 1.5)
+
+
+def test_approx_log_past_the_float_range_is_refused():
+    assert psw_rel_approx_log(MAX_APPROX_GENERATION, 0.5) < -1e307
+    with pytest.raises(SizeLimitExceeded, match="must fit a float"):
+        psw_rel_approx_log(10**4, 0.5)
+
+
+@pytest.mark.parametrize("n", [MAX_APPROX_GENERATION + 1, 10**4, 10**12])
+def test_approx_log_at_p_one_is_zero_at_any_n(n):
+    assert psw_rel_approx_log(n, 1.0) == 0.0
 
 
 def test_approx_log_tracks_true_value():
