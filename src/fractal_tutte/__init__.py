@@ -50,12 +50,7 @@ from .oracle import (
     tutte_deletion_contraction,
     tutte_subgraph_sum,
 )
-from .recursion import (
-    PswTutteState,
-    assemble_tutte,
-    tutte_psw,
-    tutte_psw_json,
-)
+from .recursion import tutte_psw, tutte_psw_json
 from .reliability import (
     CurvePoint,
     RelState,

@@ -8,7 +8,10 @@ coefficients::
 The map is canonical (no zero coefficients are ever stored), so two
 ``BiPoly`` values are equal iff they are equal as polynomials.  All
 arithmetic is exact; coefficients are plain Python ints and may grow to
-thousands of digits.
+thousands of digits.  An int mixes in as a constant under + and -, and
+as a scalar under *, so a step written with plain + and * runs on
+``BiPoly`` and on numbers alike.  ``evaluate`` substitutes values from
+any such ring, ``BiPoly`` included.
 
 Multiplication dispatches between schoolbook convolution (small operands,
 or a factor of at most two terms such as x-1) and Kronecker substitution
@@ -149,8 +152,10 @@ class BiPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
+    def __add__(self, other: "BiPoly | int") -> "BiPoly":
+        if isinstance(other, int):
+            other = BiPoly.constant(other)
+        elif not isinstance(other, BiPoly):
             return NotImplemented
         if not self._terms:
             return other
@@ -167,15 +172,20 @@ class BiPoly:
         result._terms = out
         return result
 
+    __radd__ = __add__
+
     def __neg__(self) -> "BiPoly":
         result = BiPoly.__new__(BiPoly)
         result._terms = {key: -c for key, c in self._terms.items()}
         return result
 
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
+    def __sub__(self, other: "BiPoly | int") -> "BiPoly":
+        if not isinstance(other, (BiPoly, int)):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other: int) -> "BiPoly":
+        return -self + other
 
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":
         if isinstance(other, int):
@@ -215,20 +225,24 @@ class BiPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_exact(self, x0: Fraction | int, y0: Fraction | int) -> Fraction:
-        """Exact value at a rational point."""
-        x0 = Fraction(x0)
-        y0 = Fraction(y0)
-        if not self._terms:
-            return Fraction(0)
-        # Each power is built once; each term is visited once.
-        max_dx, max_dy = self.degrees()
-        xpow = _powers(x0, max_dx)
-        ypow = _powers(y0, max_dy)
-        total = Fraction(0)
+    def evaluate(self, x, y):
+        """The value at (x, y), over any ring the int coefficients act
+        on: Fraction, int or BiPoly.  Each power is built once by
+        repeated multiplication; the zero polynomial gives 0 * x."""
+        xpow, ypow = [1], [1]
+        for dx, dy in self._terms:
+            while len(xpow) <= dx:
+                xpow.append(xpow[-1] * x)
+            while len(ypow) <= dy:
+                ypow.append(ypow[-1] * y)
+        total = 0 * x
         for (dx, dy), c in self._terms.items():
             total += c * xpow[dx] * ypow[dy]
         return total
+
+    def eval_exact(self, x0: Fraction | int, y0: Fraction | int) -> Fraction:
+        """Exact value at a rational point."""
+        return self.evaluate(Fraction(x0), Fraction(y0))
 
     # -- serialization -----------------------------------------------------
 
@@ -247,13 +261,6 @@ class BiPoly:
 
 
 # -- internals -------------------------------------------------------------
-
-def _powers(base: Fraction, upto: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(upto):
-        out.append(out[-1] * base)
-    return out
-
 
 def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     out: dict[Term, int] = {}

@@ -21,8 +21,6 @@ from fractions import Fraction
 from . import graphs, invariants, oracle, recursion, reliability
 from .errors import FractalTutteError, SizeLimitExceeded
 
-GRID_TOLERANCE = 1e-12
-
 #: Most points a --p-grid range may expand to; checked before any is made.
 MAX_GRID_POINTS = 10 ** 6
 
@@ -143,19 +141,14 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid stop {stop} precedes start {start}")
     if not (0 < start and stop < 1):
         raise UsageError(f"grid {text!r} must lie strictly inside (0, 1)")
-    count = math.floor((Decimal(stop) - Decimal(start)) / Decimal(step)) + 1
+    # The points start + i * step up to stop, counted in Decimal; the
+    # slack admits a last point that float rounding puts just past stop.
+    count = math.floor((Decimal(stop) - Decimal(start)) / Decimal(step)
+                       + Decimal("1e-9")) + 1
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} would have about {Decimal(count):.3g}"
                          f" points, over the limit of {MAX_GRID_POINTS}")
-    values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + GRID_TOLERANCE:
-            break
-        values.append(min(v, stop))
-        i += 1
-    return values
+    return [min(start + i * step, stop) for i in range(count)]
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -1,20 +1,19 @@
 """Numeric invariants of the pseudofractal web via scalar recursion.
 
 The symbolic recursion (module ``recursion``) is exponential in output
-size.  Evaluating at a fixed rational point instead runs the same
-(u, w) step on numbers: four big-integer products per generation, so
-counts like T_n(1,1) are reachable far beyond the symbolic limit.
-With X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers
-over one common denominator D, a power product of d and e, so a
-rational point pays for one reduction at the end instead of a gcd at
-every ``Fraction`` operation.  The step is ``psw_uw_step`` on integers,
-scaled by d e (1 at an integer point).  That reduction divides out the
+size.  Evaluating at a fixed rational point instead runs the same (u, w)
+runner, ``recursion.psw_state``, on integers: four big-integer products
+per generation, so counts like T_n(1,1) are reachable far beyond the
+symbolic limit.  With X = x0-1 = a/d and Y = y0-1 = b/e, the state is
+kept on integers over one common denominator D, a power product of d
+and e, so a rational point pays for one reduction at the end instead of
+a gcd at every ``Fraction`` operation.  That reduction divides out the
 known primes of D rather than taking a gcd of two full-size integers.
 The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 ``Fraction``.  This module provides
 
-* ``scaled_state`` / ``denominator_powers`` / ``common_denominator``:
-  that integer recursion and its denominator;
+* ``denominator_powers`` / ``common_denominator``: the denominator D of
+  that integer state;
 * ``lowest_terms``: N over a product of prime powers, reduced by the
   primes of the bases;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
@@ -42,28 +41,10 @@ from .errors import (
     NonIntegralExponent,
     check_generation,
 )
-from .recursion import psw_uw_step
+from .recursion import psw_state
 
 MAX_EVAL_GENERATION = 14
 MAX_TREE_COUNT_GENERATION = 20
-
-
-def scaled_state(n: int, X: Fraction, Y: Fraction) -> tuple[int, int]:
-    """Integers (U, W) with u = U/D and w = d W/D at generation n.
-
-    X = x0-1 = a/d and Y = y0-1 = b/e in lowest terms; D is
-    ``common_denominator``.  One generation is ``psw_uw_step`` at a, b
-    with scale d e:
-    U' = U (U (b U + 3 d e W) + a d e W^2) and W' = d e W^2 (2 U + a W).
-    """
-    check_generation(n, MAX_EVAL_GENERATION,
-                     "exact evaluation (value bit-length grows like 3^n)")
-    a, d = X.numerator, X.denominator
-    b, e = Y.numerator, Y.denominator
-    U, W = d * d * (b + 3 * e) + a * d * e, e * (2 * d + a)
-    for _ in range(n):
-        U, W = psw_uw_step(U, W, a, b, d * e)
-    return U, W
 
 
 def denominator_powers(n: int, X: Fraction, Y: Fraction) -> tuple:
@@ -82,9 +63,12 @@ def common_denominator(n: int, X: Fraction, Y: Fraction) -> int:
 
 
 def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
-    """T_n(x0, y0) = (U + a W) / D, in lowest terms."""
+    """T_n(x0, y0) = (U + a W) / D, in lowest terms, with (U, W) from
+    ``psw_state`` at X = a/d and Y = b/e."""
+    check_generation(n, MAX_EVAL_GENERATION,
+                     "exact evaluation (value bit-length grows like 3^n)")
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    U, W = scaled_state(n, X, Y)
+    U, W = psw_state(n, X.numerator, Y.numerator, X.denominator, Y.denominator)
     return lowest_terms(U + X.numerator * W, denominator_powers(n, X, Y))
 
 

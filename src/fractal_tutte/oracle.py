@@ -15,14 +15,17 @@ engine can be validated against it:
 * ``reliability_enumeration``: exact all-terminal reliability and the
   probability of the {A,B} | {C} two-component split.
 
-The three subset sums read one ``Census`` of a graph (``census(g)``),
-or take their own from the graph.  It is built in numpy by doubling: a
-table holds the component labels of every subset of the edges seen so
-far, and each further edge doubles it (the subsets without the edge, and
-a copy with its two components merged).  Past 2^14 subsets the remaining
-edges are walked depth-first over copies of the table.  The 2^27 subsets
-of the generation-2 web take seconds.  ``classify_edge_subset`` is the
-per-subset union-find reference the census is tested against.
+Every oracle takes simple graphs only.  The three subset sums read one
+``Census`` of a graph (``census(g)``), or take their own from the graph.
+It is built in numpy by doubling: a table holds the component labels of
+every subset of the edges seen so far, and each further edge doubles it
+(the subsets without the edge, and a copy with its two components
+merged).  Past 2^14 subsets the remaining edges are walked depth-first
+over copies of the table.  The 2^27 subsets of the generation-2 web take
+seconds.  ``classify_edge_subset`` is the per-subset union-find
+reference the census is tested against.  The polynomial sums add the
+counts into the rank polynomial R(X, Y) = sum of count X^corank
+Y^nullity and evaluate it at (x-1, y-1) with ``BiPoly.evaluate``.
 """
 
 from __future__ import annotations
@@ -229,28 +232,16 @@ def _hub_census(g, what: str) -> Census:
 
 
 def _poly_from_census(nv, counts, patterns) -> BiPoly:
-    """Assemble sum of (x-1)^(r(G) - r(H)) (y-1)^(n(H)) over chosen patterns."""
-    xm1 = BiPoly.x_minus_1()
-    ym1 = BiPoly.y_minus_1()
+    """Sum of (x-1)^(r(G) - r(H)) (y-1)^(n(H)) over the chosen patterns:
+    the rank polynomial R(X, Y) of the counts, at X = x-1 and Y = y-1."""
     # G itself is the one subset with the most edges.
     kg = max(counts, key=lambda key: key[2])[1]
-    xpow: dict[int, BiPoly] = {}
-    ypow: dict[int, BiPoly] = {}
-
-    def power(cache, base, e):
-        if e not in cache:
-            cache[e] = base ** e
-        return cache[e]
-
-    total = BiPoly.zero()
-    for (pat, k, m), cnt in sorted(counts.items()):
-        if pat not in patterns:
-            continue
-        ex = k - kg          # r(G) - r(H) = (nv - kg) - (nv - k)
-        ey = m - nv + k      # nullity of H
-        term = power(xpow, xm1, ex) * power(ypow, ym1, ey) * cnt
-        total = total + term
-    return total
+    rank_poly: Counter = Counter()
+    for (pat, k, m), cnt in counts.items():
+        if pat in patterns:
+            # corank r(G) - r(H) = (nv - kg) - (nv - k), nullity of H
+            rank_poly[k - kg, m - nv + k] += cnt
+    return BiPoly(rank_poly).evaluate(BiPoly.x_minus_1(), BiPoly.y_minus_1())
 
 
 # -- public oracles --------------------------------------------------------
@@ -318,6 +309,7 @@ def _tutte_dc(nv: int, edges: tuple) -> BiPoly:
 def matrix_tree_count(g: GraphLike) -> int:
     """Spanning trees as a Laplacian cofactor, exactly over the integers."""
     nv, edges = _vertices_edges(g)
+    _require_simple(nv, edges)
     if nv > MAX_MATRIX_TREE_VERTICES:
         raise SizeLimitExceeded(
             f"{nv} vertices exceed the matrix-tree limit "

@@ -23,16 +23,18 @@ the sum over those that do not, so the recursion carries (u, w) alone:
 from u = x + y + 1, w = x + 1 at the triangle, with T_n = u + X w.
 ``psw_uw_step`` is that step with plain + and *: four full-size products
 per generation (w^2, u (Y u + 3 w), u (...) and w^2 (2 u + X w)); the
-factors X and Y are linear passes.  It runs on ``BiPoly`` here, and the
-point evaluators in ``invariants`` run it on integers, with a scale c
-that multiplies out the denominators of X and Y.  ``psw_step`` stays as
-the hub-class map: psw reliability runs it at X = 0, Y = 1, and the
-tests derive the (u, w) step from it.
+factors X and Y are linear passes.  ``psw_state`` is the one runner of
+it over any ring: on ``BiPoly`` for the polynomial (``tutte_psw``), and
+on integers for every exact point (``invariants.eval_tutte_at_point``,
+``reliability.psw_rel_via_tutte``), with a scale that multiplies out the
+denominators of X and Y.  ``psw_step`` stays as the hub-class map: psw
+reliability runs it at X = 0, Y = 1, and the tests derive the (u, w)
+step from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .bipoly import BiPoly
 from .errors import check_generation
@@ -41,15 +43,6 @@ from .errors import check_generation
 #: coefficient size both grow with 3^n; beyond this the numeric-point
 #: evaluators are the intended tool.
 MAX_SYMBOLIC_GENERATION = 6
-
-
-@dataclass(frozen=True)
-class PswTutteState:
-    """(u, w) of the pseudofractal web at one generation."""
-
-    level: int
-    u: BiPoly
-    w: BiPoly
 
 
 def psw_step(t1, p, q, X, Y):
@@ -67,34 +60,37 @@ def psw_uw_step(u, w, X, Y, c=1):
     """One generation of (u, w) at X = x-1, Y = y-1, over any ring.
 
     With a scale c it is u' = u (u (Y u + 3 c w) + c X w^2) and
-    w' = w^2 (2 c u + c X w), which ``invariants.scaled_state`` runs on
-    the numerators of X and Y, with c the product of their denominators.
+    w' = w^2 (2 c u + c X w), which ``psw_state`` runs on the numerators
+    of X and Y, with c the product of their denominators.
     """
     ww, cX = w * w, c * X
     return u * (u * (Y * u + 3 * c * w) + cX * ww), ww * (2 * c * u + cX * w)
 
 
-def assemble_tutte(s: PswTutteState) -> BiPoly:
-    """T_n = u + (x-1) w."""
-    return s.u + BiPoly.x_minus_1() * s.w
+def psw_state(n: int, a, b, d=1, e=1):
+    """(U, W) after n steps from the triangle at X = a/d, Y = b/e.
 
-
-def state_at(n: int) -> PswTutteState:
-    """The symbolic state after n steps from the triangle."""
-    check_generation(n, MAX_SYMBOLIC_GENERATION,
-                     "the symbolic polynomial (terms and coefficient digits "
-                     "grow like 3^n)")
-    X, Y = BiPoly.x_minus_1(), BiPoly.y_minus_1()
-    u = BiPoly({(1, 0): 1, (0, 1): 1, (0, 0): 1})
-    w = BiPoly({(1, 0): 1, (0, 0): 1})
+    u = U/D and w = d W/D, with D = ``invariants.common_denominator``,
+    so (U, W) = (u, w) at d = e = 1.  a and b may be BiPoly or numbers.
+    One generation is ``psw_uw_step`` at a, b with scale d e:
+    U' = U (U (b U + 3 d e W) + a d e W^2) and W' = d e W^2 (2 U + a W).
+    """
+    check_generation(n, math.inf, "the psw state")
+    U, W = d * (d * b + 3 * d * e + a * e), e * (2 * d + a)
     for _ in range(n):
-        u, w = psw_uw_step(u, w, X, Y)
-    return PswTutteState(level=n, u=u, w=w)
+        U, W = psw_uw_step(U, W, a, b, d * e)
+    return U, W
 
 
 def tutte_psw(n: int) -> BiPoly:
-    """Full Tutte polynomial of the generation-n pseudofractal web."""
-    return assemble_tutte(state_at(n))
+    """Full Tutte polynomial of the generation-n pseudofractal web,
+    T_n = u + (x-1) w."""
+    check_generation(n, MAX_SYMBOLIC_GENERATION,
+                     "the symbolic polynomial (terms and coefficient digits "
+                     "grow like 3^n)")
+    X = BiPoly.x_minus_1()
+    u, w = psw_state(n, X, BiPoly.y_minus_1())
+    return u + X * w
 
 
 def tutte_psw_json(n: int) -> dict:

@@ -29,10 +29,10 @@ whatever number type the mode picks: Fraction (``exact``), float
 (``float``) or Decimal (``log``, module ``scalars``).
 
 An independent exact route goes through the Tutte polynomial:
-R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer point
-recursion of module ``invariants``, whose u is t1 at x = 1, reduced by
-the primes of p's denominator (``invariants.lowest_terms``); the two
-must agree exactly, and a test holds them to it.
+R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer (u, w)
+runner ``recursion.psw_state``, whose u is t1 at x = 1, reduced by the
+primes of p's denominator (``invariants.lowest_terms``); the two must
+agree exactly, and a test holds them to it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import MAX_EVAL_GENERATION, lowest_terms, scaled_state
-from .recursion import psw_step
+from .invariants import MAX_EVAL_GENERATION, lowest_terms
+from .recursion import psw_state, psw_step
 from .scalars import (
     LOG_CONTEXT,
     MAX_LOG_GENERATION,
@@ -150,9 +150,9 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
 
     R(n) = p^(V-1) (1-p)^(E-V+1) * T_1,n(1, 1/(1-p)).  Equals the direct
     probability recursion identically; exists as its second witness.
-    For p = r/s it is r^(V-1) U / s^E, with U from
-    ``invariants.scaled_state`` (u = t1 at X = 0), reduced once by the
-    primes of s.
+    For p = r/s it is r^(V-1) U / s^E, with U from ``psw_state`` at
+    X = 0, Y = r/(s-r) (u = t1 at X = 0), reduced once by the primes
+    of s.
     p = 0 and p = 1 are answered directly (0 and 1) since 1/(1-p) is
     singular at p = 1, after the exact-point guard
     ``invariants.MAX_EVAL_GENERATION``.
@@ -168,7 +168,7 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     # At x = 1, Y = p/(1-p) = r/(s-r), and U's common denominator
     # (s-r)^((3^(n+1)-1)/2) = (s-r)^(E-V+1) cancels against (1-p)^(E-V+1).
     r, s = p.numerator, p.denominator
-    u, _ = scaled_state(n, Fraction(0), Fraction(r, s - r))
+    u, _ = psw_state(n, 0, r, 1, s - r)
     return lowest_terms(r ** (psw_vertex_count(n) - 1) * u,
                         ((s, psw_edge_count(n)),))
 

@@ -130,6 +130,24 @@ def test_subtraction_is_additive_inverse(a):
     assert a + (-a) == BiPoly.zero()
 
 
+@given(small_polys, coeffs)
+def test_int_adds_and_subtracts_as_a_constant_in_both_orders(a, k):
+    c = BiPoly.constant(k)
+    assert a + k == k + a == a + c
+    assert a - k == a - c
+    assert k - a == c - a
+    assert (k - a) + (a - k) == 0
+
+
+def test_add_of_an_int_keeps_the_map_canonical():
+    assert (X + 0) == X and (0 + X) == X
+    assert ((ONE - 1) + 0).num_terms() == 0
+    with pytest.raises(TypeError):
+        X + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) - X
+
+
 # -- multiplication ---------------------------------------------------------
 
 
@@ -373,6 +391,38 @@ def test_eval_known_values():
 
 def test_eval_zero_polynomial():
     assert BiPoly.zero().eval_exact(Fraction(3), Fraction(7)) == 0
+    # in each ring, the zero of that ring
+    value = BiPoly.zero().eval_exact(3, 7)
+    assert type(value) is Fraction and value == 0
+    assert BiPoly.zero().evaluate(3, 7) == 0
+    substituted = BiPoly.zero().evaluate(X - ONE, Y + ONE)
+    assert type(substituted) is BiPoly and substituted.is_zero()
+
+
+@given(small_polys, st.integers(-5, 5), st.integers(-5, 5))
+@settings(max_examples=60)
+def test_evaluate_on_ints_and_fractions_agree(a, x0, y0):
+    value = a.evaluate(x0, y0)
+    assert type(value) is int
+    assert a.eval_exact(x0, y0) == value
+    assert a.evaluate(Fraction(x0), Fraction(y0)) == value
+
+
+def test_evaluate_substitutes_polynomials():
+    # (x^2 + x + y)(x-1, y-1) = x^2 - x + y - 1
+    t = X * X + X + Y
+    assert t.evaluate(X - ONE, Y - ONE) == X * X - X + Y - ONE
+    assert t.evaluate(Y, X) == Y * Y + Y + X
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=40)
+def test_evaluate_at_polynomials_composes(a, f, g):
+    # a(f, g) at (x0, y0) is a at (f(x0, y0), g(x0, y0)).
+    x0, y0 = Fraction(2, 3), Fraction(-3, 2)
+    composed = a.evaluate(f, g)
+    assert composed.eval_exact(x0, y0) == a.evaluate(
+        f.eval_exact(x0, y0), g.eval_exact(x0, y0))
 
 
 @given(small_polys, small_polys, rationals, rationals)

@@ -6,6 +6,7 @@ guarantee.
 import hashlib
 import json
 import os
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -281,6 +282,16 @@ def test_parse_grid_ninety_nine_points():
     assert len(_parse_grid("0.01:0.99:0.01")) == 99
 
 
+def test_parse_grid_makes_the_points_it_counts():
+    # A step of 1e-14 reaches stop after ten steps; a tolerance test on
+    # the float sum once added a hundred copies of stop.
+    grid = _parse_grid("0.3:0.3000000000001:0.00000000000001")
+    assert len(grid) == 11
+    assert grid[0] == 0.3
+    assert len(set(grid)) == 11
+    assert max(grid) <= 0.3000000000001
+
+
 def test_parse_grid_rejects_malformed():
     with pytest.raises(UsageError):
         _parse_grid("1:2")
@@ -308,6 +319,19 @@ def test_cli_grid_point_cap_exits_2(capsys, grid, count):
     assert out == ""
     assert f"about {count} points" in err
     assert f"limit of {MAX_GRID_POINTS}" in err
+
+
+def test_cli_subnormal_grid_ends_at_once(capsys):
+    # Ten points under the cap, each refused by compare_curves; counting
+    # by a tolerance test on the float sum once never stopped.
+    assert len(_parse_grid("1e-320:1e-319:1e-320")) == 10
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid",
+                         "1e-320:1e-319:1e-320")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_cli_grid_errors_exit_2(capsys):

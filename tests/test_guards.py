@@ -23,13 +23,12 @@ from fractal_tutte.invariants import (
     denominator_powers,
     eval_tutte_at_point,
     invariant_report,
-    scaled_state,
     spanning_trees_closed_form,
     spanning_trees_recurrence,
 )
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
-    state_at,
+    psw_state,
     tutte_psw,
     tutte_psw_json,
 )
@@ -48,11 +47,9 @@ GUARDED = {
     "build_sierpinski": (build_sierpinski, MAX_GENERATION),
     "psw_vertex_count": (psw_vertex_count, None),
     "psw_edge_count": (psw_edge_count, None),
-    "state_at": (state_at, MAX_SYMBOLIC_GENERATION),
+    "psw_state": (lambda n: psw_state(n, 1, 2), None),
     "tutte_psw": (tutte_psw, MAX_SYMBOLIC_GENERATION),
     "tutte_psw_json": (tutte_psw_json, MAX_SYMBOLIC_GENERATION),
-    "scaled_state": (lambda n: scaled_state(n, Fraction(-1, 3), Fraction(2)),
-                     MAX_EVAL_GENERATION),
     "eval_tutte_at_point": (lambda n: eval_tutte_at_point(n, 1, 1),
                             MAX_EVAL_GENERATION),
     "denominator_powers": (

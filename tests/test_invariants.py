@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
     build_psw_edge_expansion,
@@ -23,19 +24,23 @@ from fractal_tutte.invariants import (
     exponent_sequences,
     invariant_report,
     lowest_terms,
-    scaled_state,
     spanning_trees_closed_form,
     spanning_trees_recurrence,
 )
 from fractal_tutte.oracle import matrix_tree_count
-from fractal_tutte.recursion import psw_step, state_at, tutte_psw
+from fractal_tutte.recursion import psw_state, psw_step, tutte_psw
 from fractal_tutte.reliability import psw_rel_via_tutte
+
+
+def _scaled_state(n, X, Y):
+    """(U, W) of ``psw_state`` at X = a/d, Y = b/e, on integers."""
+    return psw_state(n, X.numerator, Y.numerator, X.denominator, Y.denominator)
 
 
 def _uw_at_point(n, x0, y0):
     """(u, w) at generation n from the integer state, reduced."""
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    U, W = scaled_state(n, X, Y)
+    U, W = _scaled_state(n, X, Y)
     D = common_denominator(n, X, Y)
     return Fraction(U, D), Fraction(X.denominator * W, D)
 
@@ -43,7 +48,7 @@ def _uw_at_point(n, x0, y0):
 def test_eval_state_examples():
     # (t1, p, q) = (350, 45, 27) at (2, 2) and (54, 12, .) at (1, 1)
     assert _uw_at_point(1, 2, 2) == (350 + 45, 2 * 45 + 27)
-    assert scaled_state(1, Fraction(0), Fraction(0)) == (54, 24)
+    assert psw_state(1, 0, 0) == (54, 24)
     x0, y0 = Fraction(5, 7), Fraction(-3, 2)
     assert _uw_at_point(0, x0, y0) == (x0 + y0 + 1, x0 + 1)
 
@@ -89,10 +94,10 @@ def test_hyperbola_at_points(n, x0):
 
 
 def test_eval_state_matches_symbolic_components():
-    s = state_at(3)
+    u, w = psw_state(3, BiPoly.x_minus_1(), BiPoly.y_minus_1())
     x0, y0 = Fraction(3, 4), Fraction(-2, 5)
     assert _uw_at_point(3, x0, y0) == (
-        s.u.eval_exact(x0, y0), s.w.eval_exact(x0, y0))
+        u.eval_exact(x0, y0), w.eval_exact(x0, y0))
 
 
 #: (x0, y0) covering a = 0 (x0 = 1), b = 0 (y0 = 1), negative X and Y,
@@ -207,7 +212,7 @@ def test_eval_with_large_prime_denominators(x0, y0):
     value = eval_tutte_at_point(2, x0, y0)
     assert time.perf_counter() - start < 0.5
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    U, W = scaled_state(2, X, Y)
+    U, W = _scaled_state(2, X, Y)
     expected = Fraction(U + X.numerator * W, common_denominator(2, X, Y))
     assert type(value) is Fraction
     assert _parts(value) == _parts(expected)
@@ -240,7 +245,7 @@ def test_rational_points_reduce_without_a_full_size_gcd(monkeypatch):
         assert value == x ** ne * (x - 1) ** (nv - 1 - ne)
     for p, value in zip(probs, rel):
         r, s = p.numerator, p.denominator
-        u, _ = scaled_state(9, Fraction(0), Fraction(r, s - r))
+        u, _ = psw_state(9, 0, r, 1, s - r)
         assert _parts(value) == _parts(Fraction(
             r ** (psw_vertex_count(9) - 1) * u, s ** psw_edge_count(9)))
 

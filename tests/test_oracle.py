@@ -343,6 +343,15 @@ def test_deletion_contraction_edge_guard():
         tutte_deletion_contraction(path)
 
 
+@pytest.mark.parametrize("graph", [(3, [(0, 5)]), (3, [(0, 1), (1, 1)]),
+                                   (3, [(0, 1), (1, 0)])])
+def test_matrix_tree_rejects_a_non_simple_graph(graph):
+    # An out-of-range edge, a self-loop and a repeated edge, as the
+    # other oracles refuse them.
+    with pytest.raises(DomainError):
+        matrix_tree_count(graph)
+
+
 def test_matrix_tree_vertex_guard():
     nv = MAX_MATRIX_TREE_VERTICES + 1
     path = (nv, [(i, i + 1) for i in range(nv - 1)])

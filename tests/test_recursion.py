@@ -1,13 +1,13 @@
 """Self-similarity recursion for the triangle-expansion family.
 
 The hub-class step ``psw_step`` carries (t1, p, q), the hub-class sums
-with T2 = (x-1)p and T3 = (x-1)^2 q factored out; the symbolic state
-carries only u = t1 + (x-1)p and w = 2p + (x-1)q.  Both must agree with
-the brute-force subset census, the (u, w) step must equal the hub-class
-step on a grid that proves the identity, and the assembled polynomial
-must satisfy identities every psw(n) satisfies (degrees, T(2,2) = 2^E,
-the chromatic line of a 2-tree, the hyperbola (x-1)(y-1) = 1) through
-n = 4.
+with T2 = (x-1)p and T3 = (x-1)^2 q factored out; the runner
+``psw_state`` carries only u = t1 + (x-1)p and w = 2p + (x-1)q.  Both
+must agree with the brute-force subset census, the (u, w) step must
+equal the hub-class step on a grid that proves the identity, and the
+assembled polynomial must satisfy identities every psw(n) satisfies
+(degrees, T(2,2) = 2^E, the chromatic line of a 2-tree, the hyperbola
+(x-1)(y-1) = 1) through n = 4.
 """
 
 import itertools
@@ -29,10 +29,9 @@ from fractal_tutte.oracle import (
 )
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
-    assemble_tutte,
+    psw_state,
     psw_step,
     psw_uw_step,
-    state_at,
     tutte_psw,
     tutte_psw_json,
 )
@@ -45,12 +44,16 @@ ONEF = Fraction(1)
 TWOF = Fraction(2)
 
 
+def _symbolic_state(n):
+    """(u, w) at generation n by ``psw_state`` over BiPoly."""
+    return psw_state(n, BiPoly.x_minus_1(), BiPoly.y_minus_1())
+
+
 def test_initial_state():
-    s = state_at(0)
-    assert s.level == 0
-    assert s.u == X + Y + ONE
-    assert s.w == X + ONE
-    assert assemble_tutte(s) == X * X + X + Y
+    u, w = _symbolic_state(0)
+    assert u == X + Y + ONE
+    assert w == X + ONE
+    assert tutte_psw(0) == X * X + X + Y
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -72,9 +75,9 @@ def _check_hub_classes(n):
     t2a, t2b, t2c = (parts[pat] for pat in (
         HubPattern.BC_A, HubPattern.AC_B, HubPattern.AB_C))
     t3 = parts[HubPattern.ALL_APART]
-    s = state_at(n)
-    assert s.u == parts[HubPattern.ALL_TOGETHER] + t2c
-    assert BiPoly.x_minus_1() * s.w == t2a + t2b + t3
+    u, w = _symbolic_state(n)
+    assert u == parts[HubPattern.ALL_TOGETHER] + t2c
+    assert BiPoly.x_minus_1() * w == t2a + t2b + t3
     assert t2a == t2b == t2c
     t1, p, q = _hub_classes(n)
     assert t1 == parts[HubPattern.ALL_TOGETHER]
@@ -94,14 +97,23 @@ def test_level_two_state_matches_classified_oracle():
 
 
 def test_level_one_values():
-    s = state_at(1)
-    assert s.level == 1
-    assert (s.u.eval_exact(TWOF, TWOF), s.w.eval_exact(TWOF, TWOF)) == (
+    u, w = _symbolic_state(1)
+    assert (u.eval_exact(TWOF, TWOF), w.eval_exact(TWOF, TWOF)) == (
         395, 117)
     assert tuple(c.eval_exact(TWOF, TWOF) for c in _hub_classes(1)) == (
         350, 45, 27)
-    assert assemble_tutte(s).eval_exact(TWOF, TWOF) == 512
-    assert s.u.eval_exact(ONEF, ONEF) == 54
+    assert tutte_psw(1).eval_exact(TWOF, TWOF) == 512
+    assert u.eval_exact(ONEF, ONEF) == 54
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_integer_state_is_the_symbolic_state_at_a_point(n):
+    # One runner over two rings: on integers at d = e = 1 it gives the
+    # BiPoly state evaluated at the same point.
+    u, w = _symbolic_state(n)
+    for x0, y0 in ((2, 2), (1, 1), (-3, 5), (0, 4)):
+        assert psw_state(n, x0 - 1, y0 - 1) == (
+            u.evaluate(x0, y0), w.evaluate(x0, y0))
 
 
 def test_uw_step_is_the_hub_class_step():
@@ -175,9 +187,9 @@ def test_hyperbola(n):
 
 def test_symbolic_generation_guard():
     with pytest.raises(SizeLimitExceeded):
-        state_at(MAX_SYMBOLIC_GENERATION + 1)
+        tutte_psw(MAX_SYMBOLIC_GENERATION + 1)
     with pytest.raises(DomainError):
-        state_at(-1)
+        _symbolic_state(-1)
 
 
 def test_json_wrapper():
