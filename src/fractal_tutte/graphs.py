@@ -26,6 +26,14 @@ occupies the index block [i*V, (i+1)*V) before merging, and the merged
 graph is relabeled compactly by scanning those indices in increasing order,
 so copy 0 always keeps its labels.  No labeling is canonical for these
 families; this one is chosen for reproducible edge files.
+
+Every builder works on an int64 (E, 2) edge array, one whole-array pass
+per generation.  Edge expansion appends the new edges of all E parents in
+one interleaved block, so the new vertex nv + i belongs to the i-th edge
+in creation order.  A merge offsets three copies of the array by 0, V and
+2V and maps them through one label array over the 3V raw indices.  Only
+the final graph becomes a ``HubGraph``, whose validation is itself a few
+array passes (sort, adjacent-duplicate scan, connected components).
 """
 
 from __future__ import annotations
@@ -35,18 +43,25 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError, SizeLimitExceeded, check_generation
-from .unionfind import UnionFind
+import numpy as np
 
-#: Peak memory per edge of the builders, measured at n = 10 and 11 on
-#: CPython 3.11 (edge expansion about 300 B, gasket and copy merge 420 B).
-BYTES_PER_EDGE = 420
+from .errors import DomainError, SizeLimitExceeded, check_generation
+
+#: Peak memory per edge above the imported package, measured at n = 11
+#: and 12 on CPython 3.11 for both families: 229-233 B to build the graph,
+#: up to 250 B with its edge-list text.  The finished graph's edges hold
+#: about 120 B of it: a pointer, a 2-tuple and two ints per edge.
+BYTES_PER_EDGE = 250
 
 #: Largest accepted generation for any builder: 3^14 edges need about
-#: 2 GB; one generation more needs 6 GB.
+#: 1.2 GB; one generation more needs 3.6 GB.
 MAX_GENERATION = 13
 
 _ESTIMATE = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, traps=[])
+
+_INT64 = np.iinfo(np.int64)
+
+_TRIANGLE = ((0, 1), (0, 2), (1, 2))
 
 Edge = tuple[int, int]
 
@@ -57,6 +72,8 @@ class HubGraph:
 
     Edges are normalized to (min, max) pairs and sorted; two HubGraphs
     compare equal iff they are the same labeled graph with the same hubs.
+    ``edges`` may be given as any iterable of int pairs or as an integer
+    (E, 2) array; it is stored as a tuple of int tuples.
     ``generation`` records which n a builder produced, or None for graphs
     from other sources (parsed files, hand-built test graphs).
     """
@@ -67,29 +84,32 @@ class HubGraph:
     generation: int | None = None
 
     def __post_init__(self):
-        norm = sorted((u, v) if u < v else (v, u) for u, v in self.edges)
-        object.__setattr__(self, "edges", tuple(norm))
         n = self.num_vertices
-        seen: set[Edge] = set()
-        for u, v in self.edges:
+        pairs, wide = _edge_array(self.edges)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        bad = _first_bad_edge(lo, hi, n)
+        if wide and (bad is None or min(wide) < bad):
+            bad = min(wide)
+        if bad is not None:
+            u, v = bad
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if (u, v) in seen:
-                raise DomainError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            raise DomainError(f"duplicate edge ({u}, {v})")
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
         if len(set(self.hubs)) != 3:
             raise DomainError(f"hubs must be three distinct vertices, got {self.hubs}")
         for h in self.hubs:
             if not 0 <= h < n:
                 raise DomainError(f"hub {h} out of range")
-        uf = UnionFind(n)
-        for u, v in self.edges:
-            uf.union(u, v)
-        if uf.components != 1:
+        components = _component_count(n, lo, hi)
+        if components != 1:
             raise DomainError(
-                f"graph is disconnected ({uf.components} components)")
+                f"graph is disconnected ({components} components)")
 
     @property
     def num_edges(self) -> int:
@@ -101,6 +121,69 @@ class HubGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
+
+
+def _edge_array(edges) -> tuple[np.ndarray, list[Edge]]:
+    """The pairs as an int64 (E, 2) array, and apart from it, normalized,
+    the pairs with a label outside int64 (out of range for any graph that
+    fits in memory)."""
+    wide: list[Edge] = []
+    if isinstance(edges, np.ndarray):
+        arr = edges.astype(np.int64, copy=False)
+    else:
+        pairs = list(edges)
+        try:
+            arr = np.array(pairs, dtype=np.int64)
+        except OverflowError:
+            fits = []
+            for u, v in pairs:
+                if _INT64.min <= min(u, v) and max(u, v) <= _INT64.max:
+                    fits.append((u, v))
+                else:
+                    wide.append((u, v) if u < v else (v, u))
+            arr = np.array(fits, dtype=np.int64)
+        except ValueError:
+            raise DomainError("edges must be (u, v) pairs") from None
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError("edges must be (u, v) pairs")
+    return arr, wide
+
+
+def _first_bad_edge(lo: np.ndarray, hi: np.ndarray, n: int) -> Edge | None:
+    """The first sorted pair that is a self-loop, out of range, or equal to
+    the pair before it; None if there is none."""
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    bad[1:] |= (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return int(lo[i]), int(hi[i])
+
+
+def _component_count(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Connected components of (range(n), edges), with every label in range.
+
+    Min-label hooking: each round hangs the larger root of every edge whose
+    endpoints have different roots under the smaller one, then jumps
+    pointers until every label is a root.  A round strictly lowers the sum
+    of the labels, so the loop ends; at exit both endpoints of every edge
+    share a root, so the roots are one per component.
+    """
+    label = np.arange(n)
+    while True:
+        ru, rv = label[lo], label[hi]
+        split = ru != rv
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(label, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _check_generation(n: int) -> None:
@@ -121,15 +204,17 @@ def build_psw_edge_expansion(n: int) -> HubGraph:
     the order the parent edges were created.
     """
     _check_generation(n)
-    edges: list[Edge] = [(0, 1), (0, 2), (1, 2)]
+    edges = np.array(_TRIANGLE, dtype=np.int64)
     nv = 3
     for _ in range(n):
-        for u, v in list(edges):
-            w = nv
-            nv += 1
-            edges.append((u, w))
-            edges.append((v, w))
-    return HubGraph(nv, tuple(edges), (0, 1, 2), generation=n)
+        m = len(edges)
+        # new[i] = ((u_i, w_i), (v_i, w_i)) with w_i = nv + i
+        new = np.empty((m, 2, 2), dtype=np.int64)
+        new[:, :, 0] = edges
+        new[:, :, 1] = np.arange(nv, nv + m)[:, None]
+        edges = np.concatenate((edges, new.reshape(-1, 2)))
+        nv += m
+    return HubGraph(nv, edges, (0, 1, 2), generation=n)
 
 
 _A, _B, _C = 0, 1, 2  # hub slots
@@ -160,47 +245,26 @@ def build_sierpinski(n: int) -> HubGraph:
 
 
 def _build_by_merging(n, glue, new_hubs) -> HubGraph:
-    """The triangle, then n rounds of ``_merge_three_copies``."""
+    """The triangle, then n rounds of three copies glued at hubs given as
+    (copy, hub slot); the glued pairs are disjoint."""
     _check_generation(n)
-    g = HubGraph(3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2), generation=0)
-    for level in range(1, n + 1):
-        g = _merge_three_copies(g, glue, new_hubs, level)
-    return g
-
-
-def _merge_three_copies(
-    g: HubGraph,
-    glue: list[tuple[tuple[int, int], tuple[int, int]]],
-    new_hubs: list[tuple[int, int]],
-    level: int,
-) -> HubGraph:
-    """Three copies of g with hub identifications given as (copy, hub slot)."""
-    nv = g.num_vertices
-
-    def raw(ref: tuple[int, int]) -> int:
-        copy, slot = ref
-        return copy * nv + g.hubs[slot]
-
-    uf = UnionFind(3 * nv)
-    for left, right in glue:
-        uf.union(raw(left), raw(right))
-
-    label: dict[int, int] = {}
-    for v in range(3 * nv):
-        root = uf.find(v)
-        if root not in label:
-            label[root] = len(label)
-
-    def lab(v: int) -> int:
-        return label[uf.find(v)]
-
-    edges = [
-        (lab(copy * nv + u), lab(copy * nv + v))
-        for copy in range(3)
-        for u, v in g.edges
-    ]
-    hubs = tuple(lab(raw(ref)) for ref in new_hubs)
-    return HubGraph(len(label), tuple(edges), hubs, generation=level)
+    edges = np.array(_TRIANGLE, dtype=np.int64)
+    nv, hubs = 3, (0, 1, 2)
+    for _ in range(n):
+        # Copy i takes raw indices [i*nv, (i+1)*nv).  A glued pair keeps the
+        # label of its smaller raw index, and labels are ranks among the
+        # kept indices: the scan-order relabeling of the module docstring.
+        pairs = [sorted((i * nv + hubs[s], j * nv + hubs[t]))
+                 for (i, s), (j, t) in glue]
+        keep = np.ones(3 * nv, dtype=bool)
+        keep[[hi for _, hi in pairs]] = False
+        label = np.cumsum(keep) - 1
+        for lo, hi in pairs:
+            label[hi] = label[lo]
+        edges = label[(edges + (np.arange(3) * nv)[:, None, None]).reshape(-1, 2)]
+        hubs = tuple(int(label[i * nv + hubs[s]]) for i, s in new_hubs)
+        nv = 3 * nv - len(glue)
+    return HubGraph(nv, edges, hubs, generation=n)
 
 
 def degree_histogram(g: HubGraph) -> dict[int, int]:
@@ -212,10 +276,8 @@ def degree_histogram(g: HubGraph) -> dict[int, int]:
 
 def to_edge_list(g: HubGraph) -> str:
     """Serialize: "V E" header, "H a b c" hub line, then sorted "u v" lines."""
-    lines = [f"{g.num_vertices} {g.num_edges}",
-             "H {} {} {}".format(*g.hubs)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    header = "{} {}\nH {} {} {}\n".format(g.num_vertices, g.num_edges, *g.hubs)
+    return header + "".join(map("%d %d\n".__mod__, g.edges))
 
 
 def from_edge_list(text: str, generation: int | None = None) -> HubGraph:

@@ -1,10 +1,14 @@
-"""Test-only helpers: exact division of a BiPoly by (x-1)^k, and a
-union-find component count.  The library needs neither; the tests use them
-to check divisibility properties of the hub-class sums and the
-connectivity of built graphs.
+"""Test-only helpers: exact division of a BiPoly by (x-1)^k, a union-find
+component count, and loop references for the graph module.  The library
+needs none of them; the tests use them to check divisibility properties of
+the hub-class sums, the connectivity of built graphs, and the array
+validation and builders of ``graphs`` against the per-edge loops they
+replaced.
 """
 
 from fractal_tutte.bipoly import BiPoly
+from fractal_tutte.errors import DomainError
+from fractal_tutte.graphs import HubGraph
 from fractal_tutte.unionfind import UnionFind
 
 
@@ -68,3 +72,85 @@ def component_count(n: int, edges) -> int:
     for u, v in edges:
         uf.union(u, v)
     return uf.components
+
+
+# -- loop references for graphs --------------------------------------------
+
+def reference_edges(n: int, edges, hubs) -> tuple:
+    """HubGraph's validation as a per-edge loop: the sorted (min, max)
+    pairs, or the DomainError that HubGraph(n, edges, hubs) raises."""
+    norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    seen = set()
+    for u, v in norm:
+        if u == v:
+            raise DomainError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if (u, v) in seen:
+            raise DomainError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    if len(set(hubs)) != 3:
+        raise DomainError(f"hubs must be three distinct vertices, got {hubs}")
+    for h in hubs:
+        if not 0 <= h < n:
+            raise DomainError(f"hub {h} out of range")
+    components = component_count(n, norm)
+    if components != 1:
+        raise DomainError(f"graph is disconnected ({components} components)")
+    return tuple(norm)
+
+
+_TRIANGLE = [(0, 1), (0, 2), (1, 2)]
+
+
+def reference_psw_edge_expansion(n: int) -> HubGraph:
+    """G(n) with one Python append per new edge."""
+    edges = list(_TRIANGLE)
+    nv = 3
+    for _ in range(n):
+        for u, v in list(edges):
+            w = nv
+            nv += 1
+            edges.append((u, w))
+            edges.append((v, w))
+    return HubGraph(nv, reference_edges(nv, edges, (0, 1, 2)), (0, 1, 2),
+                    generation=n)
+
+
+# Glue and new hubs as ((copy, hub slot), ...), restated from graphs.
+_PSW_GLUE = ([((0, 0), (2, 1)), ((2, 0), (1, 1)), ((1, 0), (0, 1))],
+             [(0, 0), (2, 0), (1, 0)])
+_SG_GLUE = ([((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1))],
+            [(0, 0), (1, 1), (2, 2)])
+
+
+def reference_psw_copy_merge(n: int) -> HubGraph:
+    return _reference_by_merging(n, *_PSW_GLUE)
+
+
+def reference_sierpinski(n: int) -> HubGraph:
+    return _reference_by_merging(n, *_SG_GLUE)
+
+
+def _reference_by_merging(n, glue, new_hubs) -> HubGraph:
+    """n rounds of a union-find merge, each level validated by the loop."""
+    nv, hubs = 3, (0, 1, 2)
+    edges = reference_edges(nv, _TRIANGLE, hubs)
+    for _ in range(n):
+        def raw(ref, nv=nv, hubs=hubs):
+            copy, slot = ref
+            return copy * nv + hubs[slot]
+
+        uf = UnionFind(3 * nv)
+        for left, right in glue:
+            uf.union(raw(left), raw(right))
+        label: dict[int, int] = {}
+        for v in range(3 * nv):
+            label.setdefault(uf.find(v), len(label))
+        lab = [label[uf.find(v)] for v in range(3 * nv)]
+        merged = [(lab[copy * nv + u], lab[copy * nv + v])
+                  for copy in range(3) for u, v in edges]
+        hubs = tuple(lab[raw(ref)] for ref in new_hubs)
+        nv = len(label)
+        edges = reference_edges(nv, merged, hubs)
+    return HubGraph(nv, edges, hubs, generation=n)

@@ -7,6 +7,8 @@ construction is checked against its known degree histogram.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
@@ -21,7 +23,13 @@ from fractal_tutte.graphs import (
     psw_vertex_count,
     to_edge_list,
 )
-from helpers import component_count
+from helpers import (
+    component_count,
+    reference_edges,
+    reference_psw_copy_merge,
+    reference_psw_edge_expansion,
+    reference_sierpinski,
+)
 
 
 def test_generation_zero_is_a_triangle():
@@ -110,6 +118,35 @@ def test_builders_are_deterministic(build):
     assert build(4) == build(4)
 
 
+@pytest.mark.parametrize("build,reference", [
+    (build_psw_edge_expansion, reference_psw_edge_expansion),
+    (build_psw_copy_merge, reference_psw_copy_merge),
+    (build_sierpinski, reference_sierpinski),
+])
+@pytest.mark.parametrize("n", range(0, 8))
+def test_builders_equal_loop_references(build, reference, n):
+    assert build(n) == reference(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build", [build_psw_edge_expansion, build_sierpinski])
+def test_generation_eleven_at_scale(build):
+    n = 11
+    g = build(n)
+    nv, ne = psw_vertex_count(n), psw_edge_count(n)
+    assert to_edge_list(g).partition("\n")[0] == f"{nv} {ne}"
+    degs = g.degrees()
+    if build is build_sierpinski:
+        assert degree_histogram(g) == {2: 3, 4: nv - 3}
+    else:
+        # 3^t vertices are born at generation t, each of degree 2^(n-t+1)
+        assert degree_histogram(g) == (
+            {2 ** (n - t + 1): 3 ** t for t in range(1, n + 1)} | {2 ** (n + 1): 3})
+        assert [degs[h] for h in g.hubs] == [2 ** (n + 1)] * 3
+    assert sum(degs) == 2 * ne
+    assert component_count(nv, g.edges) == 1
+
+
 # -- validation -------------------------------------------------------------
 
 
@@ -140,6 +177,79 @@ def test_constructor_rejects_bad_hubs():
         HubGraph(3, ((0, 1), (0, 2), (1, 2)), (0, 1, 3))
 
 
+def test_constructor_rejects_labels_beyond_int64():
+    with pytest.raises(DomainError, match=(
+            r"^edge \(0, 1180591620717411303424\) out of range for 3 vertices$")):
+        HubGraph(3, ((0, 1), (1, 2), (0, 2**70)), (0, 1, 2))
+    with pytest.raises(DomainError, match=(
+            r"^edge \(-1180591620717411303424, 0\) out of range for 3 vertices$")):
+        HubGraph(3, ((0, 1), (1, 2), (0, -2**70), (-1, -1)), (0, 1, 2))
+    # the first bad pair in sorted order is named, wide or not
+    with pytest.raises(DomainError, match=r"^self-loop at vertex -1$"):
+        HubGraph(3, ((0, 1), (1, 2), (0, 2**70), (-1, -1)), (0, 1, 2))
+
+
+def test_constructor_rejects_negative_label():
+    with pytest.raises(DomainError,
+                       match=r"^edge \(-1, 2\) out of range for 3 vertices$"):
+        HubGraph(3, ((0, 1), (1, 2), (2, -1)), (0, 1, 2))
+
+
+def test_constructor_accepts_any_iterable_of_pairs():
+    triangle = HubGraph(3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2))
+    assert HubGraph(3, ((v, u) for u, v in [(0, 1), (2, 0), (1, 2)]),
+                    (0, 1, 2)) == triangle
+    assert HubGraph(3, [[1, 2], [0, 1], [0, 2]], (0, 1, 2)) == triangle
+    assert all(type(u) is int and type(v) is int for u, v in triangle.edges)
+
+
+@pytest.mark.parametrize("edges", [((0, 1, 2), (0, 2, 1)),
+                                   ((0, 1), (0, 2), (1, 2, 0)),
+                                   (0, 1, 2)])
+def test_constructor_rejects_items_that_are_not_pairs(edges):
+    with pytest.raises(DomainError, match="edges must be"):
+        HubGraph(3, edges, (0, 1, 2))
+
+
+_LABELS = st.one_of(st.integers(-1, 6), st.sampled_from([2**63, 2**70, -2**70]))
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges, hubs): a simple graph on range(n), often spanned by a
+    path, plus up to two faults (odd pairs and repeated edges) and
+    sometimes odd hubs."""
+    n = draw(st.integers(0, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          max_size=8))
+    edges = list({frozenset(p): p for p in pairs
+                  if p[0] != p[1] and max(p) < n}.values())
+    if draw(st.booleans()):
+        edges += [(v - 1, v) for v in range(1, n) if {v - 1, v} not in map(set, edges)]
+    faults = st.tuples(_LABELS, _LABELS)
+    if edges:
+        faults |= st.sampled_from(edges).map(lambda e: e[::-1])
+    edges += draw(st.lists(faults, max_size=2))
+    edges = draw(st.permutations(edges))
+    hubs = draw(st.sampled_from([(0, 1, 2), (2, 0, 1)])
+                | st.tuples(_LABELS, _LABELS, _LABELS))
+    return n, edges, hubs
+
+
+@settings(max_examples=400)
+@given(_edge_lists(), st.sampled_from([tuple, list, iter]))
+def test_validation_matches_loop_reference(case, container):
+    n, edges, hubs = case
+    try:
+        expected = reference_edges(n, edges, hubs)
+    except DomainError as error:
+        with pytest.raises(DomainError) as exc:
+            HubGraph(n, container(edges), hubs)
+        assert str(exc.value) == str(error)
+    else:
+        assert HubGraph(n, container(edges), hubs).edges == expected
+
+
 @pytest.mark.parametrize("build", [build_psw_edge_expansion,
                                    build_psw_copy_merge,
                                    build_sierpinski])
@@ -151,7 +261,7 @@ def test_generation_guard(build):
 
 
 @pytest.mark.parametrize("n,edges,nbytes", [
-    (MAX_GENERATION + 1, "1.43e+7 edges", "6.03e+9 bytes"),
+    (MAX_GENERATION + 1, "1.43e+7 edges", "3.59e+9 bytes"),
     (10**12, "1.38e+477121254720 edges", "bytes"),
 ])
 def test_generation_guard_states_its_cost(n, edges, nbytes):
