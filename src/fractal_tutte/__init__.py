@@ -14,7 +14,6 @@ from .bipoly import BiPoly
 from .errors import (
     DomainError,
     FractalTutteError,
-    NonIntegralExponent,
     SizeLimitExceeded,
     ZeroPolynomial,
 )

@@ -17,10 +17,6 @@ class DomainError(FractalTutteError):
     """A numeric argument lies outside its valid domain."""
 
 
-class NonIntegralExponent(FractalTutteError):
-    """A closed-form exponent failed its integrality check."""
-
-
 def check_generation(n: int, limit: float, what: str) -> None:
     """Refuse n outside 0..limit before any work; ``what`` names the
     computation and the cost that sets its limit."""

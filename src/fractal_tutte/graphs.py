@@ -74,14 +74,11 @@ class HubGraph:
     compare equal iff they are the same labeled graph with the same hubs.
     ``edges`` may be given as any iterable of int pairs or as an integer
     (E, 2) array; it is stored as a tuple of int tuples.
-    ``generation`` records which n a builder produced, or None for graphs
-    from other sources (parsed files, hand-built test graphs).
     """
 
     num_vertices: int
     edges: tuple[Edge, ...]
     hubs: tuple[int, int, int]
-    generation: int | None = None
 
     def __post_init__(self):
         n = self.num_vertices
@@ -170,13 +167,22 @@ def _component_count(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
     pointers until every label is a root.  A round strictly lowers the sum
     of the labels, so the loop ends; at exit both endpoints of every edge
     share a root, so the roots are one per component.
+
+    E edges cannot connect more than E + 1 vertices.  Past that, only the
+    vertices that the edges touch are labeled, and each untouched vertex
+    counts as a component of its own, so memory follows E, not n.
     """
+    isolated = 0
+    if n > len(lo) + 1:
+        touched = np.unique(np.concatenate((lo, hi)))
+        isolated, n = n - len(touched), len(touched)
+        lo, hi = np.searchsorted(touched, lo), np.searchsorted(touched, hi)
     label = np.arange(n)
     while True:
         ru, rv = label[lo], label[hi]
         split = ru != rv
         if not split.any():
-            return int(np.count_nonzero(label == np.arange(n)))
+            return isolated + int(np.count_nonzero(label == np.arange(n)))
         ru, rv = ru[split], rv[split]
         np.minimum.at(label, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
@@ -214,7 +220,7 @@ def build_psw_edge_expansion(n: int) -> HubGraph:
         new[:, :, 1] = np.arange(nv, nv + m)[:, None]
         edges = np.concatenate((edges, new.reshape(-1, 2)))
         nv += m
-    return HubGraph(nv, edges, (0, 1, 2), generation=n)
+    return HubGraph(nv, edges, (0, 1, 2))
 
 
 _A, _B, _C = 0, 1, 2  # hub slots
@@ -264,7 +270,7 @@ def _build_by_merging(n, glue, new_hubs) -> HubGraph:
         edges = label[(edges + (np.arange(3) * nv)[:, None, None]).reshape(-1, 2)]
         hubs = tuple(int(label[i * nv + hubs[s]]) for i, s in new_hubs)
         nv = 3 * nv - len(glue)
-    return HubGraph(nv, edges, hubs, generation=n)
+    return HubGraph(nv, edges, hubs)
 
 
 def degree_histogram(g: HubGraph) -> dict[int, int]:
@@ -280,7 +286,7 @@ def to_edge_list(g: HubGraph) -> str:
     return header + "".join(map("%d %d\n".__mod__, g.edges))
 
 
-def from_edge_list(text: str, generation: int | None = None) -> HubGraph:
+def from_edge_list(text: str) -> HubGraph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) < 2:
         raise DomainError("edge-list input too short: need header and hub line")
@@ -305,7 +311,7 @@ def from_edge_list(text: str, generation: int | None = None) -> HubGraph:
         except ValueError:
             raise DomainError(f"bad edge line: {ln!r}") from None
         edges.append((u, v))
-    return HubGraph(nv, tuple(edges), hubs, generation=generation)
+    return HubGraph(nv, tuple(edges), hubs)
 
 
 def psw_vertex_count(n: int) -> int:

@@ -23,8 +23,13 @@ The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 * ``spanning_trees_closed_form`` / ``spanning_trees_recurrence``: the
   two independent routes to the spanning-tree count;
 * ``exponent_sequences``: the integer sequences a_k, b_k, c_k, d_k that
-  arise when unrolling the tree-count recurrence, with their closed
-  forms cross-checked.
+  arise when unrolling the tree-count recurrence, from their closed
+  forms;
+* ``decimal_str``: the digits of a value, in less than quadratic time.
+
+Every value here that is an integer by construction is computed as one:
+the closed forms divide exactly, and the report's points have D = 1.
+The tests, not run-time checks, hold them to the recurrences they solve.
 """
 
 from __future__ import annotations
@@ -35,12 +40,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import (
-    DomainError,
-    FractalTutteError,
-    NonIntegralExponent,
-    check_generation,
-)
+from .bipoly import _EXACT
+from .errors import DomainError, check_generation
 from .recursion import psw_state
 
 MAX_EVAL_GENERATION = 14
@@ -163,56 +164,64 @@ class InvariantReport:
         }
 
 
+#: ``decimal_str`` converts values up to this width with ``Decimal(int)``.
+_LEAF_BITS = 1 << 12
+
+
 def decimal_str(value: int) -> str:
-    """Decimal digits of an integer of any size.
+    """Decimal digits of an integer of any size, in less than quadratic
+    time.
 
     ``str(int)`` refuses values over 4300 digits by default (Python >=
-    3.10.7); the conversion through ``Decimal`` is exact and has no such
-    limit, so the interpreter-wide setting stays untouched.
+    3.10.7), and ``Decimal(int)`` takes time quadratic in the digit
+    count.  So a value wider than ``_LEAF_BITS`` is split as hi 2^h + lo,
+    each half converted the same way, and the halves joined by one
+    ``Decimal`` product and sum.  Every operation names the exact
+    context, so the thread's context never rounds a digit.
     """
-    return format(Decimal(value), "f")
+    powers: dict[int, Decimal] = {}  # 2^h, built once per width h
+
+    def convert(v: int, width: int) -> Decimal:
+        """v as a Decimal, for 0 <= v < 2^width."""
+        if width <= _LEAF_BITS:
+            return Decimal(v)
+        h = width >> 1
+        if h not in powers:
+            powers[h] = _EXACT.power(2, h)
+        return _EXACT.add(_EXACT.multiply(convert(v >> h, width - h), powers[h]),
+                          convert(v & ((1 << h) - 1), h))
+
+    digits = convert(abs(value), value.bit_length())
+    return _EXACT.to_sci_string(digits.copy_negate() if value < 0 else digits)
 
 
 def invariant_report(n: int) -> InvariantReport:
     """Evaluate T_n at (1,1), (1,2), (2,1), (2,0), (2,2).
 
     The five values count spanning trees, connected spanning subgraphs,
-    spanning forests, acyclic orientations, and all edge subsets.
+    spanning forests, acyclic orientations, and all edge subsets.  At an
+    integer point d = e = 1, so each value is its own numerator.
     """
-    values = {}
-    for key, (x0, y0) in {
-        "spanning_trees": (1, 1),
-        "connected_spanning_subgraphs": (1, 2),
-        "spanning_forests": (2, 1),
-        "acyclic_orientations": (2, 0),
-        "all_subgraphs": (2, 2),
-    }.items():
-        v = eval_tutte_at_point(n, x0, y0)
-        if v.denominator != 1:
-            raise FractalTutteError(
-                f"non-integer count {v} for {key} at n={n}: recursion bug")
-        values[key] = int(v)
-    return InvariantReport(n=n, **values)
+    return InvariantReport(
+        n=n,
+        spanning_trees=eval_tutte_at_point(n, 1, 1).numerator,
+        connected_spanning_subgraphs=eval_tutte_at_point(n, 1, 2).numerator,
+        spanning_forests=eval_tutte_at_point(n, 2, 1).numerator,
+        acyclic_orientations=eval_tutte_at_point(n, 2, 0).numerator,
+        all_subgraphs=eval_tutte_at_point(n, 2, 2).numerator,
+    )
 
 
 def spanning_trees_closed_form(n: int) -> int:
     """2^((3^(n+1)-2n-3)/4) * 3^((3^(n+1)+2n+1)/4).
 
-    Both exponents are checked to be integers before exponentiation; a
-    fractional exponent would mean the formula was transcribed wrong,
-    not a property of some n (they are integral for every n >= 0).
+    Both exponents are nonnegative integers: 3^(n+1) is 3 mod 4 for even
+    n and 1 mod 4 for odd n, and 2n+3 and 2n+1 match it mod 4.
     """
     check_generation(n, MAX_TREE_COUNT_GENERATION,
                      "the closed-form tree count (bit-length grows like 3^n)")
     pow3 = 3 ** (n + 1)
-    e2 = Fraction(pow3 - 2 * n - 3, 4)
-    e3 = Fraction(pow3 + 2 * n + 1, 4)
-    for name, e in (("2", e2), ("3", e3)):
-        if e.denominator != 1 or e < 0:
-            raise NonIntegralExponent(
-                f"exponent of {name} is {e} at n={n}; expected a "
-                f"nonnegative integer")
-    return 2 ** int(e2) * 3 ** int(e3)
+    return 2 ** ((pow3 - 2 * n - 3) // 4) * 3 ** ((pow3 + 2 * n + 1) // 4)
 
 
 def spanning_trees_recurrence(n: int) -> int:
@@ -241,38 +250,14 @@ class ExponentSeq:
 
 
 def exponent_sequences(k_max: int) -> list[ExponentSeq]:
-    """Rows k = 1 .. k_max, computed by recurrence and verified against
-    the closed forms; the two routes must agree exactly.
+    """Rows k = 1 .. k_max from the closed forms a = (3^k+2k-1)/4,
+    b = (3^k-2k-1)/4, c = (3^k+1)/2, d = (3^k-1)/2.
 
-    Recurrences: a' = a + c, b' = b + d, c' = 2c + d, d' = c + 2d from
-    (a, b, c, d) = (1, 0, 2, 1).  Closed forms: c = (3^k+1)/2,
-    d = (3^k-1)/2, a = (3^k+2k-1)/4, b = (3^k-2k-1)/4.
+    They solve a' = a + c, b' = b + d, c' = 2c + d, d' = c + 2d from
+    (a, b, c, d) = (1, 0, 2, 1), the recurrence of unrolling one step.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max}")
-    rows = []
-    a, b, c, d = 1, 0, 2, 1
-    for k in range(1, k_max + 1):
-        closed = _closed_exponents(k)
-        if (a, b, c, d) != closed:
-            raise FractalTutteError(
-                f"exponent sequences disagree at k={k}: "
-                f"recurrence {(a, b, c, d)} vs closed form {closed}")
-        rows.append(ExponentSeq(k, a, b, c, d))
-        a, b, c, d = a + c, b + d, 2 * c + d, c + 2 * d
-    return rows
-
-
-def _closed_exponents(k: int) -> tuple[int, int, int, int]:
-    pow3 = 3 ** k
-    parts = {
-        "a": Fraction(pow3 + 2 * k - 1, 4),
-        "b": Fraction(pow3 - 2 * k - 1, 4),
-        "c": Fraction(pow3 + 1, 2),
-        "d": Fraction(pow3 - 1, 2),
-    }
-    for name, v in parts.items():
-        if v.denominator != 1:
-            raise NonIntegralExponent(
-                f"closed form for {name}_{k} is non-integral: {v}")
-    return tuple(int(v) for v in parts.values())
+    return [ExponentSeq(k, (3 ** k + 2 * k - 1) // 4, (3 ** k - 2 * k - 1) // 4,
+                        (3 ** k + 1) // 2, (3 ** k - 1) // 2)
+            for k in range(1, k_max + 1)]

@@ -113,8 +113,7 @@ def reference_psw_edge_expansion(n: int) -> HubGraph:
             nv += 1
             edges.append((u, w))
             edges.append((v, w))
-    return HubGraph(nv, reference_edges(nv, edges, (0, 1, 2)), (0, 1, 2),
-                    generation=n)
+    return HubGraph(nv, reference_edges(nv, edges, (0, 1, 2)), (0, 1, 2))
 
 
 # Glue and new hubs as ((copy, hub slot), ...), restated from graphs.
@@ -153,4 +152,4 @@ def _reference_by_merging(n, glue, new_hubs) -> HubGraph:
         hubs = tuple(lab[raw(ref)] for ref in new_hubs)
         nv = len(label)
         edges = reference_edges(nv, merged, hubs)
-    return HubGraph(nv, edges, hubs, generation=n)
+    return HubGraph(nv, edges, hubs)

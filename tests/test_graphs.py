@@ -6,6 +6,9 @@ formulas and degree statistics.  Corner-glued triangle (Sierpinski)
 construction is checked against its known degree histogram.
 """
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,7 +111,6 @@ def test_graphs_are_connected_and_simple(build):
         assert component_count(g.num_vertices, list(g.edges)) == 1
         assert len(set(g.edges)) == len(g.edges)
         assert all(u < v for u, v in g.edges)
-        assert g.generation == n
 
 
 @pytest.mark.parametrize("build", [build_psw_edge_expansion,
@@ -168,6 +170,23 @@ def test_constructor_rejects_out_of_range_vertex():
 def test_constructor_rejects_disconnected_graph():
     with pytest.raises(DomainError):
         HubGraph(4, ((0, 1), (2, 3)), (0, 1, 2))
+
+
+def test_sparse_header_is_refused_in_memory_bounded_by_edges():
+    # Three edges cannot connect 10^9 vertices; the count runs over the
+    # three touched vertices, not an array of 10^9 labels.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match=(
+                r"^graph is disconnected \(999999998 components\)$")):
+            HubGraph(10**9, ((0, 1), (0, 2), (1, 2)), (0, 1, 2))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 50 * 2**20
 
 
 def test_constructor_rejects_bad_hubs():
@@ -302,6 +321,7 @@ def test_edge_list_round_trip(build):
         assert back.num_vertices == g.num_vertices
         assert back.edges == g.edges
         assert back.hubs == g.hubs
+        assert back == g
 
 
 def test_from_edge_list_rejects_malformed_input():

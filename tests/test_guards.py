@@ -3,10 +3,13 @@ DomainError and the generation one past its limit with SizeLimitExceeded,
 before any costly work starts.
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fractal_tutte.cli import MAX_GRID_POINTS
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
     MAX_GENERATION,
@@ -26,6 +29,11 @@ from fractal_tutte.invariants import (
     spanning_trees_closed_form,
     spanning_trees_recurrence,
 )
+from fractal_tutte.oracle import (
+    MAX_DC_EDGES,
+    MAX_MATRIX_TREE_VERTICES,
+    MAX_SUBSET_EDGES,
+)
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
     psw_state,
@@ -33,6 +41,7 @@ from fractal_tutte.recursion import (
     tutte_psw_json,
 )
 from fractal_tutte.reliability import (
+    MAX_APPROX_GENERATION,
     MAX_EXACT_GENERATION,
     compare_curves,
     psw_rel_via_tutte,
@@ -99,3 +108,39 @@ def test_generation_past_the_limit_is_refused(name):
     entry, limit = GUARDED[name]
     with pytest.raises(SizeLimitExceeded):
         entry(limit + 1)
+
+
+#: README "Size guards" row -> the constant that enforces its limit.
+README_GUARDS = {
+    "graph builders": MAX_GENERATION,
+    "symbolic `tutte_psw`": MAX_SYMBOLIC_GENERATION,
+    "exact point evaluation / invariants / reliability via the Tutte bridge":
+        MAX_EVAL_GENERATION,
+    "`exact`-mode reliability": MAX_EXACT_GENERATION,
+    "spanning-tree counts": MAX_TREE_COUNT_GENERATION,
+    "decay approximation `psw_rel_approx_log`": MAX_APPROX_GENERATION,
+    "subgraph-sum oracles and reliability enumeration": MAX_SUBSET_EDGES,
+    "deletion-contraction oracle": MAX_DC_EDGES,
+    "matrix-tree oracle": MAX_MATRIX_TREE_VERTICES,
+    "`reliability --p-grid`": MAX_GRID_POINTS,
+    "`log`-mode reliability": MAX_LOG_GENERATION,
+}
+
+
+def _readme_guard_rows() -> dict[str, int]:
+    """Operation -> the first number of its limit (10^6 read as a power)
+    in README's "Size guards" table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Size guards", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or cells[0] == "operation" or set(cells[1]) <= {"-"}:
+            continue
+        base, power = re.search(r"(\d+)(?:\^(\d+))?", cells[1]).groups()
+        rows[cells[0]] = int(base) ** int(power or 1)
+    return rows
+
+
+def test_readme_guard_table_matches_the_constants():
+    assert _readme_guard_rows() == README_GUARDS

@@ -1,10 +1,13 @@
 """Numeric invariants: scalar recursion evaluation, spanning-tree counts
-through three independent routes, and the unrolled exponent sequences.
+through three independent routes, the unrolled exponent sequences, and
+the printing of big integers.
 """
 
+import decimal
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,9 +20,11 @@ from fractal_tutte.graphs import (
     psw_vertex_count,
 )
 from fractal_tutte.invariants import (
+    _LEAF_BITS,
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
     common_denominator,
+    decimal_str,
     eval_tutte_at_point,
     exponent_sequences,
     invariant_report,
@@ -281,6 +286,22 @@ def test_invariant_inequalities(n):
     assert r.acyclic_orientations % 2 == 0  # reversal pairs orientations
 
 
+#: The report's points, in ``InvariantReport`` field order.
+REPORT_POINTS = ((1, 1), (1, 2), (2, 1), (2, 0), (2, 2))
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_integer_points_have_denominator_one(n):
+    # At an integer point d = e = 1, so D = 1: the report takes each value
+    # as its numerator with no check of the denominator.
+    for x0, y0 in REPORT_POINTS + ((-2, 3), (3, -1), (-1, -4), (0, -2)):
+        assert eval_tutte_at_point(n, x0, y0).denominator == 1
+    r = invariant_report(n)
+    assert (r.spanning_trees, r.connected_spanning_subgraphs,
+            r.spanning_forests, r.acyclic_orientations, r.all_subgraphs) == tuple(
+        eval_tutte_at_point(n, x0, y0).numerator for x0, y0 in REPORT_POINTS)
+
+
 def test_report_json_shape():
     d = invariant_report(1).to_json_dict()
     assert d["n"] == 1
@@ -298,6 +319,14 @@ def test_tree_count_routes_agree(n):
     closed = spanning_trees_closed_form(n)
     assert closed == spanning_trees_recurrence(n)
     assert closed == eval_tutte_at_point(n, 1, 1)
+
+
+def test_tree_count_exponents_are_nonnegative_integers():
+    # spanning_trees_closed_form floors both exponents by 4.
+    for n in range(0, 201):
+        pow3 = 3 ** (n + 1)
+        for numerator in (pow3 - 2 * n - 3, pow3 + 2 * n + 1):
+            assert numerator >= 0 and numerator % 4 == 0
 
 
 def test_tree_count_anchors():
@@ -367,6 +396,68 @@ def test_partial_unroll_reproduces_count():
     assert value == spanning_trees_closed_form(n)
 
 
+def test_exponent_sequences_solve_their_recurrence():
+    a, b, c, d = 1, 0, 2, 1
+    for row in exponent_sequences(200):
+        assert (row.a, row.b, row.c, row.d) == (a, b, c, d)
+        a, b, c, d = a + c, b + d, 2 * c + d, c + 2 * d
+
+
+def test_exponent_closed_forms_are_integral():
+    # exponent_sequences floors a and b by 4 and c and d by 2.
+    for k in range(1, 201):
+        pow3 = 3 ** k
+        assert (pow3 + 2 * k - 1) % 4 == 0 and (pow3 - 2 * k - 1) % 4 == 0
+        assert (pow3 + 1) % 2 == 0 and (pow3 - 1) % 2 == 0
+
+
 def test_exponent_sequence_rejects_bad_kmax():
     with pytest.raises(DomainError):
         exponent_sequences(0)
+
+
+# -- printing big integers --------------------------------------------------
+
+
+def _printer_cases():
+    rng = random.Random(20240)
+    values = [0, 1, -1, 2 ** 128 - 1, 2 ** 128, 2 ** 128 + 1, -(2 ** 128),
+              -(10 ** 5000 + 3)]
+    # A value of bit length w > _LEAF_BITS splits at h = w // 2; 2^bits + x
+    # has bit length bits + 1, and x next to 2^h puts lo at the split.
+    for bits in (_LEAF_BITS, 2 * _LEAF_BITS, 2 * _LEAF_BITS + 1,
+                 4 * _LEAF_BITS + 3, 9 * _LEAF_BITS):
+        h = (bits + 1) // 2
+        values += [2 ** bits - 1, 2 ** bits, 2 ** bits + 1, -(2 ** bits)]
+        values += [2 ** bits + 2 ** h + s for s in (-1, 0, 1)]
+    values += [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 70000))
+               for _ in range(40)]
+    return values
+
+
+def test_decimal_str_matches_decimal_format():
+    for value in _printer_cases():
+        assert decimal_str(value) == format(Decimal(value), "f")
+
+
+def test_decimal_str_ignores_the_thread_context():
+    # A 3-digit context that traps rounding would fail any operation that
+    # read it; Decimal(int) itself is exact under every context.
+    expected = [format(Decimal(v), "f") for v in _printer_cases()]
+    trapping = decimal.Context(prec=3, traps=[decimal.Inexact,
+                                              decimal.Rounded])
+    with decimal.localcontext(trapping):
+        assert [decimal_str(v) for v in _printer_cases()] == expected
+
+
+def test_decimal_str_is_fast_at_half_a_million_digits():
+    # T_12(2, 2) = 2^(3^13) has 479,940 digits, where the quadratic
+    # Decimal(int) takes seconds.
+    e = 3 ** 13
+    start = time.perf_counter()
+    text = decimal_str(2 ** e)
+    assert time.perf_counter() - start < 1.0
+    assert len(text) == math.floor(e * math.log10(2)) + 1 == 479940
+    assert text[-30:] == "%030d" % pow(2, e, 10 ** 30)
+    lead = 10 ** (e * math.log10(2) % 1)
+    assert text[:6] == f"{lead:.10f}".replace(".", "")[:6]
