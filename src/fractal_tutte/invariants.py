@@ -12,8 +12,6 @@ known primes of D rather than taking a gcd of two full-size integers.
 The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 ``Fraction``.  This module provides
 
-* ``denominator_powers`` / ``common_denominator``: the denominator D of
-  that integer state;
 * ``lowest_terms``: N over a product of prime powers, reduced by the
   primes of the bases;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
@@ -45,32 +43,25 @@ from .errors import DomainError, check_generation
 from .recursion import psw_state
 
 MAX_EVAL_GENERATION = 14
-MAX_TREE_COUNT_GENERATION = 20
-
-
-def denominator_powers(n: int, X: Fraction, Y: Fraction) -> tuple:
-    """D_n = e^((3^(n+1)-1)/2) d^(2 3^n) as (base, exponent) pairs.
-
-    D_0 = e d^2 and D' = e D^3.
-    """
-    check_generation(n, math.inf, "denominator")
-    return ((Y.denominator, (3 ** (n + 1) - 1) // 2),
-            (X.denominator, 2 * 3 ** n))
-
-
-def common_denominator(n: int, X: Fraction, Y: Fraction) -> int:
-    """D_n as one integer."""
-    return math.prod(b ** k for b, k in denominator_powers(n, X, Y))
+#: Each generation triples the tree count's bits.  On a 2-vCPU VM (Python
+#: 3.11.7) n = 15 takes 5.1 s in closed form and 28 s by the recurrence
+#: (52 MB), and n = 16 takes 26 s and 158 s (100 MB).
+MAX_TREE_COUNT_GENERATION = 15
 
 
 def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
     """T_n(x0, y0) = (U + a W) / D, in lowest terms, with (U, W) from
-    ``psw_state`` at X = a/d and Y = b/e."""
+    ``psw_state`` at X = a/d and Y = b/e.
+
+    D_0 = e d^2 and D' = e D^3, so D_n = e^((3^(n+1)-1)/2) d^(2 3^n).
+    """
     check_generation(n, MAX_EVAL_GENERATION,
                      "exact evaluation (value bit-length grows like 3^n)")
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    U, W = psw_state(n, X.numerator, Y.numerator, X.denominator, Y.denominator)
-    return lowest_terms(U + X.numerator * W, denominator_powers(n, X, Y))
+    a, d, b, e = X.numerator, X.denominator, Y.numerator, Y.denominator
+    U, W = psw_state(n, a, b, d, e)
+    return lowest_terms(U + a * W, ((e, (3 ** (n + 1) - 1) // 2),
+                                    (d, 2 * 3 ** n)))
 
 
 #: Trial division of a denominator's bases stops at this divisor.

@@ -70,8 +70,8 @@ def psw_uw_step(u, w, X, Y, c=1):
 def psw_state(n: int, a, b, d=1, e=1):
     """(U, W) after n steps from the triangle at X = a/d, Y = b/e.
 
-    u = U/D and w = d W/D, with D = ``invariants.common_denominator``,
-    so (U, W) = (u, w) at d = e = 1.  a and b may be BiPoly or numbers.
+    u = U/D and w = d W/D, with D_0 = e d^2 and D' = e D^3, so
+    (U, W) = (u, w) at d = e = 1.  a and b may be BiPoly or numbers.
     One generation is ``psw_uw_step`` at a, b with scale d e:
     U' = U (U (b U + 3 d e W) + a d e W^2) and W' = d e W^2 (2 U + a W).
     """

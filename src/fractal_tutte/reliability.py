@@ -91,35 +91,11 @@ class RelState:
         return float(ln(self.r))
 
 
-def _run_step(s: RelState, step):
-    """step(R, B, T) for the state s, in the arithmetic of its mode.
-
-    A Decimal step runs under ``LOG_CONTEXT``; one past
-    ``MAX_LOG_GENERATION``, or one whose values leave the exponent range,
-    ends in ``SizeLimitExceeded``.
-    """
-    if s.mode != "log":
-        return step(s.r, s.b, s.t)
-    if s.level >= MAX_LOG_GENERATION:
-        raise SizeLimitExceeded(
-            f"log mode is limited to n <= {MAX_LOG_GENERATION}: its "
-            f"{LOG_CONTEXT.prec} digits keep {PRINTED_DIGITS} printed "
-            f"digits correct only that deep")
-    try:
-        with decimal.localcontext(LOG_CONTEXT):
-            return step(s.r, s.b, s.t)
-    except decimal.Underflow:
-        raise SizeLimitExceeded(
-            f"log mode: generation {s.level + 1} holds a value below "
-            f"1e{LOG_CONTEXT.Emin}, outside Decimal's exponent range"
-        ) from None
-
-
 def reliability_state(family: str, n: int, p,
                       mode: str = "exact") -> RelState:
     """(R, B, T) of the family's generation n at edge probability p.
 
-    Log mode's depth is checked step by step (``_run_step``), so that a
+    Log mode's depth is checked generation by generation, so that a
     value leaving the exponent range first is reported as such.
     """
     check_generation(n, MAX_EXACT_GENERATION if mode == "exact" else math.inf,
@@ -136,13 +112,24 @@ def reliability_state(family: str, n: int, p,
     # The triangle at p = a/d: R, B and T over the common denominator d^3,
     # one reduction each rather than one per Fraction operation.
     a, d = p.numerator, p.denominator
-    s = RelState(family, 0, *(
-        embed(Fraction(v, d ** 3), mode)
-        for v in (a * a * (3 * d - 2 * a), a * (d - a) ** 2, (d - a) ** 3)),
-        mode)
-    for _ in range(n):
-        s = RelState(family, s.level + 1, *_run_step(s, step), mode)
-    return s
+    rbt = [embed(Fraction(v, d ** 3), mode)
+           for v in (a * a * (3 * d - 2 * a), a * (d - a) ** 2, (d - a) ** 3)]
+    # Every mode steps under LOG_CONTEXT: Fraction and float never read it.
+    with decimal.localcontext(LOG_CONTEXT):
+        for level in range(n):
+            if mode == "log" and level >= MAX_LOG_GENERATION:
+                raise SizeLimitExceeded(
+                    f"log mode is limited to n <= {MAX_LOG_GENERATION}: its "
+                    f"{LOG_CONTEXT.prec} digits keep {PRINTED_DIGITS} printed "
+                    f"digits correct only that deep")
+            try:
+                rbt = step(*rbt)
+            except decimal.Underflow:
+                raise SizeLimitExceeded(
+                    f"log mode: generation {level + 1} holds a value below "
+                    f"1e{LOG_CONTEXT.Emin}, outside Decimal's exponent range"
+                ) from None
+    return RelState(family, n, *rbt, mode)
 
 
 def psw_rel_via_tutte(n: int, p) -> Fraction:

@@ -22,8 +22,6 @@ from fractal_tutte.graphs import (
 from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
-    common_denominator,
-    denominator_powers,
     eval_tutte_at_point,
     invariant_report,
     spanning_trees_closed_form,
@@ -61,10 +59,6 @@ GUARDED = {
     "tutte_psw_json": (tutte_psw_json, MAX_SYMBOLIC_GENERATION),
     "eval_tutte_at_point": (lambda n: eval_tutte_at_point(n, 1, 1),
                             MAX_EVAL_GENERATION),
-    "denominator_powers": (
-        lambda n: denominator_powers(n, Fraction(1, 3), Fraction(2, 5)), None),
-    "common_denominator": (
-        lambda n: common_denominator(n, Fraction(1, 3), Fraction(2, 5)), None),
     "invariant_report": (invariant_report, MAX_EVAL_GENERATION),
     "spanning_trees_closed_form": (spanning_trees_closed_form,
                                    MAX_TREE_COUNT_GENERATION),

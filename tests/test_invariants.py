@@ -23,7 +23,6 @@ from fractal_tutte.invariants import (
     _LEAF_BITS,
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
-    common_denominator,
     decimal_str,
     eval_tutte_at_point,
     exponent_sequences,
@@ -42,11 +41,21 @@ def _scaled_state(n, X, Y):
     return psw_state(n, X.numerator, Y.numerator, X.denominator, Y.denominator)
 
 
+def _denominator(n, X, Y):
+    """D_n of the integer state at X = a/d, Y = b/e, by its recursion
+    D_0 = e d^2, D' = e D^3."""
+    e, d = Y.denominator, X.denominator
+    D = e * d * d
+    for _ in range(n):
+        D = e * D ** 3
+    return D
+
+
 def _uw_at_point(n, x0, y0):
     """(u, w) at generation n from the integer state, reduced."""
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
     U, W = _scaled_state(n, X, Y)
-    D = common_denominator(n, X, Y)
+    D = _denominator(n, X, Y)
     return Fraction(U, D), Fraction(X.denominator * W, D)
 
 
@@ -145,12 +154,11 @@ def test_scaled_state_matches_fraction_step(x0, y0):
 
 @pytest.mark.parametrize("x0,y0", SCALED_POINTS)
 def test_common_denominator_unrolls_its_recursion(x0, y0):
+    # D_n, built by its recursion, clears the denominator of T_n.
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
-    e, d = Y.denominator, X.denominator
-    D = e * d * d
     for n in range(9):
-        assert common_denominator(n, X, Y) == D
-        D = e * D ** 3
+        assert (eval_tutte_at_point(n, x0, y0)
+                * _denominator(n, X, Y)).denominator == 1
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(3, 8),
@@ -165,7 +173,7 @@ def test_reliability_point_denominator_cancels(p):
     for n in range(9):
         excess = psw_edge_count(n) - psw_vertex_count(n) + 1
         assert excess == (3 ** (n + 1) - 1) // 2
-        assert common_denominator(n, X, Y) == (s - r) ** excess
+        assert _denominator(n, X, Y) == (s - r) ** excess
 
 
 #: A 40-digit prime and two 20-digit primes, all far above the trial
@@ -218,7 +226,7 @@ def test_eval_with_large_prime_denominators(x0, y0):
     assert time.perf_counter() - start < 0.5
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
     U, W = _scaled_state(2, X, Y)
-    expected = Fraction(U + X.numerator * W, common_denominator(2, X, Y))
+    expected = Fraction(U + X.numerator * W, _denominator(2, X, Y))
     assert type(value) is Fraction
     assert _parts(value) == _parts(expected)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from fractal_tutte import reliability
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import build_psw_edge_expansion, build_sierpinski
 from fractal_tutte.invariants import MAX_EVAL_GENERATION
@@ -458,6 +459,38 @@ def test_deep_log_input_names_the_limit():
         reliability_state("psw", MAX_LOG_GENERATION + 1, 0.99, "log")
     deepest = reliability_state("psw", MAX_LOG_GENERATION, 0.99, "log")
     assert 0 < deepest.r < 1 and math.isfinite(deepest.ln_r)
+
+
+@pytest.mark.parametrize("family,p,last,n", [
+    ("psw", 0.5, 39, 40),
+    ("psw", Fraction(1, 10 ** 12), 35, 36),
+    ("psw", Fraction(1, 10 ** 12), 35, MAX_LOG_GENERATION + 1),
+    ("sg", Fraction(1, 10 ** 12), 35, 36),
+    ("sg", Fraction(1, 10 ** 12), 35, MAX_LOG_GENERATION + 1),
+])
+def test_log_underflow_names_its_generation(family, p, last, n):
+    # Generation `last` is still inside Decimal's exponent range; the
+    # next one is named, also when n is past the depth limit.
+    assert math.isfinite(reliability_state(family, last, p, "log").ln_r)
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"log mode: generation {last + 1} holds"):
+        reliability_state(family, n, p, "log")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "log"])
+def test_reliability_state_builds_one_state_per_call(monkeypatch, mode):
+    built = []
+
+    class Counting(reliability.RelState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.level)
+
+    monkeypatch.setattr(reliability, "RelState", Counting)
+    for family in FAMILIES:
+        s = reliability_state(family, 5, HALF, mode)
+        assert type(s) is Counting and s.level == 5
+    assert built == [5, 5]
 
 
 def test_compare_curves_steps_only_the_families_asked_for(monkeypatch):
