@@ -157,14 +157,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fractal-tutte-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fractal-tutte-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, out) from None
 
 
 def _build(args) -> graphs.HubGraph:

@@ -82,21 +82,7 @@ class HubGraph:
 
     def __post_init__(self):
         n = self.num_vertices
-        pairs, wide = _edge_array(self.edges)
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        bad = _first_bad_edge(lo, hi, n)
-        if wide and (bad is None or min(wide) < bad):
-            bad = min(wide)
-        if bad is not None:
-            u, v = bad
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u}, {v}) out of range for {n} vertices")
-            raise DomainError(f"duplicate edge ({u}, {v})")
+        lo, hi = simple_edges(n, self.edges)
         object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
         if len(set(self.hubs)) != 3:
             raise DomainError(f"hubs must be three distinct vertices, got {self.hubs}")
@@ -118,6 +104,28 @@ class HubGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
+
+
+def simple_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (min, max) pairs of a simple graph on range(n), as int64
+    arrays (lo, hi); the first sorted pair that is a self-loop, out of
+    range or repeated is refused with a ``DomainError`` that names it."""
+    pairs, wide = _edge_array(edges)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    bad = _first_bad_edge(lo, hi, n)
+    if wide and (bad is None or min(wide) < bad):
+        bad = min(wide)
+    if bad is not None:
+        u, v = bad
+        if u == v:
+            raise DomainError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"edge ({u}, {v}) out of range for {n} vertices")
+        raise DomainError(f"duplicate edge ({u}, {v})")
+    return lo, hi
 
 
 def _edge_array(edges) -> tuple[np.ndarray, list[Edge]]:

@@ -74,12 +74,14 @@ def lowest_terms(N: int, powers) -> Fraction:
 
     Every prime p of the denominator D divides a base, so for each prime
     that trial division of the bases finds, N and D share p^min(v_p(N),
-    v_p(D)).  A part of D left unfactored (primes above
-    ``TRIAL_DIVISION_LIMIT`` only) costs one gcd against N.
+    v_p(D)).  A base's part left unfactored (primes above
+    ``TRIAL_DIVISION_LIMIT`` only) is divided out the same way, as if it
+    were prime; one small gcd against it then tells whether N still
+    shares a prime with D, and only then is the full-size gcd taken.
     """
     if N == 0:
         return Fraction(0)
-    caps, rest = Counter(), 1
+    caps, unproven = Counter(), set()
     for b, k in powers:
         f = 2
         while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
@@ -88,10 +90,10 @@ def lowest_terms(N: int, powers) -> Fraction:
             else:
                 caps[f] += k
                 b //= f
-        if 1 < b < f * f:  # b is prime
+        if b > 1:
             caps[b] += k
-            b = 1
-        rest *= b ** k
+            if b >= f * f:  # b may be composite
+                unproven.add(b)
     den = 1
     for p, cap in caps.items():
         if p == 2:
@@ -100,8 +102,12 @@ def lowest_terms(N: int, powers) -> Fraction:
         else:
             v, N = _divide_out(N, p, cap)
         den *= p ** (cap - v)
-    g = math.gcd(N, rest)
-    return _coprime_fraction(N // g, den * (rest // g))
+        if v == cap:
+            unproven.discard(p)
+    if any(math.gcd(N % b, b) > 1 for b in unproven):
+        g = math.gcd(N, den)
+        N, den = N // g, den // g
+    return _coprime_fraction(N, den)
 
 
 def _divide_out(N: int, p: int, cap: int) -> tuple[int, int]:

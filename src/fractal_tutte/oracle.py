@@ -15,12 +15,13 @@ engine can be validated against it:
 * ``reliability_enumeration``: exact all-terminal reliability and the
   probability of the {A,B} | {C} two-component split.
 
-Every oracle takes simple graphs only.  The three subset sums read one
-``Census`` of a graph (``census(g)``), or take their own from the graph.
-It is built in numpy by doubling: a table holds the component labels of
-every subset of the edges seen so far, and each further edge doubles it
-(the subsets without the edge, and a copy with its two components
-merged).  Past 2^14 subsets the remaining edges are walked depth-first
+Every oracle takes simple graphs only: a ``HubGraph`` is checked where it
+is built, and a bare pair by the same ``graphs.simple_edges``.  The three
+subset sums read one ``Census`` of a graph (``census(g)``), or take their
+own from the graph.  It is built in numpy by doubling: a table holds the
+component labels of every subset of the edges seen so far, and each
+further edge doubles it (the subsets without the edge, and a copy with
+its two components merged).  Past 2^14 subsets the remaining edges are walked depth-first
 over copies of the table.  The 2^27 subsets of the generation-2 web take
 seconds.  ``classify_edge_subset`` is the per-subset union-find
 reference the census is tested against.  The polynomial sums add the
@@ -39,7 +40,7 @@ import numpy as np
 
 from .bipoly import BiPoly
 from .errors import DomainError, SizeLimitExceeded
-from .graphs import HubGraph
+from .graphs import HubGraph, simple_edges
 from .scalars import as_probability
 from .unionfind import UnionFind
 
@@ -75,31 +76,19 @@ class SubgraphClassification:
 GraphLike = HubGraph | tuple[int, list[tuple[int, int]]]
 
 
-def _vertices_edges(g) -> tuple[int, list[tuple[int, int]]]:
-    """Accept a HubGraph or a bare (num_vertices, edges) pair.
+def _vertices_edges(g) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A HubGraph's (num_vertices, edges) as they are, or a bare
+    (num_vertices, edges) pair checked by ``graphs.simple_edges``.
 
     The bare form exists because the Tutte oracles do not care about hubs,
     and useful test graphs (a single edge, a path) are too small to carry
     three distinct hub vertices.
     """
     if isinstance(g, HubGraph):
-        return g.num_vertices, list(g.edges)
+        return g.num_vertices, g.edges
     nv, edges = g
-    return nv, [tuple(e) for e in edges]
-
-
-def _require_simple(nv: int, edges) -> None:
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise DomainError(f"self-loop at vertex {u}: input must be a simple graph")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DomainError(
-                f"duplicate edge {key}: multigraph input is not accepted")
-        seen.add(key)
-        if not (0 <= u < nv and 0 <= v < nv):
-            raise DomainError(f"edge ({u}, {v}) out of range")
+    lo, hi = simple_edges(nv, edges)
+    return nv, tuple(zip(lo.tolist(), hi.tolist()))
 
 
 def classify_edge_subset(g: HubGraph, edge_mask: int) -> SubgraphClassification:
@@ -139,8 +128,8 @@ _PATTERN_BY_EQUALITIES = np.array([
     HubPattern.AB_C, -1, -1, HubPattern.ALL_TOGETHER])
 
 
-def _census(nv, edges, hubs) -> Counter:
-    """Counter (pattern, k, m) -> number of edge subsets.
+def _census(nv, edges, hubs) -> Census:
+    """The census of a simple graph: (pattern, k, m) -> number of subsets.
 
     Only the vertices an edge or a hub touches are indexed; every other
     vertex is a component of its own in every subset.  For each subset of
@@ -197,7 +186,7 @@ def _census(nv, edges, hubs) -> Counter:
         pat, rem = divmod(int(key), span)
         k, m = divmod(rem, k_step)
         counts[(pat, k + nv - len(index), m)] = int(totals[key])
-    return counts
+    return Census(nv, edges, hubs, counts)
 
 
 @dataclass(frozen=True)
@@ -218,10 +207,7 @@ class Census:
 
 def census(g: GraphLike) -> Census:
     """The census of g, keyed by hub pattern if g is a HubGraph."""
-    nv, edges = _vertices_edges(g)
-    _require_simple(nv, edges)
-    hubs = g.hubs if isinstance(g, HubGraph) else None
-    return Census(nv, tuple(edges), hubs, _census(nv, edges, hubs))
+    return _census(*_vertices_edges(g), getattr(g, "hubs", None))
 
 
 def _hub_census(g, what: str) -> Census:
@@ -253,7 +239,7 @@ def tutte_subgraph_sum(g: GraphLike | Census) -> BiPoly:
     graph is counted without hub patterns, and a Census is summed over all
     its patterns.
     """
-    c = g if isinstance(g, Census) else census(_vertices_edges(g))
+    c = g if isinstance(g, Census) else _census(*_vertices_edges(g), None)
     return _poly_from_census(c.num_vertices, c.counts, set(HubPattern))
 
 
@@ -281,11 +267,10 @@ def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
     ill-defined).
     """
     nv, edges = _vertices_edges(g)
-    _require_simple(nv, edges)
     if len(edges) > MAX_DC_EDGES:
         raise SizeLimitExceeded(
             f"{len(edges)} edges exceed the recursion limit {MAX_DC_EDGES}")
-    return _tutte_dc(nv, tuple(edges))
+    return _tutte_dc(nv, edges)
 
 
 def _tutte_dc(nv: int, edges: tuple) -> BiPoly:
@@ -309,7 +294,6 @@ def _tutte_dc(nv: int, edges: tuple) -> BiPoly:
 def matrix_tree_count(g: GraphLike) -> int:
     """Spanning trees as a Laplacian cofactor, exactly over the integers."""
     nv, edges = _vertices_edges(g)
-    _require_simple(nv, edges)
     if nv > MAX_MATRIX_TREE_VERTICES:
         raise SizeLimitExceeded(
             f"{nv} vertices exceed the matrix-tree limit "

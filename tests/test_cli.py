@@ -83,6 +83,17 @@ def test_generate_to_file_is_idempotent(tmp_path, capsys):
     assert first.decode() == to_edge_list(build_psw_edge_expansion(1))
 
 
+def test_failed_out_names_the_path_given(tmp_path, capsys):
+    # The error names --out, not the temporary file beside it.
+    target = str(tmp_path / "no-such-dir" / "x")
+    code, out, err = run(capsys, "generate", "--family", "psw", "--n", "1",
+                         "--out", target)
+    assert code == 1
+    assert out == ""
+    assert repr(target) in err
+    assert ".fractal-tutte-" not in err
+
+
 # -- tutte ------------------------------------------------------------------
 
 

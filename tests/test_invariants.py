@@ -251,8 +251,15 @@ def test_rational_points_reduce_without_a_full_size_gcd(monkeypatch):
     values = [eval_tutte_at_point(n, x, x / (x - 1)) for n, x in points]
     probs = (Fraction(1, 5), Fraction(3, 8), Fraction(5, 8))
     rel = [psw_rel_via_tutte(9, p) for p in probs]
+    # A denominator prime above the trial division limit.
+    big_prime = Fraction(1, 10 ** 9 + 7)
+    beyond = eval_tutte_at_point(6, big_prime, 2)
     monkeypatch.undo()
     assert max(widths, default=0) <= 64
+    X, Y = big_prime - 1, Fraction(1)
+    U, W = _scaled_state(6, X, Y)
+    assert _parts(beyond) == _parts(
+        Fraction(U + X.numerator * W, _denominator(6, X, Y)))
     for (n, x), value in zip(points, values):
         nv, ne = psw_vertex_count(n), psw_edge_count(n)
         assert value == x ** ne * (x - 1) ** (nv - 1 - ne)

@@ -19,6 +19,7 @@ from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
     build_psw_edge_expansion,
     build_sierpinski,
+    simple_edges,
 )
 from fractal_tutte.oracle import (
     MAX_DC_EDGES,
@@ -213,7 +214,7 @@ def _assert_census_matches_classification(nv, edges, hubs):
         c = classify_edge_subset(g, mask)
         pat = 0 if hubs is None else int(c.pattern)
         expect[(pat, c.components, c.rank + c.nullity)] += 1
-    assert oracle._census(nv, edges, hubs) == expect
+    assert oracle._census(nv, edges, hubs).counts == expect
 
 
 def test_census_matches_per_subset_classification():
@@ -343,13 +344,44 @@ def test_deletion_contraction_edge_guard():
         tutte_deletion_contraction(path)
 
 
-@pytest.mark.parametrize("graph", [(3, [(0, 5)]), (3, [(0, 1), (1, 1)]),
-                                   (3, [(0, 1), (1, 0)])])
-def test_matrix_tree_rejects_a_non_simple_graph(graph):
-    # An out-of-range edge, a self-loop and a repeated edge, as the
-    # other oracles refuse them.
-    with pytest.raises(DomainError):
-        matrix_tree_count(graph)
+@pytest.mark.parametrize("graph,message", [
+    ((3, [(0, 5)]), r"^edge \(0, 5\) out of range for 3 vertices$"),
+    ((3, [(0, 1), (1, 1)]), r"^self-loop at vertex 1$"),
+    ((3, [(0, 1), (1, 0)]), r"^duplicate edge \(0, 1\)$"),
+    ((3, [(0, 1, 2)]), r"^edges must be \(u, v\) pairs$"),
+], ids=["graph0", "graph1", "graph2", "graph3"])
+def test_matrix_tree_rejects_a_non_simple_graph(graph, message):
+    # Every oracle that takes a bare pair refuses an out-of-range edge, a
+    # self-loop, a repeated edge and a non-pair with HubGraph's message.
+    for bare_oracle in (oracle.census, tutte_subgraph_sum,
+                        tutte_deletion_contraction, matrix_tree_count):
+        with pytest.raises(DomainError, match=message):
+            bare_oracle(graph)
+
+
+def test_oracles_check_a_bare_pair_once_and_a_graph_never(monkeypatch):
+    # A HubGraph was checked when it was built; a bare pair is checked by
+    # graphs.simple_edges once per call.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return simple_edges(*args)
+
+    g = build_psw_edge_expansion(1)
+    monkeypatch.setattr(oracle, "simple_edges", counting)
+    oracle.census(g)
+    tutte_subgraph_sum(g)
+    partition_subgraph_sum(g)
+    tutte_deletion_contraction(g)
+    matrix_tree_count(g)
+    reliability_enumeration(g, Fraction(1, 2))
+    assert calls == []
+    for bare_oracle in (oracle.census, tutte_subgraph_sum,
+                        tutte_deletion_contraction, matrix_tree_count):
+        bare_oracle(K3)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_matrix_tree_vertex_guard():
