@@ -34,11 +34,18 @@ in creation order.  A merge offsets three copies of the array by 0, V and
 2V and maps them through one label array over the 3V raw indices.  Only
 the final graph becomes a ``HubGraph``, whose validation is itself a few
 array passes (sort, adjacent-duplicate scan, connected components).
+
+A ``HubGraph`` keeps its sorted (min, max) pairs as one read-only int64
+(E, 2) array, ``pairs``.  ``edges``, the same pairs as a tuple of int
+tuples, is a view built on first use for the per-edge oracles;
+``num_edges``, ``degrees()``, equality and ``to_edge_list`` read the
+array and never build it.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,13 +55,14 @@ import numpy as np
 from .errors import DomainError, SizeLimitExceeded, check_generation
 
 #: Peak memory per edge above the imported package, measured at n = 11
-#: and 12 on CPython 3.11 for both families: 229-233 B to build the graph,
-#: up to 250 B with its edge-list text.  The finished graph's edges hold
-#: about 120 B of it: a pointer, a 2-tuple and two ints per edge.
-BYTES_PER_EDGE = 250
+#: and 12 on CPython 3.11 for both families: 103-107 B, reached while the
+#: graph is built and validated; printing its edge list stays below that.
+#: The tuple view ``HubGraph.edges``, built only on first use, adds about
+#: 120 B per edge: a pointer, a 2-tuple and two ints.
+BYTES_PER_EDGE = 110
 
 #: Largest accepted generation for any builder: 3^14 edges need about
-#: 1.2 GB; one generation more needs 3.6 GB.
+#: 0.53 GB; one generation more needs 1.6 GB.
 MAX_GENERATION = 13
 
 _ESTIMATE = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, traps=[])
@@ -66,24 +74,27 @@ _TRIANGLE = ((0, 1), (0, 2), (1, 2))
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HubGraph:
     """A simple connected labeled graph with three distinguished hub vertices.
 
-    Edges are normalized to (min, max) pairs and sorted; two HubGraphs
-    compare equal iff they are the same labeled graph with the same hubs.
-    ``edges`` may be given as any iterable of int pairs or as an integer
-    (E, 2) array; it is stored as a tuple of int tuples.
+    ``pairs`` may be given as any iterable of int pairs or as an integer
+    (E, 2) array; it is kept as the sorted (min, max) pairs in one
+    read-only int64 (E, 2) array.  ``edges`` is the same pairs as a tuple
+    of int tuples, built on first use.  Two HubGraphs compare equal iff
+    they are the same labeled graph with the same hubs.
     """
 
     num_vertices: int
-    edges: tuple[Edge, ...]
+    pairs: np.ndarray
     hubs: tuple[int, int, int]
 
     def __post_init__(self):
         n = self.num_vertices
-        lo, hi = simple_edges(n, self.edges)
-        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
+        lo, hi = simple_edges(n, self.pairs)
+        pairs = np.column_stack((lo, hi))
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
         if len(set(self.hubs)) != 3:
             raise DomainError(f"hubs must be three distinct vertices, got {self.hubs}")
         for h in self.hubs:
@@ -94,16 +105,27 @@ class HubGraph:
             raise DomainError(
                 f"graph is disconnected ({components} components)")
 
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(*self.pairs.T.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, HubGraph):
+            return NotImplemented
+        return (self.num_vertices == other.num_vertices
+                and self.hubs == other.hubs
+                and np.array_equal(self.pairs, other.pairs))
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.hubs, self.pairs.tobytes()))
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.pairs.ravel(),
+                           minlength=self.num_vertices).tolist()
 
 
 def simple_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -289,9 +311,25 @@ def degree_histogram(g: HubGraph) -> dict[int, int]:
 # -- edge-list text format -------------------------------------------------
 
 def to_edge_list(g: HubGraph) -> str:
-    """Serialize: "V E" header, "H a b c" hub line, then sorted "u v" lines."""
+    """Serialize: "V E" header, "H a b c" hub line, then sorted "u v" lines.
+
+    The lines are printed in whole-array passes: row v of a byte table
+    holds label v's digits right-aligned, and a mask hides its leading
+    zeros.  Each edge gathers the rows of its two labels, each followed by
+    a separator (space, then newline), and one mask compaction joins them.
+    """
     header = "{} {}\nH {} {} {}\n".format(g.num_vertices, g.num_edges, *g.hubs)
-    return header + "".join(map("%d %d\n".__mod__, g.edges))
+    labels = np.arange(g.num_vertices)[:, None]
+    powers = 10 ** np.arange(len(str(g.num_vertices - 1)))[::-1]
+    width = len(powers)
+    digits = (labels // powers % 10 + ord("0")).astype(np.uint8)
+    shown = (labels >= powers) | (powers == 1)
+    text = np.full((g.num_edges, 2, width + 1), ord(" "), dtype=np.uint8)
+    text[:, :, :width] = digits[g.pairs]
+    text[:, 1, width] = ord("\n")
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, :, :width] = shown[g.pairs]
+    return header + text[keep].tobytes().decode("ascii")
 
 
 def from_edge_list(text: str) -> HubGraph:

@@ -76,18 +76,29 @@ class SubgraphClassification:
 GraphLike = HubGraph | tuple[int, list[tuple[int, int]]]
 
 
-def _vertices_edges(g) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _vertices_edges(g, limit: int, name: str, of: str = "edges"
+                    ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """A HubGraph's (num_vertices, edges) as they are, or a bare
-    (num_vertices, edges) pair checked by ``graphs.simple_edges``.
+    (num_vertices, edges) pair checked by ``graphs.simple_edges``.  A
+    graph with more than ``limit`` edges (or vertices, by ``of``) is
+    refused by the oracle's ``name`` limit: a HubGraph before its edge
+    tuples are built, a bare pair once checked.
 
     The bare form exists because the Tutte oracles do not care about hubs,
     and useful test graphs (a single edge, a path) are too small to carry
     three distinct hub vertices.
     """
     if isinstance(g, HubGraph):
-        return g.num_vertices, g.edges
-    nv, edges = g
-    lo, hi = simple_edges(nv, edges)
+        nv, ne = g.num_vertices, g.num_edges
+    else:
+        nv, edges = g
+        lo, hi = simple_edges(nv, edges)
+        ne = len(lo)
+    size = ne if of == "edges" else nv
+    if size > limit:
+        raise SizeLimitExceeded(f"{size} {of} exceed the {name} limit {limit}")
+    if isinstance(g, HubGraph):
+        return nv, g.edges
     return nv, tuple(zip(lo.tolist(), hi.tolist()))
 
 
@@ -129,7 +140,8 @@ _PATTERN_BY_EQUALITIES = np.array([
 
 
 def _census(nv, edges, hubs) -> Census:
-    """The census of a simple graph: (pattern, k, m) -> number of subsets.
+    """The census of a simple graph of at most ``MAX_SUBSET_EDGES`` edges:
+    (pattern, k, m) -> number of subsets.
 
     Only the vertices an edge or a hub touches are indexed; every other
     vertex is a component of its own in every subset.  For each subset of
@@ -141,9 +153,6 @@ def _census(nv, edges, hubs) -> Census:
     (larger label -> smaller, k down by one if they differ) puts it in.
     """
     ne = len(edges)
-    if ne > MAX_SUBSET_EDGES:
-        raise SizeLimitExceeded(
-            f"{ne} edges exceed the enumeration limit {MAX_SUBSET_EDGES}")
     # At most 2 * 27 + 3 indices, so int8 labels suffice.
     index = {v: i for i, v in enumerate(
         sorted({v for e in edges for v in e} | set(hubs or ())))}
@@ -207,7 +216,8 @@ class Census:
 
 def census(g: GraphLike) -> Census:
     """The census of g, keyed by hub pattern if g is a HubGraph."""
-    return _census(*_vertices_edges(g), getattr(g, "hubs", None))
+    return _census(*_vertices_edges(g, MAX_SUBSET_EDGES, "enumeration"),
+                   getattr(g, "hubs", None))
 
 
 def _hub_census(g, what: str) -> Census:
@@ -239,7 +249,8 @@ def tutte_subgraph_sum(g: GraphLike | Census) -> BiPoly:
     graph is counted without hub patterns, and a Census is summed over all
     its patterns.
     """
-    c = g if isinstance(g, Census) else _census(*_vertices_edges(g), None)
+    c = g if isinstance(g, Census) else _census(
+        *_vertices_edges(g, MAX_SUBSET_EDGES, "enumeration"), None)
     return _poly_from_census(c.num_vertices, c.counts, set(HubPattern))
 
 
@@ -266,10 +277,7 @@ def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
     multigraph would make the cross-check against the subset oracle
     ill-defined).
     """
-    nv, edges = _vertices_edges(g)
-    if len(edges) > MAX_DC_EDGES:
-        raise SizeLimitExceeded(
-            f"{len(edges)} edges exceed the recursion limit {MAX_DC_EDGES}")
+    nv, edges = _vertices_edges(g, MAX_DC_EDGES, "recursion")
     return _tutte_dc(nv, edges)
 
 
@@ -293,11 +301,8 @@ def _tutte_dc(nv: int, edges: tuple) -> BiPoly:
 
 def matrix_tree_count(g: GraphLike) -> int:
     """Spanning trees as a Laplacian cofactor, exactly over the integers."""
-    nv, edges = _vertices_edges(g)
-    if nv > MAX_MATRIX_TREE_VERTICES:
-        raise SizeLimitExceeded(
-            f"{nv} vertices exceed the matrix-tree limit "
-            f"{MAX_MATRIX_TREE_VERTICES}")
+    nv, edges = _vertices_edges(
+        g, MAX_MATRIX_TREE_VERTICES, "matrix-tree", of="vertices")
     if nv <= 1:
         return 1
     lap = [[0] * nv for _ in range(nv)]

@@ -100,6 +100,12 @@ def reference_edges(n: int, edges, hubs) -> tuple:
     return tuple(norm)
 
 
+def reference_edge_list(g: HubGraph) -> str:
+    """``graphs.to_edge_list`` as one "%d %d" format per edge."""
+    header = "{} {}\nH {} {} {}\n".format(g.num_vertices, g.num_edges, *g.hubs)
+    return header + "".join(map("%d %d\n".__mod__, g.edges))
+
+
 _TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 
 

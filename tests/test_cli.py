@@ -94,6 +94,19 @@ def test_failed_out_names_the_path_given(tmp_path, capsys):
     assert ".fractal-tutte-" not in err
 
 
+@pytest.mark.parametrize("key", ["generate.psw.9", "generate.sg.9",
+                                 "generate.psw.10"])
+def test_generate_matches_the_benchmark_golden_digest(tmp_path, capsys, key):
+    # perfbench/golden.json holds the SHA-256 of "generate.<family>.<n>".
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    _, family, n = key.split(".")
+    target = tmp_path / key
+    code, _, _ = run(capsys, "generate", "--family", family, "--n", n,
+                     "--out", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == golden[key]
+
+
 # -- tutte ------------------------------------------------------------------
 
 

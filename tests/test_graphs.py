@@ -9,6 +9,7 @@ construction is checked against its known degree histogram.
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from fractal_tutte.graphs import (
 )
 from helpers import (
     component_count,
+    reference_edge_list,
     reference_edges,
     reference_psw_copy_merge,
     reference_psw_edge_expansion,
@@ -280,7 +282,7 @@ def test_generation_guard(build):
 
 
 @pytest.mark.parametrize("n,edges,nbytes", [
-    (MAX_GENERATION + 1, "1.43e+7 edges", "3.59e+9 bytes"),
+    (MAX_GENERATION + 1, "1.43e+7 edges", "1.58e+9 bytes"),
     (10**12, "1.38e+477121254720 edges", "bytes"),
 ])
 def test_generation_guard_states_its_cost(n, edges, nbytes):
@@ -289,6 +291,37 @@ def test_generation_guard_states_its_cost(n, edges, nbytes):
         build_sierpinski(n)
     assert edges in str(exc.value)
     assert nbytes in str(exc.value)
+
+
+# -- the pair array --------------------------------------------------------
+
+
+def test_array_and_tuple_input_give_equal_graphs():
+    g = build_psw_edge_expansion(2)
+    from_tuples = HubGraph(g.num_vertices, list(g.edges), g.hubs)
+    from_array = HubGraph(g.num_vertices, np.array(g.edges[::-1]), g.hubs)
+    assert from_array == from_tuples == g
+    assert hash(from_array) == hash(from_tuples) == hash(g)
+    assert from_array.edges == g.edges
+    assert HubGraph(g.num_vertices, g.pairs, g.hubs[::-1]) != g
+
+
+def test_pairs_are_read_only_int64():
+    g = build_sierpinski(1)
+    assert g.pairs.dtype == np.int64 and g.pairs.shape == (g.num_edges, 2)
+    with pytest.raises(ValueError):
+        g.pairs[0, 0] = 5
+    assert g == build_sierpinski(1)
+
+
+@pytest.mark.parametrize("build", [build_psw_edge_expansion, build_sierpinski])
+def test_generate_path_builds_no_edge_tuples(build):
+    g = build(4)
+    to_edge_list(g)
+    g.degrees()
+    assert "edges" not in vars(g)
+    assert g.edges == tuple(map(tuple, g.pairs.tolist()))
+    assert "edges" in vars(g)
 
 
 # -- edge-list text format --------------------------------------------------
@@ -309,6 +342,24 @@ def test_edge_list_golden_text():
         "2 4\n"
         "2 5\n"
     )
+
+
+@pytest.mark.parametrize("build", [build_psw_edge_expansion,
+                                   build_psw_copy_merge,
+                                   build_sierpinski])
+@pytest.mark.parametrize("n", range(0, 10))
+def test_edge_list_equals_per_edge_format(build, n):
+    g = build(n)
+    assert to_edge_list(g) == reference_edge_list(g)
+
+
+@pytest.mark.parametrize("nv", [10, 11, 100, 101])
+def test_edge_list_across_a_digit_boundary(nv):
+    # A path, a chord to the largest label, and a star from vertex 0.
+    edges = {(v, v + 1) for v in range(nv - 1)} | {(0, nv - 1)}
+    edges |= {(0, v) for v in range(2, nv, 7)}
+    g = HubGraph(nv, edges, (nv - 1, 0, 5))
+    assert to_edge_list(g) == reference_edge_list(g)
 
 
 @pytest.mark.parametrize("build", [build_psw_edge_expansion,

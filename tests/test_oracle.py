@@ -396,3 +396,16 @@ def test_reliability_edge_guard():
     assert len(g.edges) > MAX_SUBSET_EDGES
     with pytest.raises(SizeLimitExceeded):
         reliability_enumeration(g, Fraction(1, 2))
+
+
+def test_oracles_refuse_a_large_graph_before_building_its_edge_tuples():
+    g = build_psw_edge_expansion(3)  # 81 edges, 42 vertices
+    for refuse in (oracle.census, tutte_subgraph_sum, partition_subgraph_sum,
+                   tutte_deletion_contraction,
+                   lambda g: reliability_enumeration(g, Fraction(1, 2))):
+        with pytest.raises(SizeLimitExceeded):
+            refuse(g)
+    big = build_psw_edge_expansion(4)  # 123 vertices
+    with pytest.raises(SizeLimitExceeded, match="123 vertices exceed"):
+        matrix_tree_count(big)
+    assert "edges" not in vars(g) and "edges" not in vars(big)
