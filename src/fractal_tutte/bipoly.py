@@ -17,9 +17,12 @@ Multiplication dispatches between schoolbook convolution (small operands,
 or a factor of at most two terms such as x-1) and Kronecker substitution
 (large operands): the polynomial is packed into a single big decimal with
 coefficients in fixed-width digit slots, multiplied once by libmpdec's
-number-theoretic transform, and unpacked with balanced-digit recovery to
-restore signed coefficients.  Both paths produce identical results; the
-crossover is purely a speed choice.
+number-theoretic transform, and read back as balanced digits to restore
+signed coefficients.  The read-back scans the product's decimal text in
+blocks of about 2^20 digits: numpy finds each block's nonzero slots and
+resolves its carries in array passes, and only a nonzero slot is
+converted to an int, so no second copy of the digits is made.  Both paths
+produce identical results; the crossover is purely a speed choice.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter, neg
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import ZeroPolynomial
 
@@ -42,6 +48,10 @@ _KRONECKER_PAIRS = 4096
 #: Decimal operation here names it, since the thread's context may round.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+
+#: Digits of a packed product read back per block by ``_unpack``, so its
+#: temporaries stay near this size however long the product is.
+_BLOCK_DIGITS = 1 << 20
 
 
 class BiPoly:
@@ -114,8 +124,7 @@ class BiPoly:
         """(max x-degree, max y-degree); raises ZeroPolynomial on zero."""
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no degrees")
-        return (max(dx for dx, _ in self._terms),
-                max(dy for _, dy in self._terms))
+        return _box(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
@@ -276,10 +285,16 @@ def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     return out
 
 
+def _box(p: dict[Term, int]) -> tuple[int, int]:
+    """(max x-degree, max y-degree) of a nonzero term map, in C-level
+    passes: the largest key's x, and the largest y."""
+    return max(p)[0], max(map(itemgetter(1), p))
+
+
 def _packed_slots(a: dict[Term, int], b: dict[Term, int]) -> int:
     """Slots of a Kronecker product of a and b: its (x, y) degree box."""
-    return ((max(dx for dx, _ in a) + max(dx for dx, _ in b) + 1)
-            * (max(dy for _, dy in a) + max(dy for _, dy in b) + 1))
+    (xa, ya), (xb, yb) = _box(a), _box(b)
+    return (xa + xb + 1) * (ya + yb + 1)
 
 
 def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
@@ -289,50 +304,98 @@ def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     full y-degree of the product, so slot arithmetic mirrors exponent
     arithmetic.  A slot is w decimal digits with 10^w above twice a bound
     on every product coefficient, so signed coefficients are recovered as
-    balanced digits (a slot >= 10^w / 2 is read as slot - 10^w with a
-    carry into the next).  ``b is a`` packs once and squares.
+    balanced digits (``_unpack``).  ``b is a`` packs once and squares.
     """
-    stride = max(dy for _, dy in a) + max(dy for _, dy in b) + 1
-    bound = (min(len(a), len(b)) * max(abs(c) for c in a.values())
-             * max(abs(c) for c in b.values()))
+    stride = _box(a)[1] + _box(b)[1] + 1
+    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+             * max(map(abs, b.values())))
     w = Decimal(2 * bound).adjusted() + 1
     # int <-> str conversions longer than 640 digits can exceed the
     # interpreter's limit (sys.set_int_max_str_digits); Decimal's cannot.
-    text, number = ((str, int) if w <= 640 else
-                    (lambda c: str(Decimal(c)), lambda s: int(Decimal(s))))
+    text, number = ((f"{{:0{w}d}}".format, int) if w <= 640 else
+                    (lambda c: str(Decimal(c)).zfill(w),
+                     lambda s: int(Decimal(s.decode()))))
 
     na = _pack(a, stride, w, text)
     product = _EXACT.multiply(na, na if b is a else _pack(b, stride, w, text))
-    sign = -1 if product.is_signed() else 1
-    digits = str(product.copy_abs())
-    del na, product  # free gigabytes before the out dict grows
+    del na  # each big value is freed before the next one is made
+    digits = str(product)
+    del product
+    return _unpack(digits, w, stride, number)
 
+
+def _unpack(digits: str, w: int, stride: int, number=int) -> dict[Term, int]:
+    """The term map of a packed product from its decimal text.
+
+    Slot i is the w digits that end i*w digits from the right.  They are
+    read as balanced digits: a slot of at least 10^w / 2 generates a carry
+    (it stands for slot - 10^w, and one more in slot i+1), and a slot of
+    10^w / 2 - 1 passes a carry in on; a leading "-" negates every
+    coefficient.  The text is scanned in blocks of whole slots, about
+    ``_BLOCK_DIGITS`` digits each, with the carry handed from block to
+    block: numpy finds a block's nonzero slots and resolves its carries
+    in array passes, and each nonzero slot costs one ``number``.
+    """
+    sign, first = (-1, 1) if digits[0] == "-" else (1, 0)
+    end = len(digits)
+    slots = -(-(end - first) // w)
+    per = max(1, _BLOCK_DIGITS // w)
     full = 10 ** w
-    half = full // 2
-    zero = "0" * w
+    zero = np.bytes_(b"0" * w)
+    passing = np.bytes_(b"4" + b"9" * (w - 1))  # 10^w / 2 - 1
+    nines = np.bytes_(b"9" * w)
     out: dict[Term, int] = {}
-    carry = 0
-    for i, end in enumerate(range(len(digits), 0, -w)):
-        chunk = digits[max(end - w, 0):end]
-        if not carry and chunk == zero:
-            continue
-        raw = number(chunk) + carry
-        carry = raw >= half
-        if carry:
-            raw -= full
-        if raw:
-            out[divmod(i, stride)] = sign * raw
+    carry = False
+    for i0 in range(0, slots, per):
+        count = min(per, slots - i0)
+        hi = end - i0 * w
+        # slot i0 first; only the top slot may need leading zeros
+        block = digits[max(hi - count * w, first):hi].encode("ascii")
+        block = block.rjust(count * w, b"0")
+        text = np.frombuffer(block, f"S{w}")[::-1]
+        lead = np.frombuffer(block, np.uint8)[::w][::-1]
+        passes = lead == ord("4")
+        fours = np.flatnonzero(passes)
+        passes[fours] = text[fours] == passing
+        # A slot that passes takes the carry of the nearest slot below it
+        # that does not, or the carry into the block.
+        decider = np.maximum.accumulate(
+            np.where(passes, -1, np.arange(count)))
+        carry_out = np.where(decider >= 0, lead[decider] >= ord("5"), carry)
+        carry_in = np.concatenate(([carry], carry_out[:-1]))
+        carry = bool(carry_out[-1])
+        keep = (text != zero) | carry_in
+        wraps = np.flatnonzero(carry_in & (lead == ord("9")))
+        keep[wraps] = text[wraps] != nines  # 10^w - 1 and a carry make 0
+        at = np.flatnonzero(keep)
+        values = list(map(number, text[at].tolist()))
+        cin, cout = carry_in[at], carry_out[at]
+        for k in np.flatnonzero(cin | cout).tolist():
+            values[k] += int(cin[k]) - full * int(cout[k])
+        if sign < 0:
+            values = list(map(neg, values))
+        at += i0
+        out.update(zip(zip((at // stride).tolist(), (at % stride).tolist()),
+                       values))
     if carry:  # the top coefficient is 1 above slots read as negative
-        out[divmod(i + 1, stride)] = sign
+        out[divmod(slots, stride)] = sign
     return out
 
 
 def _pack(p: dict[Term, int], stride: int, w: int, text) -> Decimal:
-    """p as the integer sum of c 10^(w (dx*stride + dy)), exactly."""
-    top = max(dx * stride + dy for dx, dy in p)
-    zero = "0" * w
-    pos = [zero] * (top + 1)
-    neg = [zero] * (top + 1)
-    for (dx, dy), c in p.items():
-        (pos if c > 0 else neg)[top - dx * stride - dy] = text(abs(c)).zfill(w)
-    return _EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg)))
+    """p as the integer sum of c 10^(w (dx*stride + dy)), exactly; ``text``
+    prints a coefficient as w digits.  Negative coefficients are packed
+    apart and subtracted, if there are any."""
+    dx, dy = max(p)
+    top = dx * stride + dy
+
+    def join(terms) -> Decimal:
+        slots = ["0" * w] * (top + 1)
+        for (dx, dy), c in terms:
+            slots[top - dx * stride - dy] = text(c)
+        return Decimal("".join(slots))
+
+    if min(p.values()) > 0:
+        return join(p.items())
+    return _EXACT.subtract(join((k, c) for k, c in p.items() if c > 0),
+                           join((k, -c) for k, c in p.items() if c < 0))

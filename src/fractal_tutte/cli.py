@@ -181,13 +181,25 @@ def _run_generate(args) -> int:
 
 
 def _run_tutte(args) -> int:
-    if args.format == "json":
-        payload = recursion.tutte_psw_json(args.n)
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = str(recursion.tutte_psw(args.n)) + "\n"
-    _emit(text, args.out)
+    poly = recursion.tutte_psw(args.n)
+    _emit(_tutte_json(args.n, poly) if args.format == "json"
+          else str(poly) + "\n", args.out)
     return 0
+
+
+#: One term of ``recursion.tutte_psw_json`` as ``json.dumps(indent=2)``
+#: prints it inside the payload.
+_JSON_TERM = ('      {{\n        "dx": {},\n        "dy": {},\n'
+              '        "coeff": "{}"\n      }}')
+
+
+def _tutte_json(n: int, poly) -> str:
+    """``json.dumps(recursion.tutte_psw_json(n), indent=2) + "\\n"``, the
+    same bytes, written from the sorted terms without the dicts."""
+    terms = ",\n".join(_JSON_TERM.format(dx, dy, c) for (dx, dy), c in poly)
+    terms = f"[\n{terms}\n    ]" if terms else "[]"
+    return (f'{{\n  "family": "psw",\n  "n": {n},\n  "polynomial": {{\n'
+            f'    "terms": {terms}\n  }}\n}}\n')
 
 
 def _run_eval(args) -> int:
@@ -221,7 +233,7 @@ def _run_reliability(args) -> int:
 # -- oracle checks ---------------------------------------------------------
 
 def _run_oracle(args) -> int:
-    g = _build(args)
+    graphs.check_build_generation(args.n)
     available = _ORACLE_CHECKS
     if args.check == "all":
         names = list(available)
@@ -232,13 +244,22 @@ def _run_oracle(args) -> int:
             raise UsageError(
                 f"--check must name checks from {', '.join(available)} "
                 f"or all, got {args.check!r}")
+    sizes = graphs.psw_vertex_count(args.n), graphs.psw_edge_count(args.n)
+    built = functools.cache(lambda: _build(args))
+
+    def graph(limit: str) -> graphs.HubGraph:
+        # Both families have these sizes, so an oracle refuses a graph
+        # too large for it before the graph is built.
+        oracle.check_size(limit, *sizes)
+        return built()
+
     # One census serves every check, taken when the first asks for it.
-    census = functools.cache(lambda: oracle.census(g))
+    census = functools.cache(lambda: oracle.census(graph("enumeration")))
     entries = []
     for name in names:
-        # An oracle refuses a graph too large for it before it starts.
         try:
-            status, detail = available[name](args.family, args.n, g, census)
+            status, detail = available[name](args.family, args.n, graph,
+                                             census)
         except SizeLimitExceeded as exc:
             status, detail = "skip", str(exc)
         entries.append({"check": name, "status": status, "detail": detail})
@@ -253,18 +274,18 @@ def _run_oracle(args) -> int:
     return 0 if all(e["status"] != "fail" for e in entries) else 1
 
 
-def _check_recursion(family, n, g, census) -> tuple[str, str]:
+def _check_recursion(family, n, graph, census) -> tuple[str, str]:
     if family != "psw":
         return "skip", "no Tutte recursion is implemented for sg"
     # The census refuses an oversized graph at once, where the symbolic
     # recursion would first run for minutes.
     if oracle.tutte_subgraph_sum(census()) == recursion.tutte_psw(n):
-        return "pass", (f"subgraph sum over 2^{g.num_edges} subsets matches "
-                        f"the recursion polynomial")
+        return "pass", (f"subgraph sum over 2^{census().num_edges} subsets "
+                        f"matches the recursion polynomial")
     return "fail", "subgraph sum differs from recursion"
 
 
-def _check_partition(family, n, g, census) -> tuple[str, str]:
+def _check_partition(family, n, graph, census) -> tuple[str, str]:
     parts = oracle.partition_subgraph_sum(census())
     total = oracle.tutte_subgraph_sum(census())
     if sum(parts[1:], parts[0]) == total and parts[1] == parts[2] == parts[3]:
@@ -273,26 +294,26 @@ def _check_partition(family, n, g, census) -> tuple[str, str]:
     return "fail", "partition sums inconsistent"
 
 
-def _check_deletion_contraction(family, n, g, census) -> tuple[str, str]:
-    if (oracle.tutte_deletion_contraction(g)
+def _check_deletion_contraction(family, n, graph, census) -> tuple[str, str]:
+    if (oracle.tutte_deletion_contraction(graph("recursion"))
             == oracle.tutte_subgraph_sum(census())):
         return "pass", "agrees with the subgraph sum"
     return "fail", "differs from the subgraph sum"
 
 
-def _check_matrix_tree(family, n, g, census) -> tuple[str, str]:
-    trees = oracle.matrix_tree_count(g)
+def _check_matrix_tree(family, n, graph, census) -> tuple[str, str]:
+    trees = oracle.matrix_tree_count(graph("matrix-tree"))
     reference = oracle.tutte_subgraph_sum(census()).eval_exact(1, 1)
     if trees == reference:
         return "pass", f"Laplacian cofactor = T(1,1) = {trees}"
     return "fail", f"cofactor {trees} != T(1,1) = {reference}"
 
 
-def _check_reliability(family, n, g, census) -> tuple[str, str]:
+def _check_reliability(family, n, graph, census) -> tuple[str, str]:
     p = Fraction(1, 2)
     r_enum = oracle.reliability_enumeration(census(), p)[0]
     t1 = oracle.partition_subgraph_sum(census())[0]
-    nv, ne = g.num_vertices, g.num_edges
+    nv, ne = census().num_vertices, census().num_edges
     bridged = (p ** (nv - 1) * (1 - p) ** (ne - nv + 1)
                * t1.eval_exact(1, 1 / (1 - p)))
     if r_enum == bridged:

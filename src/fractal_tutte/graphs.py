@@ -222,7 +222,8 @@ def _component_count(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
             label = up
 
 
-def _check_generation(n: int) -> None:
+def check_build_generation(n: int) -> None:
+    """Refuse a generation no builder takes, with the predicted size."""
     if n > MAX_GENERATION:
         edges = _ESTIMATE.power(3, n + 1)  # no float holds 3^(n+1) for all n
         nbytes = _ESTIMATE.multiply(edges, BYTES_PER_EDGE)
@@ -239,7 +240,7 @@ def build_psw_edge_expansion(n: int) -> HubGraph:
     {0, 1, 2} and each step appends one new vertex per existing edge, in
     the order the parent edges were created.
     """
-    _check_generation(n)
+    check_build_generation(n)
     edges = np.array(_TRIANGLE, dtype=np.int64)
     nv = 3
     for _ in range(n):
@@ -283,7 +284,7 @@ def build_sierpinski(n: int) -> HubGraph:
 def _build_by_merging(n, glue, new_hubs) -> HubGraph:
     """The triangle, then n rounds of three copies glued at hubs given as
     (copy, hub slot); the glued pairs are disjoint."""
-    _check_generation(n)
+    check_build_generation(n)
     edges = np.array(_TRIANGLE, dtype=np.int64)
     nv, hubs = 3, (0, 1, 2)
     for _ in range(n):
@@ -333,31 +334,59 @@ def to_edge_list(g: HubGraph) -> str:
 
 
 def from_edge_list(text: str) -> HubGraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse ``to_edge_list``'s format; blank lines and white space around
+    tokens are ignored.  An edge line is two tokens of an optional sign
+    and ASCII digits; white space is space and tab, and a line ends at
+    \\n, \\r, \\v or \\f.  Array passes over the bytes (a non-ASCII
+    character is one stray byte) count each line's tokens and stray bytes;
+    then ``np.fromstring`` reads every label at once.  Python reads only
+    the header, the hub line and a bad line."""
+    data = np.frombuffer(text.encode("ascii", "replace") + b"\n", np.uint8)
+    breaks = (data >= ord("\n")) & (data <= ord("\r"))
+    solid = ~(breaks | (data == ord(" ")) | (data == ord("\t")))
+    start = solid.copy()
+    start[1:] &= ~solid[:-1]
+    events = np.flatnonzero(start | breaks)  # token starts and line ends
+    last = np.flatnonzero(breaks[events])
+    ends = events[last]
+    firsts = np.concatenate(([0], ends[:-1] + 1))
+    tokens = np.diff(last, prepend=-1) - 1
+    digit = (data >= ord("0")) & (data <= ord("9"))
+    sign = start & ((data == ord("+")) | (data == ord("-")))
+    sign[:-1] &= digit[1:]
+    stray = np.zeros(len(ends), bool)
+    stray[np.searchsorted(ends, np.flatnonzero(solid & ~digit & ~sign))] = True
+    lines = np.flatnonzero(tokens)
+
+    def line(i: int) -> str:
+        return text[firsts[i]:ends[i]].strip()
+
     if len(lines) < 2:
         raise DomainError("edge-list input too short: need header and hub line")
     try:
-        nv, ne = map(int, lines[0].split())
+        nv, ne = map(int, line(lines[0]).split())
     except ValueError:
-        raise DomainError(f"bad header line: {lines[0]!r}") from None
-    tag, *hub_parts = lines[1].split()
+        raise DomainError(f"bad header line: {line(lines[0])!r}") from None
+    tag, *hub_parts = line(lines[1]).split()
     try:
         hubs = tuple(int(h) for h in hub_parts)
     except ValueError:
         hubs = ()
     if tag != "H" or len(hubs) != 3:
-        raise DomainError(f"bad hub line: {lines[1]!r}")
-    if len(lines) - 2 != ne:
+        raise DomainError(f"bad hub line: {line(lines[1])!r}")
+    lines = lines[2:]
+    if len(lines) != ne:
         raise DomainError(
-            f"header promises {ne} edges but {len(lines) - 2} lines follow")
-    edges = []
-    for ln in lines[2:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError:
-            raise DomainError(f"bad edge line: {ln!r}") from None
-        edges.append((u, v))
-    return HubGraph(nv, tuple(edges), hubs)
+            f"header promises {ne} edges but {len(lines)} lines follow")
+    bad = (tokens[lines] != 2) | stray[lines]
+    if bad.any():
+        raise DomainError(f"bad edge line: {line(lines[bad.argmax()])!r}")
+    body = text[firsts[lines[0]]:] if ne else ""
+    pairs = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
+    if np.isin(pairs, (_INT64.min, _INT64.max)).any():  # maybe clipped
+        words = body.split()
+        pairs = list(zip(map(int, words[::2]), map(int, words[1::2])))
+    return HubGraph(nv, pairs, hubs)
 
 
 def psw_vertex_count(n: int) -> int:

@@ -76,13 +76,26 @@ class SubgraphClassification:
 GraphLike = HubGraph | tuple[int, list[tuple[int, int]]]
 
 
-def _vertices_edges(g, limit: int, name: str, of: str = "edges"
-                    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+#: Each oracle's size limit, by the name its refusal gives.
+_LIMITS = {"enumeration": (MAX_SUBSET_EDGES, "edges"),
+           "recursion": (MAX_DC_EDGES, "edges"),
+           "matrix-tree": (MAX_MATRIX_TREE_VERTICES, "vertices")}
+
+
+def check_size(name: str, num_vertices: int, num_edges: int) -> None:
+    """The size guard of every oracle, by ``_LIMITS`` name; it reads sizes
+    only, so a caller can ask it before building the graph."""
+    limit, of = _LIMITS[name]
+    size = num_edges if of == "edges" else num_vertices
+    if size > limit:
+        raise SizeLimitExceeded(f"{size} {of} exceed the {name} limit {limit}")
+
+
+def _vertices_edges(g, name: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     """A HubGraph's (num_vertices, edges) as they are, or a bare
     (num_vertices, edges) pair checked by ``graphs.simple_edges``.  A
-    graph with more than ``limit`` edges (or vertices, by ``of``) is
-    refused by the oracle's ``name`` limit: a HubGraph before its edge
-    tuples are built, a bare pair once checked.
+    graph too large for the oracle ``name`` is refused by ``check_size``:
+    a HubGraph before its edge tuples are built, a bare pair once checked.
 
     The bare form exists because the Tutte oracles do not care about hubs,
     and useful test graphs (a single edge, a path) are too small to carry
@@ -94,9 +107,7 @@ def _vertices_edges(g, limit: int, name: str, of: str = "edges"
         nv, edges = g
         lo, hi = simple_edges(nv, edges)
         ne = len(lo)
-    size = ne if of == "edges" else nv
-    if size > limit:
-        raise SizeLimitExceeded(f"{size} {of} exceed the {name} limit {limit}")
+    check_size(name, nv, ne)
     if isinstance(g, HubGraph):
         return nv, g.edges
     return nv, tuple(zip(lo.tolist(), hi.tolist()))
@@ -216,7 +227,7 @@ class Census:
 
 def census(g: GraphLike) -> Census:
     """The census of g, keyed by hub pattern if g is a HubGraph."""
-    return _census(*_vertices_edges(g, MAX_SUBSET_EDGES, "enumeration"),
+    return _census(*_vertices_edges(g, "enumeration"),
                    getattr(g, "hubs", None))
 
 
@@ -250,7 +261,7 @@ def tutte_subgraph_sum(g: GraphLike | Census) -> BiPoly:
     its patterns.
     """
     c = g if isinstance(g, Census) else _census(
-        *_vertices_edges(g, MAX_SUBSET_EDGES, "enumeration"), None)
+        *_vertices_edges(g, "enumeration"), None)
     return _poly_from_census(c.num_vertices, c.counts, set(HubPattern))
 
 
@@ -277,7 +288,7 @@ def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
     multigraph would make the cross-check against the subset oracle
     ill-defined).
     """
-    nv, edges = _vertices_edges(g, MAX_DC_EDGES, "recursion")
+    nv, edges = _vertices_edges(g, "recursion")
     return _tutte_dc(nv, edges)
 
 
@@ -301,8 +312,7 @@ def _tutte_dc(nv: int, edges: tuple) -> BiPoly:
 
 def matrix_tree_count(g: GraphLike) -> int:
     """Spanning trees as a Laplacian cofactor, exactly over the integers."""
-    nv, edges = _vertices_edges(
-        g, MAX_MATRIX_TREE_VERTICES, "matrix-tree", of="vertices")
+    nv, edges = _vertices_edges(g, "matrix-tree")
     if nv <= 1:
         return 1
     lap = [[0] * nv for _ in range(nv)]

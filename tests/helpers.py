@@ -1,8 +1,9 @@
 """Test-only helpers: exact division of a BiPoly by (x-1)^k, a union-find
-component count, and loop references for the graph module.  The library
-needs none of them; the tests use them to check divisibility properties of
-the hub-class sums, the connectivity of built graphs, and the array
-validation and builders of ``graphs`` against the per-edge loops they
+component count, and loop references for the graph module and for the
+Kronecker read-back.  The library needs none of them; the tests use them
+to check divisibility properties of the hub-class sums, the connectivity
+of built graphs, and the array validation, builders and block scan of
+``graphs`` and ``bipoly`` against the per-edge and per-slot loops they
 replaced.
 """
 
@@ -159,3 +160,22 @@ def _reference_by_merging(n, glue, new_hubs) -> HubGraph:
         nv = len(label)
         edges = reference_edges(nv, merged, hubs)
     return HubGraph(nv, edges, hubs)
+
+
+def reference_unpack(digits: str, w: int, stride: int) -> dict:
+    """``bipoly._unpack`` as one loop over the slots, lowest first: each
+    slot plus the carry into it is read as a balanced digit."""
+    sign = -1 if digits.startswith("-") else 1
+    digits = digits.lstrip("-")
+    full = 10 ** w
+    out, carry = {}, 0
+    for i, end in enumerate(range(len(digits), 0, -w)):
+        raw = int(digits[max(end - w, 0):end]) + carry
+        carry = raw >= full // 2
+        if carry:
+            raw -= full
+        if raw:
+            out[divmod(i, stride)] = sign * raw
+    if carry:
+        out[divmod(-(-len(digits) // w), stride)] = sign
+    return out

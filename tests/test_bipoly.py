@@ -9,6 +9,7 @@ and evaluation as a ring homomorphism.
 import decimal
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,13 @@ from fractal_tutte.bipoly import (
     BiPoly,
     _mul_kronecker,
     _mul_schoolbook,
+    _pack,
+    _unpack,
 )
 from fractal_tutte.errors import ZeroPolynomial
 from fractal_tutte.recursion import tutte_psw
 from fractal_tutte.scalars import LOG_CONTEXT
-from helpers import NonDivisible, div_exact_xminus1
+from helpers import NonDivisible, div_exact_xminus1, reference_unpack
 
 
 def _p(terms):
@@ -273,6 +276,102 @@ def test_kronecker_past_the_int_string_limit():
     b = {(0, 0): -(10**2500), (3, 1): 10**2600 + 1, (1, 1): -2}
     assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+
+
+# -- reading the product back in blocks ------------------------------------
+
+#: Products whose carries run across several slots: (x - 1) times the
+#: x^5 - 1 chain, x^2 + x - 2, (x - y)(x + y), negative leading slots, a
+#: coefficient at the power-of-ten width bound, and slots over 640 digits.
+CARRY_CASES = {
+    "x^5-1": ({(1, 0): 1, (0, 0): -1}, {(k, 0): 1 for k in range(5)}),
+    "x^2+x-2": ({(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): -1}),
+    "x^2-y^2": ({(1, 0): 10**30, (0, 1): -(10**30)},
+                {(1, 0): 10**30, (0, 1): 10**30}),
+    "negative-leading": ({(0, 0): 5, (1, 0): -3, (2, 3): -7 * 10**20},
+                         {(0, 0): 2, (1, 1): 4 * 10**15, (3, 2): -9}),
+    "width-bound": ({(k, 0): -((10**12 + 2) // 6) for k in range(3)},
+                    {(k, 0): 1 for k in range(3)}),
+    "over-640-digits": ({(0, 0): 10**3000 + 7, (1, 2): -3 * 10**2999,
+                         (2, 1): 5},
+                        {(0, 0): -(10**2500), (3, 1): 10**2600 + 1,
+                         (1, 1): -2}),
+}
+
+
+def _in_blocks(mp, a, b, slots):
+    """``_mul_kronecker(a, b)`` with its product read ``slots`` slots per
+    block; the slot width is learnt from a first run."""
+    widths = _packed_widths(mp)
+    _mul_kronecker(a, b)
+    mp.setattr(bipoly, "_BLOCK_DIGITS", slots * widths[0])
+    return _mul_kronecker(a, b)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+@pytest.mark.parametrize("case", list(CARRY_CASES))
+def test_kronecker_in_small_blocks_matches_schoolbook(monkeypatch, case,
+                                                      slots):
+    a, b = CARRY_CASES[case]
+    assert _in_blocks(monkeypatch, a, b, slots) == _mul_schoolbook(a, b)
+
+
+@given(wide_polys, wide_polys, st.integers(1, 3))
+@settings(max_examples=40)
+def test_kronecker_in_small_blocks_random(a, b, slots):
+    ta, tb = a.terms(), b.terms()
+    if ta and tb:
+        with pytest.MonkeyPatch.context() as mp:
+            assert _in_blocks(mp, ta, tb, slots) == _mul_schoolbook(ta, tb)
+
+
+#: Slot values that decide the balanced reading at width w: zero, one below
+#: the carry threshold 10^w / 2 (it passes a carry on), the threshold, and
+#: 10^w - 1 (it wraps to zero under a carry).
+def _edge_slots(w):
+    half = 10**w // 2
+    return [0, 0, 0, half - 1, half - 1, half, 10**w - 1, 1, half + 1]
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=80)
+def test_unpack_matches_the_slot_loop_on_any_digits(w, data):
+    # Any digit string, not only a product's: carries that pass through
+    # slots of 10^w / 2 - 1, wrap slots of 10^w - 1 to zero and run
+    # across block boundaries read as the slot-by-slot loop reads them.
+    slots = data.draw(st.lists(st.sampled_from(_edge_slots(w)), min_size=1,
+                               max_size=12))
+    sign = data.draw(st.sampled_from(["", "-"]))
+    digits = sign + "".join(str(v).zfill(w) for v in reversed(slots))
+    stride = data.draw(st.integers(1, 5))
+    expected = reference_unpack(digits, w, stride)
+    for per in (1, 2, 3, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bipoly, "_BLOCK_DIGITS", per * w)
+            assert _unpack(digits, w, stride) == expected
+
+
+def test_unpack_reads_a_long_product_without_copying_it():
+    # 2 * 10^7 digits, 40 nonzero slots of 1000 digits; the read-back
+    # holds a block at a time, never a second copy of the digits.
+    w, top = 1000, 19_999
+    rng = random.Random(7)
+    p = {(0, 0): 1, (0, top): -(10**998)}
+    while len(p) < 40:
+        p[(0, rng.randrange(top))] = rng.choice([-1, 1]) * rng.randrange(
+            10**990)
+    digits = str(_pack(p, top + 1, w, lambda c: str(decimal.Decimal(c)
+                                                     ).zfill(w)))
+    assert len(digits) > 2 * 10**7 - w
+    tracemalloc.start()
+    try:
+        got = _unpack(digits, w, top + 1, lambda s: int(decimal.Decimal(
+            s.decode())))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == p
+    assert peak < len(digits) / 4
 
 
 def test_two_term_factor_is_a_linear_product(monkeypatch):

@@ -6,6 +6,8 @@ guarantee.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -23,7 +25,7 @@ from fractal_tutte.invariants import (
     eval_tutte_at_point,
     spanning_trees_closed_form,
 )
-from fractal_tutte.recursion import tutte_psw
+from fractal_tutte.recursion import tutte_psw, tutte_psw_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,6 +132,48 @@ def test_tutte_output_digest(capsys, n, fmt):
     code, out, _ = run(capsys, "tutte", "--n", str(n), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TUTTE_SHA256[n, fmt]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_tutte_json_is_the_json_module_text(capsys, n):
+    # The JSON is written directly from the terms, in json.dumps' bytes.
+    code, out, _ = run(capsys, "tutte", "--n", str(n))
+    assert code == 0
+    assert out == json.dumps(tutte_psw_json(n), indent=2) + "\n"
+
+
+def test_tutte_json_of_the_zero_polynomial():
+    assert cli._tutte_json(3, BiPoly.zero()) == json.dumps(
+        {"family": "psw", "n": 3, "polynomial": BiPoly.zero().to_json_dict()},
+        indent=2) + "\n"
+
+
+#: Bound on the peak RSS of ``tutte --n 5 --format json``, which is 106 MB
+#: on CPython 3.11 (117 MB when products were read back through whole-string
+#: copies).  A whole copy of the largest product's digits as bytes and a
+#: bool per digit, both alive while the product is read, reach 122 MB.
+TUTTE_5_MAX_RSS_MB = 115
+
+
+@pytest.mark.slow
+def test_tutte_5_peak_memory(tmp_path):
+    # The child reports its own peak, VmHWM: its ru_maxrss would also
+    # count this process's size when it forked, kept across the exec.
+    script = ("import re, sys\n"
+              "from fractal_tutte.cli import main\n"
+              "code = main(['tutte', '--n', '5', '--format', 'json',\n"
+              "             '--out', sys.argv[1]])\n"
+              "status = open('/proc/self/status').read()\n"
+              "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "t5.json")], env=env,
+                          capture_output=True, text=True, check=True)
+    code, kib = map(int, done.stdout.split())
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "t5.json").read_bytes()).hexdigest() \
+        == TUTTE_SHA256[5, "json"]
+    assert kib / 1024 < TUTTE_5_MAX_RSS_MB
 
 
 def test_tutte_beyond_guard_fails_cleanly(capsys):
@@ -463,6 +507,52 @@ def test_oracle_matrix_tree_vertex_limit_skips(capsys):
     assert code == 0
     assert out == ("SKIP matrix-tree: 123 vertices exceed the "
                    "matrix-tree limit 64\n")
+
+
+@pytest.mark.parametrize("family", ["psw", "sg"])
+def test_oracle_refuses_by_size_before_building(capsys, monkeypatch, family):
+    # 3^14 edges: every check is refused by the closed-form sizes, so the
+    # graph is never built.
+    def refuse(args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "_build", refuse)
+    code, out, _ = run(capsys, "oracle", "--family", family, "--n", "13")
+    assert code == 0
+    assert out.splitlines() == [
+        "SKIP recursion: 4782969 edges exceed the enumeration limit 27"
+        if family == "psw" else
+        "SKIP recursion: no Tutte recursion is implemented for sg",
+        "SKIP partition: 4782969 edges exceed the enumeration limit 27",
+        "SKIP deletion-contraction: 4782969 edges exceed the recursion "
+        "limit 12",
+        "SKIP matrix-tree: 2391486 vertices exceed the matrix-tree limit 64",
+        "SKIP reliability: 4782969 edges exceed the enumeration limit 27"]
+
+
+def test_oracle_builds_only_for_a_check_that_fits(capsys, monkeypatch):
+    built = []
+    build = cli._build
+    monkeypatch.setattr(cli, "_build", lambda args: built.append(args.n)
+                        or build(args))
+    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "3",
+                       "--check", "deletion-contraction,reliability")
+    assert code == 0 and built == []
+    # 42 vertices fit the matrix-tree limit: the graph is built, and then
+    # its census is refused.
+    code, out, _ = run(capsys, "oracle", "--family", "psw", "--n", "3",
+                       "--check", "matrix-tree")
+    assert out == "SKIP matrix-tree: 81 edges exceed the enumeration limit 27\n"
+    assert built == [3]
+
+
+def test_oracle_past_the_build_limit_exits_1(capsys):
+    code, out, err = run(capsys, "oracle", "--family", "sg", "--n", "14")
+    assert code == 1
+    assert out == ""
+    with pytest.raises(SizeLimitExceeded) as info:
+        build_psw_edge_expansion(14)
+    assert err == f"error: {info.value}\n"
 
 
 def _refusal(oracle_fn, *args) -> str:

@@ -388,3 +388,43 @@ def test_from_edge_list_rejects_malformed_input():
         from_edge_list("3 3\n0 1\n0 2\n1 2\n")  # missing hub line
     with pytest.raises(DomainError, match="bad hub line"):
         from_edge_list("3 3\nH 0 1 x\n0 1\n0 2\n1 2\n")  # non-integer hub
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "edge-list input too short: need header and hub line"),
+    ("3 3 3\nH 0 1 2\n", "bad header line: '3 3 3'"),
+    ("3 2\nH 0 1 2\n0 1\n", "header promises 2 edges but 1 lines follow"),
+    ("3 3\nH 0 1 2\n0 1\n 0 2 1 \n1 2\n", "bad edge line: '0 2 1'"),
+    ("3 3\nH 0 1 2\n0 1 2\n0 2\n1\n", "bad edge line: '0 1 2'"),
+    ("3 3\nH 0 1 2\n0 1\n0 x\n1 2\n", "bad edge line: '0 x'"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n1 2.0\n", "bad edge line: '1 2.0'"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n1 -\n", "bad edge line: '1 -'"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n1 2-\n", "bad edge line: '1 2-'"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n1 é\n", "bad edge line: '1 é'"),
+    ("3 3\nH 0 1 2\n0 1\n0 1\n1 2\n", "duplicate edge (0, 1)"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n1 -2\n", "edge (-2, 1) out of range for 3 vertices"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n1 99999999999999999999\n",
+     "edge (1, 99999999999999999999) out of range for 3 vertices"),
+    ("3 3\nH 0 1 2\n0 1\n0 2\n9223372036854775807 1\n",
+     "edge (1, 9223372036854775807) out of range for 3 vertices"),
+])
+def test_from_edge_list_names_what_is_wrong(text, message):
+    # The first bad line in file order is named, stripped, as the
+    # per-line parser named it.
+    with pytest.raises(DomainError) as info:
+        from_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_from_edge_list_reads_blank_lines_signs_and_other_line_ends():
+    g = from_edge_list("\n  3 3  \n\n H 0 1 2 \n+0\t1\r\n0 2\f1 002\v")
+    assert g == HubGraph(3, [(0, 1), (0, 2), (1, 2)], (0, 1, 2))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build", [build_psw_edge_expansion,
+                                   build_sierpinski])
+def test_edge_list_round_trip_to_generation_12(build):
+    for n in range(5, 13):
+        g = build(n)
+        assert from_edge_list(to_edge_list(g)) == g

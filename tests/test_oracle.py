@@ -398,6 +398,23 @@ def test_reliability_edge_guard():
         reliability_enumeration(g, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("name,refuse,size", [
+    ("enumeration", tutte_subgraph_sum, 3),
+    ("recursion", tutte_deletion_contraction, 2),
+    ("matrix-tree", matrix_tree_count, 4),
+])
+def test_check_size_is_each_oracles_guard(name, refuse, size):
+    # By the sizes alone, with the message the oracle gives the graph.
+    g = build_psw_edge_expansion(size)
+    with pytest.raises(SizeLimitExceeded) as by_graph:
+        refuse(g)
+    with pytest.raises(SizeLimitExceeded) as by_size:
+        oracle.check_size(name, g.num_vertices, g.num_edges)
+    assert str(by_size.value) == str(by_graph.value)
+    g = build_psw_edge_expansion(size - 1)
+    oracle.check_size(name, g.num_vertices, g.num_edges)
+
+
 def test_oracles_refuse_a_large_graph_before_building_its_edge_tuples():
     g = build_psw_edge_expansion(3)  # 81 edges, 42 vertices
     for refuse in (oracle.census, tutte_subgraph_sum, partition_subgraph_sum,
