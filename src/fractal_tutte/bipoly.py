@@ -17,12 +17,14 @@ Multiplication dispatches between schoolbook convolution (small operands,
 or a factor of at most two terms such as x-1) and Kronecker substitution
 (large operands): the polynomial is packed into a single big decimal with
 coefficients in fixed-width digit slots, multiplied once by libmpdec's
-number-theoretic transform, and read back as balanced digits to restore
-signed coefficients.  The read-back scans the product's decimal text in
-blocks of about 2^20 digits: numpy finds each block's nonzero slots and
-resolves its carries in array passes, and only a nonzero slot is
-converted to an int, so no second copy of the digits is made.  Both paths
-produce identical results; the crossover is purely a speed choice.
+number-theoretic transform, and read back slot by slot.  When an operand
+has a negative coefficient, the product gets a fixed offset added to every
+slot, so no slot is ever negative and none carries into the next.  The
+read-back scans the product's decimal text in blocks of about 2^20
+digits: numpy finds each block's slots that differ from the offset, and
+only those are converted to ints, so no second copy of the digits is
+made.  Both paths produce identical results; the crossover is purely a
+speed choice.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter, neg
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -303,8 +305,11 @@ def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     Exponents (dx, dy) map to slot dx*stride + dy where stride covers the
     full y-degree of the product, so slot arithmetic mirrors exponent
     arithmetic.  A slot is w decimal digits with 10^w above twice a bound
-    on every product coefficient, so signed coefficients are recovered as
-    balanced digits (``_unpack``).  ``b is a`` packs once and squares.
+    on every product coefficient.  If an operand has a negative
+    coefficient, the bound is added to every slot of the product in the
+    same exact operation, so each slot holds its coefficient plus the
+    bound, between 0 and twice the bound, and never borrows or carries;
+    ``_unpack`` subtracts it again.  ``b is a`` packs once and squares.
     """
     stride = _box(a)[1] + _box(b)[1] + 1
     bound = (min(len(a), len(b)) * max(map(abs, a.values()))
@@ -316,69 +321,50 @@ def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
                     (lambda c: str(Decimal(c)).zfill(w),
                      lambda s: int(Decimal(s.decode()))))
 
+    slots = _packed_slots(a, b)
+    offset = bound if min(a.values()) < 0 or min(b.values()) < 0 else 0
     na = _pack(a, stride, w, text)
-    product = _EXACT.multiply(na, na if b is a else _pack(b, stride, w, text))
-    del na  # each big value is freed before the next one is made
+    nb = na if b is a else _pack(b, stride, w, text)
+    # A signed product pays for a product-size bias, and fma may hold the
+    # product apart before it adds; an unsigned one, which is every product
+    # the psw recursion makes, stays a plain multiply.
+    product = (_EXACT.fma(na, nb, Decimal(text(offset) * slots)) if offset
+               else _EXACT.multiply(na, nb))
+    del na, nb  # each big value is freed before the next one is made
     digits = str(product)
     del product
-    return _unpack(digits, w, stride, number)
+    return _unpack(digits, w, stride, slots, offset, number)
 
 
-def _unpack(digits: str, w: int, stride: int, number=int) -> dict[Term, int]:
+def _unpack(digits: str, w: int, stride: int, slots: int, offset: int,
+            number=int) -> dict[Term, int]:
     """The term map of a packed product from its decimal text.
 
-    Slot i is the w digits that end i*w digits from the right.  They are
-    read as balanced digits: a slot of at least 10^w / 2 generates a carry
-    (it stands for slot - 10^w, and one more in slot i+1), and a slot of
-    10^w / 2 - 1 passes a carry in on; a leading "-" negates every
-    coefficient.  The text is scanned in blocks of whole slots, about
-    ``_BLOCK_DIGITS`` digits each, with the carry handed from block to
-    block: numpy finds a block's nonzero slots and resolves its carries
-    in array passes, and each nonzero slot costs one ``number``.
+    Slot i is the w digits that end i*w digits from the right, and holds
+    its coefficient plus ``offset``.  The slot count comes from the degree
+    box, not from the text: top slots of zeros are missing from it.  The
+    text is scanned in blocks of whole slots, about ``_BLOCK_DIGITS``
+    digits each: numpy finds a block's slots that differ from the offset,
+    and each of those costs one ``number``.
     """
-    sign, first = (-1, 1) if digits[0] == "-" else (1, 0)
     end = len(digits)
-    slots = -(-(end - first) // w)
     per = max(1, _BLOCK_DIGITS // w)
-    full = 10 ** w
-    zero = np.bytes_(b"0" * w)
-    passing = np.bytes_(b"4" + b"9" * (w - 1))  # 10^w / 2 - 1
-    nines = np.bytes_(b"9" * w)
+    skip = np.bytes_(str(Decimal(offset)).zfill(w).encode("ascii"))
     out: dict[Term, int] = {}
-    carry = False
     for i0 in range(0, slots, per):
         count = min(per, slots - i0)
-        hi = end - i0 * w
-        # slot i0 first; only the top slot may need leading zeros
-        block = digits[max(hi - count * w, first):hi].encode("ascii")
-        block = block.rjust(count * w, b"0")
+        hi = max(end - i0 * w, 0)
+        # slot i0 first; only the top slots may need leading zeros
+        block = digits[max(hi - count * w, 0):hi].encode("ascii").rjust(
+            count * w, b"0")
         text = np.frombuffer(block, f"S{w}")[::-1]
-        lead = np.frombuffer(block, np.uint8)[::w][::-1]
-        passes = lead == ord("4")
-        fours = np.flatnonzero(passes)
-        passes[fours] = text[fours] == passing
-        # A slot that passes takes the carry of the nearest slot below it
-        # that does not, or the carry into the block.
-        decider = np.maximum.accumulate(
-            np.where(passes, -1, np.arange(count)))
-        carry_out = np.where(decider >= 0, lead[decider] >= ord("5"), carry)
-        carry_in = np.concatenate(([carry], carry_out[:-1]))
-        carry = bool(carry_out[-1])
-        keep = (text != zero) | carry_in
-        wraps = np.flatnonzero(carry_in & (lead == ord("9")))
-        keep[wraps] = text[wraps] != nines  # 10^w - 1 and a carry make 0
-        at = np.flatnonzero(keep)
-        values = list(map(number, text[at].tolist()))
-        cin, cout = carry_in[at], carry_out[at]
-        for k in np.flatnonzero(cin | cout).tolist():
-            values[k] += int(cin[k]) - full * int(cout[k])
-        if sign < 0:
-            values = list(map(neg, values))
+        at = np.flatnonzero(text != skip)
+        values = map(number, text[at].tolist())
+        if offset:
+            values = [v - offset for v in values]
         at += i0
         out.update(zip(zip((at // stride).tolist(), (at % stride).tolist()),
                        values))
-    if carry:  # the top coefficient is 1 above slots read as negative
-        out[divmod(slots, stride)] = sign
     return out
 
 

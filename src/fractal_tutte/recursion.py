@@ -23,7 +23,9 @@ the sum over those that do not, so the recursion carries (u, w) alone:
 from u = x + y + 1, w = x + 1 at the triangle, with T_n = u + X w.
 ``psw_uw_step`` is that step with plain + and *: four full-size products
 per generation (w^2, u (Y u + 3 w), u (...) and w^2 (2 u + X w)); the
-factors X and Y are linear passes.  ``psw_state`` is the one runner of
+factors X and Y are linear passes.  No factor of a full-size product has
+a negative coefficient (checked through n = 6), so on ``BiPoly`` they all
+run as unsigned Kronecker products.  ``psw_state`` is the one runner of
 it over any ring: on ``BiPoly`` for the polynomial (``tutte_psw``), and
 on integers for every exact point (``invariants.eval_tutte_at_point``,
 ``reliability.psw_rel_via_tutte``), with a scale that multiplies out the

@@ -2,9 +2,10 @@
 component count, and loop references for the graph module and for the
 Kronecker read-back.  The library needs none of them; the tests use them
 to check divisibility properties of the hub-class sums, the connectivity
-of built graphs, and the array validation, builders and block scan of
-``graphs`` and ``bipoly`` against the per-edge and per-slot loops they
-replaced.
+of built graphs, the array validation and builders of ``graphs`` against
+the per-edge loops they replaced, and the block scan of a Kronecker
+product in ``bipoly`` against a loop that reads each slot as an int less
+a fixed offset.
 """
 
 from fractal_tutte.bipoly import BiPoly
@@ -162,20 +163,15 @@ def _reference_by_merging(n, glue, new_hubs) -> HubGraph:
     return HubGraph(nv, edges, hubs)
 
 
-def reference_unpack(digits: str, w: int, stride: int) -> dict:
-    """``bipoly._unpack`` as one loop over the slots, lowest first: each
-    slot plus the carry into it is read as a balanced digit."""
-    sign = -1 if digits.startswith("-") else 1
-    digits = digits.lstrip("-")
-    full = 10 ** w
-    out, carry = {}, 0
-    for i, end in enumerate(range(len(digits), 0, -w)):
-        raw = int(digits[max(end - w, 0):end]) + carry
-        carry = raw >= full // 2
-        if carry:
-            raw -= full
-        if raw:
-            out[divmod(i, stride)] = sign * raw
-    if carry:
-        out[divmod(-(-len(digits) // w), stride)] = sign
+def reference_unpack(digits: str, w: int, stride: int, slots: int,
+                     offset: int) -> dict:
+    """``bipoly._unpack`` as one loop over the slots, lowest first: slot i
+    is the w digits that end i*w digits from the right, or 0 past the
+    start of the text, less the offset."""
+    out = {}
+    for i in range(slots):
+        end = max(len(digits) - i * w, 0)
+        c = int(digits[max(end - w, 0):end] or "0") - offset
+        if c:
+            out[divmod(i, stride)] = c
     return out

@@ -236,16 +236,17 @@ def test_kronecker_cancels_slots_to_zero():
     c = 10**30
     assert _mul_kronecker({(1, 0): c, (0, 1): -c}, {(1, 0): c, (0, 1): c}) == {
         (2, 0): c * c, (0, 2): -c * c}
-    # x^5 - 1: the -1 slot carries through four cancelled slots.
+    # x^5 - 1: four cancelled slots between the -1 and the x^5.
     geometric = {(k, 0): 1 for k in range(5)}
     assert _mul_kronecker({(1, 0): 1, (0, 0): -1}, geometric) == {
         (5, 0): 1, (0, 0): -1}
-    # x^2 + x - 2: the carry out of the negative slot lands on a zero slot.
+    # x^2 + x - 2: a negative slot under positive ones.
     assert _mul_kronecker({(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): -1}) == {
         (2, 0): 1, (1, 0): 1, (0, 0): -2}
 
 
 def test_kronecker_squares_the_same_object_with_one_pack(monkeypatch):
+    # a is signed, so its square also gets the bias, which is not packed.
     widths = _packed_widths(monkeypatch)
     a = {(0, 0): -(10**25), (1, 0): 3, (2, 1): 10**24 + 1, (0, 3): -7}
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
@@ -280,9 +281,11 @@ def test_kronecker_past_the_int_string_limit():
 
 # -- reading the product back in blocks ------------------------------------
 
-#: Products whose carries run across several slots: (x - 1) times the
-#: x^5 - 1 chain, x^2 + x - 2, (x - y)(x + y), negative leading slots, a
-#: coefficient at the power-of-ten width bound, and slots over 640 digits.
+#: Products at the edges of the packed reading: cancelled slots in the
+#: x^5 - 1 chain, x^2 + x - 2 and (x - y)(x + y), negative leading slots,
+#: top slots at minus the bound, which shorten the biased text by one and
+#: two slots, a coefficient of either sign at the power-of-ten width bound
+#: (+bound fills its slot to twice the bound), and slots over 640 digits.
 CARRY_CASES = {
     "x^5-1": ({(1, 0): 1, (0, 0): -1}, {(k, 0): 1 for k in range(5)}),
     "x^2+x-2": ({(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): -1}),
@@ -290,8 +293,13 @@ CARRY_CASES = {
                 {(1, 0): 10**30, (0, 1): 10**30}),
     "negative-leading": ({(0, 0): 5, (1, 0): -3, (2, 3): -7 * 10**20},
                          {(0, 0): 2, (1, 1): 4 * 10**15, (3, 2): -9}),
+    "-y": ({(0, 0): -1}, {(0, 1): 1}),
+    "-y-y^2": ({(0, 0): -1}, {(0, 1): 1, (0, 2): 1}),
     "width-bound": ({(k, 0): -((10**12 + 2) // 6) for k in range(3)},
                     {(k, 0): 1 for k in range(3)}),
+    "width-bound-both-negative": ({(k, 0): -((10**12 + 2) // 6)
+                                   for k in range(3)},
+                                  {(k, 0): -1 for k in range(3)}),
     "over-640-digits": ({(0, 0): 10**3000 + 7, (1, 2): -3 * 10**2999,
                          (2, 1): 5},
                         {(0, 0): -(10**2500), (3, 1): 10**2600 + 1,
@@ -325,53 +333,60 @@ def test_kronecker_in_small_blocks_random(a, b, slots):
             assert _in_blocks(mp, ta, tb, slots) == _mul_schoolbook(ta, tb)
 
 
-#: Slot values that decide the balanced reading at width w: zero, one below
-#: the carry threshold 10^w / 2 (it passes a carry on), the threshold, and
-#: 10^w - 1 (it wraps to zero under a carry).
-def _edge_slots(w):
-    half = 10**w // 2
-    return [0, 0, 0, half - 1, half - 1, half, 10**w - 1, 1, half + 1]
-
-
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=80)
 def test_unpack_matches_the_slot_loop_on_any_digits(w, data):
-    # Any digit string, not only a product's: carries that pass through
-    # slots of 10^w / 2 - 1, wrap slots of 10^w - 1 to zero and run
-    # across block boundaries read as the slot-by-slot loop reads them.
-    slots = data.draw(st.lists(st.sampled_from(_edge_slots(w)), min_size=1,
+    # Any digit string, not only a product's: slots at, next to and far
+    # from the offset, and top slots missing from the text, whole or in
+    # part, read as the slot-by-slot loop reads them, in blocks of any size.
+    offset = data.draw(st.sampled_from([0, 1, 10**w // 2, 10**w - 1]))
+    values = [v for v in (0, offset - 1, offset, offset + 1, 10**w - 1)
+              if 0 <= v < 10**w]
+    slots = data.draw(st.lists(st.sampled_from(values), min_size=1,
                                max_size=12))
-    sign = data.draw(st.sampled_from(["", "-"]))
-    digits = sign + "".join(str(v).zfill(w) for v in reversed(slots))
+    digits = "".join(str(v).zfill(w) for v in reversed(slots))
+    digits = digits[data.draw(st.integers(0, len(digits) - 1)):]
+    count = len(slots) + data.draw(st.integers(0, 3))
     stride = data.draw(st.integers(1, 5))
-    expected = reference_unpack(digits, w, stride)
+    expected = reference_unpack(digits, w, stride, count, offset)
     for per in (1, 2, 3, 1000):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bipoly, "_BLOCK_DIGITS", per * w)
-            assert _unpack(digits, w, stride) == expected
+            assert _unpack(digits, w, stride, count, offset) == expected
 
 
 def test_unpack_reads_a_long_product_without_copying_it():
-    # 2 * 10^7 digits, 40 nonzero slots of 1000 digits; the read-back
-    # holds a block at a time, never a second copy of the digits.
+    # 2 * 10^7 digits, 40 nonzero slots of 1000 digits, unsigned and
+    # biased; the read-back holds a block at a time, never a second copy
+    # of the digits.
     w, top = 1000, 19_999
-    rng = random.Random(7)
-    p = {(0, 0): 1, (0, top): -(10**998)}
-    while len(p) < 40:
-        p[(0, rng.randrange(top))] = rng.choice([-1, 1]) * rng.randrange(
-            10**990)
-    digits = str(_pack(p, top + 1, w, lambda c: str(decimal.Decimal(c)
-                                                     ).zfill(w)))
-    assert len(digits) > 2 * 10**7 - w
-    tracemalloc.start()
-    try:
-        got = _unpack(digits, w, top + 1, lambda s: int(decimal.Decimal(
-            s.decode())))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == p
-    assert peak < len(digits) / 4
+
+    def text(c):
+        return str(decimal.Decimal(c)).zfill(w)
+
+    for offset in (0, 10**999):
+        rng = random.Random(7)
+        sign = -1 if offset else 1
+        p = {(0, 0): 1, (0, top): sign * 10**998}
+        while len(p) < 40:
+            p[(0, rng.randrange(top))] = rng.choice([sign, 1]) * rng.randrange(
+                1, 10**990)
+        packed = _pack(p, top + 1, w, text)
+        if offset:
+            packed = bipoly._EXACT.add(packed, decimal.Decimal(
+                text(offset) * (top + 1)))
+        digits = str(packed)
+        del packed
+        assert len(digits) > 2 * 10**7 - w
+        tracemalloc.start()
+        try:
+            got = _unpack(digits, w, top + 1, top + 1, offset,
+                          lambda s: int(decimal.Decimal(s.decode())))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == p
+        assert peak < len(digits) / 4
 
 
 def test_two_term_factor_is_a_linear_product(monkeypatch):

@@ -154,26 +154,47 @@ def test_tutte_json_of_the_zero_polynomial():
 #: bool per digit, both alive while the product is read, reach 122 MB.
 TUTTE_5_MAX_RSS_MB = 115
 
+#: SHA-256 of ``tutte --n 6 --format json``, the symbolic limit, and a
+#: bound on its peak RSS, which is 1,535 MB on CPython 3.11.
+TUTTE_6_JSON_SHA256 = (
+    "dd4f52fcfa874ac44688ea82c62a7602d9e3b1ef2d2ddea5d45632b77acda400")
+TUTTE_6_MAX_RSS_MB = 1600
 
-@pytest.mark.slow
-def test_tutte_5_peak_memory(tmp_path):
-    # The child reports its own peak, VmHWM: its ru_maxrss would also
-    # count this process's size when it forked, kept across the exec.
+
+def _tutte_json_in_child(tmp_path, n):
+    """(SHA-256 of ``tutte --n n --format json``, its peak RSS in MB).
+
+    The child reports its own peak, VmHWM: its ru_maxrss would also
+    count this process's size when it forked, kept across the exec.
+    """
     script = ("import re, sys\n"
               "from fractal_tutte.cli import main\n"
-              "code = main(['tutte', '--n', '5', '--format', 'json',\n"
-              "             '--out', sys.argv[1]])\n"
+              "code = main(['tutte', '--n', sys.argv[1], '--format', 'json',\n"
+              "             '--out', sys.argv[2]])\n"
               "status = open('/proc/self/status').read()\n"
               "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", script,
-                           str(tmp_path / "t5.json")], env=env,
-                          capture_output=True, text=True, check=True)
+    out = tmp_path / f"t{n}.json"
+    done = subprocess.run([sys.executable, "-c", script, str(n), str(out)],
+                          env=env, capture_output=True, text=True, check=True)
     code, kib = map(int, done.stdout.split())
     assert code == 0
-    assert hashlib.sha256((tmp_path / "t5.json").read_bytes()).hexdigest() \
-        == TUTTE_SHA256[5, "json"]
-    assert kib / 1024 < TUTTE_5_MAX_RSS_MB
+    return hashlib.sha256(out.read_bytes()).hexdigest(), kib / 1024
+
+
+@pytest.mark.slow
+def test_tutte_5_peak_memory(tmp_path):
+    digest, mb = _tutte_json_in_child(tmp_path, 5)
+    assert digest == TUTTE_SHA256[5, "json"]
+    assert mb < TUTTE_5_MAX_RSS_MB
+
+
+@pytest.mark.slow
+def test_tutte_6_digest_and_peak_memory(tmp_path):
+    # About two minutes and 1.5 GB.
+    digest, mb = _tutte_json_in_child(tmp_path, 6)
+    assert digest == TUTTE_6_JSON_SHA256
+    assert mb < TUTTE_6_MAX_RSS_MB
 
 
 def test_tutte_beyond_guard_fails_cleanly(capsys):

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from fractal_tutte import bipoly
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
@@ -143,6 +144,20 @@ def test_four_full_size_products_per_generation(monkeypatch):
         counts.append(0)
         tutte_psw(n)
     assert counts == [3, 7, 11, 15]
+
+
+def test_symbolic_products_pack_no_negative_coefficient(monkeypatch):
+    # So no Kronecker product of the recursion adds the signed offset.
+    lowest = []
+    pack = bipoly._pack
+
+    def spy(p, stride, w, text):
+        lowest.append(min(p.values()))
+        return pack(p, stride, w, text)
+
+    monkeypatch.setattr(bipoly, "_pack", spy)
+    tutte_psw(4)
+    assert lowest and min(lowest) > 0
 
 
 def test_level_two_tree_count():
