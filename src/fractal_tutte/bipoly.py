@@ -13,18 +13,20 @@ as a scalar under *, so a step written with plain + and * runs on
 ``BiPoly`` and on numbers alike.  ``evaluate`` substitutes values from
 any such ring, ``BiPoly`` included.
 
-Multiplication dispatches between schoolbook convolution (small operands,
-or a factor of at most two terms such as x-1) and Kronecker substitution
-(large operands): the polynomial is packed into a single big decimal with
-coefficients in fixed-width digit slots, multiplied once by libmpdec's
-number-theoretic transform, and read back slot by slot.  When an operand
-has a negative coefficient, the product gets a fixed offset added to every
-slot, so no slot is ever negative and none carries into the next.  The
-read-back scans the product's decimal text in blocks of about 2^20
-digits: numpy finds each block's slots that differ from the offset, and
-only those are converted to ints, so no second copy of the digits is
-made.  Both paths produce identical results; the crossover is purely a
-speed choice.
+Multiplication by x^i y^j - 1, such as x-1 or y-1, is a shift and a
+subtraction.  Other products dispatch between schoolbook convolution
+(small operands, or a factor of at most two terms) and Kronecker
+substitution (large operands): the polynomial is packed into a single
+big decimal with coefficients in fixed-width digit slots, multiplied once
+by libmpdec's number-theoretic transform, and read back slot by slot.
+When an operand has a negative coefficient, the product gets a fixed
+offset added to every slot, so no slot is ever negative and none carries
+into the next.  The read-back scans the product's decimal text in blocks
+of about 2^20 digits: numpy finds each block's slots that differ from
+the offset, and only those are converted to ints, so no second copy of
+the digits is made.  numpy loads at the first such read-back, so
+arithmetic on small polynomials never imports it.  All paths produce
+identical results; the choice among them is purely a speed choice.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Mapping
 
-import numpy as np
-
+from ._arrays import np
 from .errors import ZeroPolynomial
 
 Term = tuple[int, int]
@@ -147,19 +148,17 @@ class BiPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        # "*x^dx" and "*y^dy" by degree, built once per call
+        dx_max, dy_max = _box(self._terms)
+        xs = ["", "*x"] + [f"*x^{d}" for d in range(2, dx_max + 1)]
+        ys = ["", "*y"] + [f"*y^{d}" for d in range(2, dy_max + 1)]
         parts = []
         for (dx, dy), c in sorted(self._terms.items(), reverse=True):
-            mono = "*".join(s for s in (
-                f"x^{dx}" if dx > 1 else "x" if dx == 1 else "",
-                f"y^{dy}" if dy > 1 else "y" if dy == 1 else "") if s)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append(("- " if c < 0 else "+ " if parts else "") + body)
-        return " ".join(parts) if parts[0][0] != "-" else "-" + " ".join(parts)[2:]
+            mono = xs[dx] + ys[dy]
+            body = mono[1:] if mono and c in (1, -1) else f"{abs(c)}{mono}"
+            parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     # -- ring operations ---------------------------------------------------
 
@@ -211,7 +210,11 @@ class BiPoly:
         if not a or not b:
             return BiPoly.zero()
         pairs = len(a) * len(b)
-        if (min(len(a), len(b)) <= 2 or pairs <= _KRONECKER_PAIRS
+        if shift := _minus_one_shift(b):
+            out = _mul_shift_subtract(a, shift)
+        elif shift := _minus_one_shift(a):
+            out = _mul_shift_subtract(b, shift)
+        elif (min(len(a), len(b)) <= 2 or pairs <= _KRONECKER_PAIRS
                 or _packed_slots(a, b) > pairs):
             out = _mul_schoolbook(a, b)
         else:
@@ -284,6 +287,30 @@ def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
                 out[key] = s
             else:
                 del out[key]
+    return out
+
+
+def _minus_one_shift(p: dict[Term, int]) -> Term | None:
+    """(i, j) if p is x^i y^j - 1, such as x - 1 or y - 1; else None."""
+    if len(p) == 2 and p.get((0, 0)) == -1:
+        shift = max(p)
+        if p[shift] == 1:
+            return shift
+    return None
+
+
+def _mul_shift_subtract(p: dict[Term, int], shift: Term) -> dict[Term, int]:
+    """p (x^i y^j - 1) for (i, j) = shift: p shifted by one dict
+    comprehension, then p subtracted from it term by term."""
+    i, j = shift
+    out = {(dx + i, dy + j): c for (dx, dy), c in p.items()}
+    get = out.get
+    for key, c in p.items():
+        s = get(key, 0) - c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
     return out
 
 

@@ -39,7 +39,8 @@ A ``HubGraph`` keeps its sorted (min, max) pairs as one read-only int64
 (E, 2) array, ``pairs``.  ``edges``, the same pairs as a tuple of int
 tuples, is a view built on first use for the per-edge oracles;
 ``num_edges``, ``degrees()``, equality and ``to_edge_list`` read the
-array and never build it.
+array and never build it.  numpy loads when the first graph is built or
+read, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._arrays import np
 from .errors import DomainError, SizeLimitExceeded, check_generation
 
 #: Peak memory per edge above the imported package, measured at n = 11
@@ -67,7 +67,7 @@ MAX_GENERATION = 13
 
 _ESTIMATE = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, traps=[])
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 _TRIANGLE = ((0, 1), (0, 2), (1, 2))
 
@@ -164,7 +164,7 @@ def _edge_array(edges) -> tuple[np.ndarray, list[Edge]]:
         except OverflowError:
             fits = []
             for u, v in pairs:
-                if _INT64.min <= min(u, v) and max(u, v) <= _INT64.max:
+                if _INT64_MIN <= min(u, v) and max(u, v) <= _INT64_MAX:
                     fits.append((u, v))
                 else:
                     wide.append((u, v) if u < v else (v, u))
@@ -383,7 +383,7 @@ def from_edge_list(text: str) -> HubGraph:
         raise DomainError(f"bad edge line: {line(lines[bad.argmax()])!r}")
     body = text[firsts[lines[0]]:] if ne else ""
     pairs = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
-    if np.isin(pairs, (_INT64.min, _INT64.max)).any():  # maybe clipped
+    if np.isin(pairs, (_INT64_MIN, _INT64_MAX)).any():  # maybe clipped
         words = body.split()
         pairs = list(zip(map(int, words[::2]), map(int, words[1::2])))
     return HubGraph(nv, pairs, hubs)

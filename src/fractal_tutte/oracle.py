@@ -21,12 +21,14 @@ subset sums read one ``Census`` of a graph (``census(g)``), or take their
 own from the graph.  It is built in numpy by doubling: a table holds the
 component labels of every subset of the edges seen so far, and each
 further edge doubles it (the subsets without the edge, and a copy with
-its two components merged).  Past 2^14 subsets the remaining edges are walked depth-first
-over copies of the table.  The 2^27 subsets of the generation-2 web take
-seconds.  ``classify_edge_subset`` is the per-subset union-find
-reference the census is tested against.  The polynomial sums add the
-counts into the rank polynomial R(X, Y) = sum of count X^corank
-Y^nullity and evaluate it at (x-1, y-1) with ``BiPoly.evaluate``.
+its two components merged).  Past 2^14 subsets the remaining edges are
+walked depth-first over copies of the table.  The 2^27 subsets of the
+generation-2 web take seconds.  numpy loads at the first graph or
+census, not when this module is imported.  ``classify_edge_subset`` is
+the per-subset union-find reference the census is tested against.  The
+polynomial sums add the counts into the rank polynomial R(X, Y) = sum of
+count X^corank Y^nullity and evaluate it at (x-1, y-1) with
+``BiPoly.evaluate``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
-import numpy as np
-
+from ._arrays import np
 from .bipoly import BiPoly
 from .errors import DomainError, SizeLimitExceeded
 from .graphs import HubGraph, simple_edges
@@ -145,9 +146,9 @@ def classify_edge_subset(g: HubGraph, edge_mask: int) -> SubgraphClassification:
 _BATCH_BITS = 14
 
 #: HubPattern by 4*[A~B] + 2*[A~C] + [B~C]; the -1 entries cannot occur.
-_PATTERN_BY_EQUALITIES = np.array([
+_PATTERN_BY_EQUALITIES = (
     HubPattern.ALL_APART, HubPattern.BC_A, HubPattern.AC_B, -1,
-    HubPattern.AB_C, -1, -1, HubPattern.ALL_TOGETHER])
+    HubPattern.AB_C, -1, -1, HubPattern.ALL_TOGETHER)
 
 
 def _census(nv, edges, hubs) -> Census:
@@ -171,6 +172,7 @@ def _census(nv, edges, hubs) -> Census:
     k_step = ne + 1
     span = (len(index) + 1) * k_step
     totals = np.zeros(5 * span, dtype=np.int64)
+    pattern_by_equalities = np.array(_PATTERN_BY_EQUALITIES)
 
     def merge(labels, keys, u, v):
         lu, lv = labels[u], labels[v]
@@ -182,7 +184,7 @@ def _census(nv, edges, hubs) -> Census:
         if hubs is not None:
             a, b, c = (labels[index[h]] for h in hubs)
             eq = 4 * (a == b) + 2 * (a == c) + (b == c)
-            keys = keys + span * _PATTERN_BY_EQUALITIES[eq]
+            keys = keys + span * pattern_by_equalities[eq]
         totals[:] += np.bincount(keys, minlength=5 * span)
 
     def walk(labels, keys, i):

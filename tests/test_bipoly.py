@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from fractal_tutte import bipoly
 from fractal_tutte.bipoly import (
     BiPoly,
+    _minus_one_shift,
     _mul_kronecker,
     _mul_schoolbook,
+    _mul_shift_subtract,
     _pack,
     _unpack,
 )
@@ -203,6 +205,35 @@ def test_kronecker_with_large_signed_coefficients():
     a = _p({(0, 0): -(10**30), (5, 7): 10**25, (3, 2): -1})
     b = _p({(1, 1): 10**28, (0, 0): 7, (8, 0): -(10**31)})
     assert _via(_mul_kronecker, a, b) == _via(_mul_schoolbook, a, b)
+
+
+@pytest.mark.parametrize("terms,shift", [
+    ({(1, 0): 1, (0, 0): -1}, (1, 0)),
+    ({(0, 1): 1, (0, 0): -1}, (0, 1)),
+    ({(2, 3): 1, (0, 0): -1}, (2, 3)),
+    ({(1, 0): -1, (0, 0): 1}, None),
+    ({(1, 0): 2, (0, 0): -1}, None),
+    ({(1, 0): 1, (0, 0): 1}, None),
+    ({(1, 0): 1, (0, 1): -1}, None),
+    ({(0, 0): -1}, None),
+    ({(2, 0): 1, (1, 0): 1, (0, 0): -1}, None),
+])
+def test_minus_one_shift_recognises_only_monomial_minus_one(terms, shift):
+    assert _minus_one_shift(terms) == shift
+
+
+@given(wide_polys, st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+@settings(max_examples=60)
+def test_shift_subtract_matches_schoolbook(p, shift):
+    minus_one = {shift: 1, (0, 0): -1}
+    expected = _mul_schoolbook(p.terms(), minus_one)
+    assert _mul_shift_subtract(p.terms(), shift) == expected
+    assert p * BiPoly(minus_one) == BiPoly(minus_one) * p == BiPoly(expected)
+    # a geometric series telescopes, and its cancelled terms are dropped
+    i, j = shift
+    geometric = {(k * i, k * j): 1 for k in range(4)}
+    assert _mul_shift_subtract(geometric, shift) == {(4 * i, 4 * j): 1,
+                                                     (0, 0): -1}
 
 
 # -- the decimal Kronecker multiplier ---------------------------------------
@@ -584,6 +615,22 @@ def test_json_golden_form():
             {"dx": 2, "dy": 0, "coeff": "1"},
         ]
     }
+
+
+@pytest.mark.parametrize("poly,text", [
+    (BiPoly.zero(), "0"),
+    (BiPoly.constant(-3), "-3"),
+    (BiPoly.constant(1), "1"),
+    (ONE - X, "-x + 1"),
+    (_p({(2, 1): -2, (0, 1): 3, (0, 0): -1}), "-2*x^2*y + 3*y - 1"),
+    (_p({(1, 1): -1}), "-x*y"),
+    (_p({(3, 0): 5, (0, 2): -1, (0, 0): 1}), "5*x^3 - y^2 + 1"),
+    (_p({(12, 10): 1, (1, 0): -10**30}), "x^12*y^10 - " + "1" + "0" * 30 + "*x"),
+    (X * X + X + Y, "x^2 + x + y"),
+])
+def test_str_forms(poly, text):
+    assert str(poly) == text
+    assert repr(poly) == f"BiPoly({text})"
 
 
 @given(wide_polys)

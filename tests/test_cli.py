@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fractal_tutte import cli, oracle
+from fractal_tutte import cli, oracle, reliability
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.cli import MAX_GRID_POINTS, _parse_grid, main
 from fractal_tutte.cli import UsageError
@@ -663,3 +663,76 @@ def test_unwritable_output_reports_one_line(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+# -- start-up: numpy runs only where arrays are built -------------------------
+
+#: Runs each argv of sys.argv[1] (JSON) through ``main`` in order and
+#: prints, per argv, its output and the numpy submodules loaded after it;
+#: the first entry is the state after the imports alone.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from fractions import Fraction
+import fractal_tutte
+from fractal_tutte import cli, reliability
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+report = [("import", numpy_modules())]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if argv[0] == "psw_rel_via_tutte":
+            print(reliability.psw_rel_via_tutte(4, Fraction(1, 3)))
+        else:
+            assert cli.main(argv) == 0
+    report.append((out.getvalue(), numpy_modules()))
+print(json.dumps(report))
+"""
+
+_SCALAR_ARGVS = [
+    ["eval", "--n", "5", "--x", "2", "--y", "2"],
+    ["eval", "--n", "3", "--x", "1/3", "--y", "2/5"],
+    ["invariants", "--n", "4"],
+    *(["reliability", "--n", "3", "--p-grid", "0.25:0.75:0.25", "--mode", m]
+      for m in ("exact", "float", "log")),
+    ["psw_rel_via_tutte"],
+]
+
+
+def _in_child(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_scalar_commands_run_no_numpy(capsys):
+    array_argvs = [["tutte", "--n", "3"],
+                   ["generate", "--family", "psw", "--n", "2"]]
+    report = _in_child(_NUMPY_PROBE, json.dumps(_SCALAR_ARGVS + array_argvs))
+    # No numpy code ran: numpy is at most a lazy module not yet loaded.
+    assert [loaded for _, loaded in report[:-2]] == [[]] * (1 + len(_SCALAR_ARGVS))
+    outputs = [out for out, _ in report[1:]]
+    for argv, out in zip(_SCALAR_ARGVS[:-1], outputs):
+        assert run(capsys, *argv) == (0, out, "")
+    assert outputs[0] == f"{2 ** 729}\n"  # T(2, 2) = 2^E, E_5 = 3^6
+    assert outputs[len(_SCALAR_ARGVS) - 1] == (
+        f"{reliability.psw_rel_via_tutte(4, Fraction(1, 3))}\n")
+    # The first Kronecker product of tutte loads numpy.
+    tutte, generate = report[-2:]
+    assert tutte[1]
+    assert hashlib.sha256(tutte[0].encode()).hexdigest() == TUTTE_SHA256[3, "json"]
+    assert run(capsys, *array_argvs[1]) == (0, generate[0], "")
+
+
+def test_numpy_imported_first_is_the_array_handle():
+    script = ("import json, sys, types\n"
+              "import numpy\n"
+              "from fractal_tutte._arrays import np\n"
+              "print(json.dumps([np is numpy is sys.modules['numpy'],\n"
+              "                  type(np) is types.ModuleType]))\n")
+    assert _in_child(script) == [True, True]
