@@ -40,16 +40,14 @@ from .invariants import (
 from .oracle import (
     Census,
     HubPattern,
-    SubgraphClassification,
     census,
-    classify_edge_subset,
     matrix_tree_count,
     partition_subgraph_sum,
     reliability_enumeration,
     tutte_deletion_contraction,
     tutte_subgraph_sum,
 )
-from .recursion import tutte_psw, tutte_psw_json
+from .recursion import tutte_psw
 from .reliability import (
     CurvePoint,
     RelState,

@@ -260,6 +260,7 @@ class BiPoly:
 
     # -- serialization -----------------------------------------------------
 
+    # No caller; kept because perfbench/tracing.py wraps it by name.
     def to_json_dict(self) -> dict:
         """JSON form: terms sorted by (dx, dy), coefficients as strings."""
         return {

@@ -187,15 +187,18 @@ def _run_tutte(args) -> int:
     return 0
 
 
-#: One term of ``recursion.tutte_psw_json`` as ``json.dumps(indent=2)``
-#: prints it inside the payload.
+#: One entry of ``polynomial.terms``, {"dx": ..., "dy": ..., "coeff": "..."}
+#: with the coefficient as a string, as ``json.dumps(indent=2)`` prints it
+#: at that depth.
 _JSON_TERM = ('      {{\n        "dx": {},\n        "dy": {},\n'
               '        "coeff": "{}"\n      }}')
 
 
 def _tutte_json(n: int, poly) -> str:
-    """``json.dumps(recursion.tutte_psw_json(n), indent=2) + "\\n"``, the
-    same bytes, written from the sorted terms without the dicts."""
+    """The ``tutte`` JSON: {"family": "psw", "n": n, "polynomial":
+    {"terms": [...]}} with the terms sorted by (dx, dy), in the bytes of
+    ``json.dumps(..., indent=2)`` plus a newline, written from the sorted
+    terms without building a dict per term."""
     terms = ",\n".join(_JSON_TERM.format(dx, dy, c) for (dx, dy), c in poly)
     terms = f"[\n{terms}\n    ]" if terms else "[]"
     return (f'{{\n  "family": "psw",\n  "n": {n},\n  "polynomial": {{\n'

@@ -24,11 +24,9 @@ further edge doubles it (the subsets without the edge, and a copy with
 its two components merged).  Past 2^14 subsets the remaining edges are
 walked depth-first over copies of the table.  The 2^27 subsets of the
 generation-2 web take seconds.  numpy loads at the first graph or
-census, not when this module is imported.  ``classify_edge_subset`` is
-the per-subset union-find reference the census is tested against.  The
-polynomial sums add the counts into the rank polynomial R(X, Y) = sum of
-count X^corank Y^nullity and evaluate it at (x-1, y-1) with
-``BiPoly.evaluate``.
+census, not when this module is imported.  The polynomial sums add the
+counts into the rank polynomial R(X, Y) = sum of count X^corank
+Y^nullity and evaluate it at (x-1, y-1) with ``BiPoly.evaluate``.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .bipoly import BiPoly
 from .errors import DomainError, SizeLimitExceeded
 from .graphs import HubGraph, simple_edges
 from .scalars import as_probability
-from .unionfind import UnionFind
 
 MAX_SUBSET_EDGES = 27
 MAX_DC_EDGES = 12
@@ -62,16 +59,6 @@ class HubPattern(IntEnum):
     AC_B = 2
     AB_C = 3
     ALL_APART = 4
-
-
-@dataclass(frozen=True)
-class SubgraphClassification:
-    """Connectivity data of one spanning subgraph (one edge subset)."""
-
-    components: int
-    rank: int
-    nullity: int
-    pattern: HubPattern
 
 
 GraphLike = HubGraph | tuple[int, list[tuple[int, int]]]
@@ -112,31 +99,6 @@ def _vertices_edges(g, name: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     if isinstance(g, HubGraph):
         return nv, g.edges
     return nv, tuple(zip(lo.tolist(), hi.tolist()))
-
-
-def classify_edge_subset(g: HubGraph, edge_mask: int) -> SubgraphClassification:
-    """Classify the spanning subgraph keeping edge i iff bit i of edge_mask."""
-    nv = g.num_vertices
-    uf = UnionFind(nv)
-    m = 0
-    for i, (u, v) in enumerate(g.edges):
-        if edge_mask >> i & 1:
-            uf.union(u, v)
-            m += 1
-    k = uf.components
-    rank = nv - k
-    ra, rb, rc = (uf.find(h) for h in g.hubs)
-    if ra == rb == rc:
-        pat = HubPattern.ALL_TOGETHER
-    elif rb == rc:
-        pat = HubPattern.BC_A
-    elif ra == rc:
-        pat = HubPattern.AC_B
-    elif ra == rb:
-        pat = HubPattern.AB_C
-    else:
-        pat = HubPattern.ALL_APART
-    return SubgraphClassification(k, rank, m - rank, pat)
 
 
 # -- classified subset census ----------------------------------------------
@@ -290,26 +252,29 @@ def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
     multigraph would make the cross-check against the subset oracle
     ill-defined).
     """
-    nv, edges = _vertices_edges(g, "recursion")
-    return _tutte_dc(nv, edges)
+    return _tutte_dc(_vertices_edges(g, "recursion")[1])
 
 
-def _tutte_dc(nv: int, edges: tuple) -> BiPoly:
+def _tutte_dc(edges: tuple) -> BiPoly:
     if not edges:
         return BiPoly.one()
     (u, v), rest = edges[0], edges[1:]
     if u == v:
-        return BiPoly.y() * _tutte_dc(nv, rest)
-    uf = UnionFind(nv)
-    for a, b in rest:
-        if a != b:
-            uf.union(a, b)
+        return BiPoly.y() * _tutte_dc(rest)
+    # Grow the vertices that the other edges reach from u.
+    reach, grew = {u}, True
+    while grew and v not in reach:
+        grew = False
+        for a, b in rest:
+            if (a in reach) != (b in reach):
+                reach.update((a, b))
+                grew = True
     contracted = tuple(
         (u if a == v else a, u if b == v else b) for a, b in rest)
-    if not uf.connected(u, v):
+    if v not in reach:
         # Bridge: only the contraction survives, weighted by x.
-        return BiPoly.x() * _tutte_dc(nv, contracted)
-    return _tutte_dc(nv, rest) + _tutte_dc(nv, contracted)
+        return BiPoly.x() * _tutte_dc(contracted)
+    return _tutte_dc(rest) + _tutte_dc(contracted)
 
 
 def matrix_tree_count(g: GraphLike) -> int:

@@ -93,8 +93,3 @@ def tutte_psw(n: int) -> BiPoly:
     X = BiPoly.x_minus_1()
     u, w = psw_state(n, X, BiPoly.y_minus_1())
     return u + X * w
-
-
-def tutte_psw_json(n: int) -> dict:
-    """The polynomial wrapped for file output."""
-    return {"family": "psw", "n": n, "polynomial": tutte_psw(n).to_json_dict()}

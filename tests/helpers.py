@@ -1,17 +1,20 @@
-"""Test-only helpers: exact division of a BiPoly by (x-1)^k, a union-find
-component count, and loop references for the graph module and for the
-Kronecker read-back.  The library needs none of them; the tests use them
-to check divisibility properties of the hub-class sums, the connectivity
-of built graphs, the array validation and builders of ``graphs`` against
-the per-edge loops they replaced, and the block scan of a Kronecker
-product in ``bipoly`` against a loop that reads each slot as an int less
-a fixed offset.
+"""Test-only helpers: exact division of a BiPoly by (x-1)^k, a small
+``UnionFind`` with a component count, loop references for the graph
+module and for the Kronecker read-back, and ``tutte_json``, the json
+module's text of the ``tutte`` output.  The library needs none of them;
+the tests use them to check divisibility properties of the hub-class
+sums, the connectivity of built graphs and the subset census, the array
+validation and builders of ``graphs`` against the per-edge loops they
+replaced, the block scan of a Kronecker product in ``bipoly`` against a
+loop that reads each slot as an int less a fixed offset, and the JSON
+that ``cli`` writes directly against ``json.dumps``.
 """
+
+import json
 
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError
 from fractal_tutte.graphs import HubGraph
-from fractal_tutte.unionfind import UnionFind
 
 
 class NonDivisible(ArithmeticError):
@@ -66,6 +69,28 @@ def _synthetic_divide_once(terms: dict) -> dict:
             f"polynomial is not divisible by (x - 1): remainder has "
             f"{len(remainder)} term(s)")
     return out
+
+
+class UnionFind:
+    """Union-find over 0..n-1 with path halving; ``components`` counts
+    the sets."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.components = n
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+            self.components -= 1
 
 
 def component_count(n: int, edges) -> int:
@@ -175,3 +200,9 @@ def reference_unpack(digits: str, w: int, stride: int, slots: int,
         if c:
             out[divmod(i, stride)] = c
     return out
+
+
+def tutte_json(n: int, poly: BiPoly) -> str:
+    """The ``tutte`` output as ``json.dumps(indent=2)`` writes it."""
+    return json.dumps({"family": "psw", "n": n,
+                       "polynomial": poly.to_json_dict()}, indent=2) + "\n"

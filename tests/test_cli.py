@@ -25,7 +25,8 @@ from fractal_tutte.invariants import (
     eval_tutte_at_point,
     spanning_trees_closed_form,
 )
-from fractal_tutte.recursion import tutte_psw, tutte_psw_json
+from fractal_tutte.recursion import tutte_psw
+from helpers import tutte_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -139,13 +140,11 @@ def test_tutte_json_is_the_json_module_text(capsys, n):
     # The JSON is written directly from the terms, in json.dumps' bytes.
     code, out, _ = run(capsys, "tutte", "--n", str(n))
     assert code == 0
-    assert out == json.dumps(tutte_psw_json(n), indent=2) + "\n"
+    assert out == tutte_json(n, tutte_psw(n))
 
 
 def test_tutte_json_of_the_zero_polynomial():
-    assert cli._tutte_json(3, BiPoly.zero()) == json.dumps(
-        {"family": "psw", "n": 3, "polynomial": BiPoly.zero().to_json_dict()},
-        indent=2) + "\n"
+    assert cli._tutte_json(3, BiPoly.zero()) == tutte_json(3, BiPoly.zero())
 
 
 #: Bound on the peak RSS of ``tutte --n 5 --format json``, which is 106 MB

@@ -36,7 +36,6 @@ from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
     psw_state,
     tutte_psw,
-    tutte_psw_json,
 )
 from fractal_tutte.reliability import (
     MAX_APPROX_GENERATION,
@@ -56,7 +55,6 @@ GUARDED = {
     "psw_edge_count": (psw_edge_count, None),
     "psw_state": (lambda n: psw_state(n, 1, 2), None),
     "tutte_psw": (tutte_psw, MAX_SYMBOLIC_GENERATION),
-    "tutte_psw_json": (tutte_psw_json, MAX_SYMBOLIC_GENERATION),
     "eval_tutte_at_point": (lambda n: eval_tutte_at_point(n, 1, 1),
                             MAX_EVAL_GENERATION),
     "invariant_report": (invariant_report, MAX_EVAL_GENERATION),

@@ -9,7 +9,6 @@ both are right.
 import random
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,14 +25,13 @@ from fractal_tutte.oracle import (
     MAX_MATRIX_TREE_VERTICES,
     MAX_SUBSET_EDGES,
     HubPattern,
-    classify_edge_subset,
     matrix_tree_count,
     partition_subgraph_sum,
     reliability_enumeration,
     tutte_deletion_contraction,
     tutte_subgraph_sum,
 )
-from helpers import div_exact_xminus1
+from helpers import UnionFind, div_exact_xminus1
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -110,11 +108,21 @@ def test_deletion_contraction_matches_subset_sum_on_families():
 
 def test_deletion_contraction_matches_subset_sum_random():
     rng = random.Random(20260823)
-    for _ in range(20):
-        nv = rng.randrange(3, 7)
-        g = _random_connected(rng, nv, rng.randrange(0, 4))
-        if len(g[1]) > MAX_DC_EDGES:
-            continue
+    graphs = [_random_connected(rng, rng.randrange(3, 7), rng.randrange(0, 4))
+              for _ in range(20)]
+    # Two random components and an isolated vertex: a bridge test must not
+    # reach from one component into the other.
+    for _ in range(10):
+        (n1, e1), (n2, e2) = (_random_connected(rng, rng.randrange(2, 5),
+                                                rng.randrange(0, 3))
+                              for _ in range(2))
+        graphs.append((n1 + n2 + 1, e1 + [(u + n1, v + n1) for u, v in e2]))
+    # Two triangles joined by a 2-edge path: bridges, and after contracting
+    # a triangle edge, parallel edges.
+    graphs.append((7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4),
+                       (4, 5), (4, 6), (5, 6)]))
+    for g in graphs:
+        assert len(g[1]) <= MAX_DC_EDGES
         assert tutte_deletion_contraction(g) == tutte_subgraph_sum(g)
 
 
@@ -148,30 +156,6 @@ def test_sierpinski_has_at_least_as_many_trees():
 # -- hub partition census ---------------------------------------------------
 
 
-def test_classify_full_and_empty_subsets():
-    g = build_psw_edge_expansion(0)
-    full = classify_edge_subset(g, 0b111)
-    assert full.components == 1
-    assert full.rank == 2
-    assert full.nullity == 1
-    assert full.pattern == HubPattern.ALL_TOGETHER
-    empty = classify_edge_subset(g, 0)
-    assert empty.components == 3
-    assert empty.rank == 0
-    assert empty.pattern == HubPattern.ALL_APART
-
-
-def test_classify_single_edge_subsets():
-    g = build_psw_edge_expansion(0)
-    # hubs are vertices 0, 1, 2; each single edge joins exactly two of them,
-    # so the three one-edge subsets realize the three two-block patterns
-    patterns = sorted(
-        classify_edge_subset(g, 1 << i).pattern for i in range(3))
-    assert patterns == [HubPattern.BC_A, HubPattern.AC_B, HubPattern.AB_C]
-    assert classify_edge_subset(g, 1).rank == 1
-    assert classify_edge_subset(g, 1).nullity == 0
-
-
 def test_partition_recombines_to_total():
     for g in (build_psw_edge_expansion(0), build_psw_edge_expansion(1),
               build_sierpinski(1)):
@@ -203,17 +187,24 @@ def test_partition_divisibility():
 
 
 def _assert_census_matches_classification(nv, edges, hubs):
-    """The census against one rebuilt mask by mask from classify_edge_subset.
+    """The census against one rebuilt mask by mask with a union-find.
 
-    With ``hubs=None`` the census puts every subset in pattern 0; the
-    reference then classifies against arbitrary hubs and drops the pattern.
+    With ``hubs=None`` the census puts every subset in pattern 0.
     """
-    g = SimpleNamespace(num_vertices=nv, edges=edges, hubs=hubs or (0, 1, 2))
     expect = Counter()
     for mask in range(1 << len(edges)):
-        c = classify_edge_subset(g, mask)
-        pat = 0 if hubs is None else int(c.pattern)
-        expect[(pat, c.components, c.rank + c.nullity)] += 1
+        uf = UnionFind(nv)
+        kept = [e for i, e in enumerate(edges) if mask >> i & 1]
+        for u, v in kept:
+            uf.union(u, v)
+        pat = 0
+        if hubs is not None:
+            a, b, c = map(uf.find, hubs)
+            pat = (HubPattern.ALL_TOGETHER if a == b == c else
+                   HubPattern.BC_A if b == c else
+                   HubPattern.AC_B if a == c else
+                   HubPattern.AB_C if a == b else HubPattern.ALL_APART)
+        expect[(pat, uf.components, len(kept))] += 1
     assert oracle._census(nv, edges, hubs).counts == expect
 
 

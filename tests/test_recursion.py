@@ -34,7 +34,6 @@ from fractal_tutte.recursion import (
     psw_step,
     psw_uw_step,
     tutte_psw,
-    tutte_psw_json,
 )
 from helpers import div_exact_xminus1
 
@@ -205,13 +204,6 @@ def test_symbolic_generation_guard():
         tutte_psw(MAX_SYMBOLIC_GENERATION + 1)
     with pytest.raises(DomainError):
         _symbolic_state(-1)
-
-
-def test_json_wrapper():
-    d = tutte_psw_json(1)
-    assert d["family"] == "psw"
-    assert d["n"] == 1
-    assert BiPoly.from_json_dict(d["polynomial"]) == tutte_psw(1)
 
 
 @pytest.mark.slow
