@@ -4,7 +4,8 @@ The reliability recursions only ever add and multiply positive
 quantities, so they are written once with plain ``+`` and ``*`` and a
 mode only chooses the number type they run on:
 
-* ``exact``: ``Fraction`` (proves identities);
+* ``exact``: integer numerators over one known denominator, reduced
+  once at the end to a ``Fraction`` (proves identities);
 * ``float``: ``float`` (fast, fails below ~1e-308);
 * ``log``: ``Decimal`` under ``LOG_CONTEXT``, whose exponent is
   unbounded in practice (down to 10^-999999999999999999), so values
@@ -48,25 +49,29 @@ LOG_CONTEXT = decimal.Context(
 def as_probability(p) -> Fraction:
     """p as an exact probability in [0, 1].
 
-    A float is read as the nearest fraction with denominator at most
-    10^12, so 0.1 means 1/10 rather than the binary double next to it.
+    A Fraction comes back as it is.  A float is read as the nearest
+    fraction with denominator at most 10^12, so 0.1 means 1/10 rather
+    than the binary double next to it.
     """
-    fr = (Fraction(p).limit_denominator(10**12) if isinstance(p, float)
-          else Fraction(p))
-    if not 0 <= fr <= 1:
+    if isinstance(p, Fraction):
+        fr = p
+    elif isinstance(p, float):
+        fr = Fraction(p).limit_denominator(10**12)
+    else:
+        fr = Fraction(p)
+    # The denominator is positive, so 0 <= p <= 1 is 0 <= num <= den.
+    if not 0 <= fr.numerator <= fr.denominator:
         raise DomainError(f"edge probability {p} outside [0, 1]")
     return fr
 
 
-def embed(fr: Fraction, mode: str):
-    """The rational fr as the number type of ``mode``."""
-    if mode == "exact":
-        return fr
+def embed(num: int, den: int, mode: str):
+    """num/den, not necessarily in lowest terms, as the number type of
+    the inexact ``mode``: one correctly rounded division."""
     if mode == "float":
-        return float(fr)
+        return num / den
     if mode == "log":
-        return LOG_CONTEXT.divide(Decimal(fr.numerator),
-                                  Decimal(fr.denominator))
+        return LOG_CONTEXT.divide(Decimal(num), Decimal(den))
     raise DomainError(
         f"unknown scalar mode {mode!r}; choose from exact, float, log")
 

@@ -7,7 +7,8 @@ sums, the connectivity of built graphs and the subset census, the array
 validation and builders of ``graphs`` against the per-edge loops they
 replaced, the block scan of a Kronecker product in ``bipoly`` against a
 loop that reads each slot as an int less a fixed offset, and the JSON
-that ``cli`` writes directly against ``json.dumps``.
+that ``cli`` writes directly against ``json.dumps``, and exact
+reliability states against the steps run on ``Fraction``.
 """
 
 import json
@@ -15,6 +16,7 @@ import json
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError
 from fractal_tutte.graphs import HubGraph
+from fractal_tutte.reliability import STEPS
 
 
 class NonDivisible(ArithmeticError):
@@ -206,3 +208,14 @@ def tutte_json(n: int, poly: BiPoly) -> str:
     """The ``tutte`` output as ``json.dumps(indent=2)`` writes it."""
     return json.dumps({"family": "psw", "n": n,
                        "polynomial": poly.to_json_dict()}, indent=2) + "\n"
+
+
+def reference_reliability_states(family: str, n: int, p):
+    """(R, B, T) of generations 0..n, ``STEPS[family]`` run on Fraction
+    from the triangle, one gcd per operation."""
+    rbt = (p * p * (3 - 2 * p), p * (1 - p) ** 2, (1 - p) ** 3)
+    states = [rbt]
+    for _ in range(n):
+        rbt = STEPS[family](*rbt)
+        states.append(rbt)
+    return states

@@ -8,6 +8,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_tutte import reliability
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
@@ -30,7 +32,7 @@ from fractal_tutte.reliability import (
 )
 from fractal_tutte.recursion import psw_step
 from fractal_tutte.scalars import MAX_LOG_GENERATION, fraction_ln
-from helpers import div_exact_xminus1
+from helpers import div_exact_xminus1, reference_reliability_states
 
 HALF = Fraction(1, 2)
 PROBS = (Fraction(1, 3), HALF, Fraction(2, 3))
@@ -138,6 +140,31 @@ def test_three_component_class_matches_enumeration(family, n):
     for p in PROBS:
         assert reliability_state(family, n, p).t \
             == reliability_enumeration(g, p)[2]
+
+
+# -- integer stepping equals Fraction stepping ------------------------------
+
+EXACT_PROBS = [Fraction(k, 1024) for k in (1, 8, 337, 512, 1023)] + [
+    Fraction(1, 3), Fraction(123456789, 10 ** 9), Fraction(1, 10 ** 9 + 7),
+    Fraction(0), Fraction(1)]
+
+
+@pytest.mark.parametrize("p", EXACT_PROBS, ids=str)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_states_equal_the_steps_on_fraction(family, p):
+    # numerators over d^(3^(n+1)), reduced once, are the Fraction values
+    for n, reference in enumerate(
+            reference_reliability_states(family, 6, p)):
+        s = reliability_state(family, n, p)
+        assert (s.r, s.b, s.t) == reference
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_state_at_generation_seven_equals_the_steps_on_fraction(
+        family):
+    p = Fraction(123456789, 10 ** 9)
+    s = reliability_state(family, 7, p)
+    assert (s.r, s.b, s.t) == reference_reliability_states(family, 7, p)[7]
 
 
 # -- bridge to the hub-together Tutte class ---------------------------------
@@ -335,6 +362,22 @@ def test_csv_modes_agree_to_printed_precision():
         assert e_cells[3:] == l_cells[3:]
 
 
+@pytest.mark.slow
+def test_generation_ten_prints_alike_in_exact_and_log_mode():
+    # about 13 s: the exact states of both families and the Tutte route
+    p = Fraction(123456789, 10 ** 9)
+    exact, log = (compare_curves(10, [p], mode) for mode in ("exact", "log"))
+
+    def r_cells(points):
+        header, row = curves_to_csv(points).splitlines()
+        return [cell for name, cell in zip(header.split(","), row.split(","))
+                if name.startswith("R_")]
+
+    assert r_cells(exact) == r_cells(log)
+    assert r_cells(exact)[0] == format_probability(
+        psw_rel_via_tutte(10, p), "exact")
+
+
 def test_format_probability_exact_vs_float():
     assert format_probability(Fraction(1, 32), "exact") == "3.12500000000e-02"
     assert format_probability(1 / 32, "float") == "3.12500000000e-02"
@@ -351,6 +394,48 @@ def test_sci_from_ln():
     mantissa, exp = text.split("e")
     assert exp == "-3000"
     assert float(mantissa) == pytest.approx(1.0)
+
+
+def _decimal_route(fr: Fraction) -> str:
+    """How exact values printed before: num and den as Decimal, divided
+    to 12 significant digits, half-even."""
+    ctx = decimal.Context(prec=12, Emin=decimal.MIN_EMIN,
+                          Emax=decimal.MAX_EMAX)
+    _, digits, exp = ctx.divide(Decimal(fr.numerator),
+                                Decimal(fr.denominator)).as_tuple()
+    text = "".join(map(str, digits)).ljust(12, "0")
+    return f"{text[0]}.{text[1:]}e{exp + len(digits) - 1:+03d}"
+
+
+_DIGITS = st.integers(1, 60).flatmap(
+    lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DIGITS, _DIGITS)
+def test_exact_printing_equals_the_decimal_route(num, den):
+    fr = Fraction(num, den)
+    assert format_probability(fr, "exact") == _decimal_route(fr)
+
+
+@pytest.mark.parametrize("fr,text", [
+    # a tie at the 13th digit goes to the even 12th digit
+    (Fraction(1000000000025, 10 ** 12), "1.00000000002e+00"),
+    (Fraction(1000000000035, 10 ** 12), "1.00000000004e+00"),
+    (Fraction(1234567890125, 10 ** 20), "1.23456789012e-08"),
+    (Fraction(1234567890115, 10 ** 20), "1.23456789012e-08"),
+    # rounding up carries into the exponent
+    (Fraction(9999999999995, 10 ** 13), "1.00000000000e+00"),
+    (Fraction(9999999999994, 10 ** 13), "9.99999999999e-01"),
+    (Fraction(10 ** 40 - 1, 10 ** 40), "1.00000000000e+00"),
+    (Fraction(10 ** 40 + 1, 10 ** 40), "1.00000000000e+00"),
+    (Fraction(1), "1.00000000000e+00"),
+    (Fraction(0), "0.00000000000e+00"),
+    (Fraction(1, 10 ** 3000), "1.00000000000e-3000"),
+    (Fraction(1, 3 * 10 ** 3000), "3.33333333333e-3001"),
+] + [(Fraction(10) ** k, f"1.00000000000e{k:+03d}") for k in range(-30, 31)])
+def test_exact_printing_rounds_half_even_in_integers(fr, text):
+    assert format_probability(fr, "exact") == _decimal_route(fr) == text
 
 
 def test_exponent_always_signed_and_padded():

@@ -13,6 +13,7 @@ from fractal_tutte.scalars import (
     LOG_PRECISION,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
+    as_probability,
     embed,
     fraction_ln,
     ln,
@@ -21,13 +22,34 @@ from fractal_tutte.scalars import (
 
 
 def test_embed_picks_the_number_type():
-    quarter = Fraction(1, 4)
-    assert embed(quarter, "exact") == quarter
-    assert isinstance(embed(quarter, "exact"), Fraction)
-    assert embed(quarter, "float") == 0.25
-    assert embed(quarter, "log") == Decimal("0.25")
-    with pytest.raises(DomainError):
-        embed(quarter, "interval")
+    assert embed(1, 4, "float") == 0.25
+    assert isinstance(embed(1, 4, "float"), float)
+    assert embed(1, 4, "log") == Decimal("0.25")
+    assert isinstance(embed(1, 4, "log"), Decimal)
+    for mode in ("exact", "interval"):
+        with pytest.raises(DomainError):
+            embed(1, 4, mode)
+
+
+def test_embed_reads_an_unreduced_pair_as_its_value():
+    # one correctly rounded division: the float and the Decimal, down to
+    # its coefficient and exponent, do not depend on the pair's form
+    assert embed(6, 8, "float") == embed(3, 4, "float") == 0.75
+    assert embed(6, 8, "log").as_tuple() == embed(3, 4, "log").as_tuple()
+    assert embed(10 ** 40, 3 * 10 ** 40, "float") == 1 / 3
+    assert embed(10 ** 40, 3 * 10 ** 40, "log").as_tuple() \
+        == LOG_CONTEXT.divide(Decimal(1), Decimal(3)).as_tuple()
+
+
+def test_as_probability_reads_each_input_type():
+    third = Fraction(1, 3)
+    assert as_probability(third) is third
+    assert as_probability(0.1) == Fraction(1, 10)
+    assert as_probability(1) == 1 and as_probability(0) == 0
+    assert as_probability("2/3") == Fraction(2, 3)
+    for p in (Fraction(4, 3), Fraction(-1, 10 ** 12), 1.5, -0.0001, 2, "-1/2"):
+        with pytest.raises(DomainError, match="outside"):
+            as_probability(p)
 
 
 def test_log_precision_covers_the_generation_limit():
