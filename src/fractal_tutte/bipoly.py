@@ -14,19 +14,18 @@ as a scalar under *, so a step written with plain + and * runs on
 any such ring, ``BiPoly`` included.
 
 Multiplication by x^i y^j - 1, such as x-1 or y-1, is a shift and a
-subtraction.  Other products dispatch between schoolbook convolution
-(small operands, or a factor of at most two terms) and Kronecker
-substitution (large operands): the polynomial is packed into a single
-big decimal with coefficients in fixed-width digit slots, multiplied once
-by libmpdec's number-theoretic transform, and read back slot by slot.
-When an operand has a negative coefficient, the product gets a fixed
-offset added to every slot, so no slot is ever negative and none carries
-into the next.  The read-back scans the product's decimal text in blocks
-of about 2^20 digits: numpy finds each block's slots that differ from
-the offset, and only those are converted to ints, so no second copy of
-the digits is made.  numpy loads at the first such read-back, so
-arithmetic on small polynomials never imports it.  All paths produce
-identical results; the choice among them is purely a speed choice.
+subtraction.  Large products of operands with no negative coefficient,
+which is every full-size product of the psw recursion, use Kronecker
+substitution: each polynomial is packed into a single big decimal with
+coefficients in fixed-width digit slots, multiplied once by libmpdec's
+number-theoretic transform, and read back slot by slot.  Every other
+product, signed ones included, is a schoolbook convolution.  The
+read-back scans the product's decimal text in blocks of about 2^20
+digits: numpy finds each block's nonzero slots, and only those are
+converted to ints, so no second copy of the digits is made.  numpy
+loads at the first such read-back, so arithmetic on small polynomials
+never imports it.  All paths produce identical results; the choice
+among them is purely a speed choice.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .errors import ZeroPolynomial
 
 Term = tuple[int, int]
 
-# Pair-count threshold above which multiplication switches to Kronecker
+# Pair-count threshold above which unsigned products switch to Kronecker
 # substitution.  Schoolbook wins below it because packing has fixed overhead,
 # and on sparse operands whose degree box holds more slots than term pairs.
 _KRONECKER_PAIRS = 4096
@@ -215,7 +214,8 @@ class BiPoly:
         elif shift := _minus_one_shift(a):
             out = _mul_shift_subtract(b, shift)
         elif (min(len(a), len(b)) <= 2 or pairs <= _KRONECKER_PAIRS
-                or _packed_slots(a, b) > pairs):
+                or _packed_slots(a, b) > pairs
+                or min(a.values()) < 0 or min(b.values()) < 0):
             out = _mul_schoolbook(a, b)
         else:
             out = _mul_kronecker(a, b)
@@ -328,56 +328,47 @@ def _packed_slots(a: dict[Term, int], b: dict[Term, int]) -> int:
 
 
 def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
-    """Multiply by packing both operands into single big decimals.
+    """Multiply two polynomials with no negative coefficient by packing
+    each into a single big decimal; ``BiPoly.__mul__`` sends every other
+    product to ``_mul_schoolbook``.
 
     Exponents (dx, dy) map to slot dx*stride + dy where stride covers the
     full y-degree of the product, so slot arithmetic mirrors exponent
-    arithmetic.  A slot is w decimal digits with 10^w above twice a bound
-    on every product coefficient.  If an operand has a negative
-    coefficient, the bound is added to every slot of the product in the
-    same exact operation, so each slot holds its coefficient plus the
-    bound, between 0 and twice the bound, and never borrows or carries;
-    ``_unpack`` subtracts it again.  ``b is a`` packs once and squares.
+    arithmetic.  A slot is w decimal digits with 10^w above a bound on
+    every product coefficient; no coefficient is negative, so no slot
+    borrows or carries.  ``b is a`` packs once and squares.
     """
     stride = _box(a)[1] + _box(b)[1] + 1
-    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-             * max(map(abs, b.values())))
-    w = Decimal(2 * bound).adjusted() + 1
+    bound = min(len(a), len(b)) * max(a.values()) * max(b.values())
+    w = Decimal(bound).adjusted() + 1
     # int <-> str conversions longer than 640 digits can exceed the
     # interpreter's limit (sys.set_int_max_str_digits); Decimal's cannot.
     text, number = ((f"{{:0{w}d}}".format, int) if w <= 640 else
                     (lambda c: str(Decimal(c)).zfill(w),
                      lambda s: int(Decimal(s.decode()))))
 
-    slots = _packed_slots(a, b)
-    offset = bound if min(a.values()) < 0 or min(b.values()) < 0 else 0
     na = _pack(a, stride, w, text)
     nb = na if b is a else _pack(b, stride, w, text)
-    # A signed product pays for a product-size bias, and fma may hold the
-    # product apart before it adds; an unsigned one, which is every product
-    # the psw recursion makes, stays a plain multiply.
-    product = (_EXACT.fma(na, nb, Decimal(text(offset) * slots)) if offset
-               else _EXACT.multiply(na, nb))
+    product = _EXACT.multiply(na, nb)
     del na, nb  # each big value is freed before the next one is made
     digits = str(product)
     del product
-    return _unpack(digits, w, stride, slots, offset, number)
+    return _unpack(digits, w, stride, _packed_slots(a, b), number)
 
 
-def _unpack(digits: str, w: int, stride: int, slots: int, offset: int,
+def _unpack(digits: str, w: int, stride: int, slots: int,
             number=int) -> dict[Term, int]:
     """The term map of a packed product from its decimal text.
 
-    Slot i is the w digits that end i*w digits from the right, and holds
-    its coefficient plus ``offset``.  The slot count comes from the degree
-    box, not from the text: top slots of zeros are missing from it.  The
-    text is scanned in blocks of whole slots, about ``_BLOCK_DIGITS``
-    digits each: numpy finds a block's slots that differ from the offset,
-    and each of those costs one ``number``.
+    Slot i is the w digits that end i*w digits from the right.  The slot
+    count comes from the degree box, not from the text: top slots of
+    zeros are missing from it.  The text is scanned in blocks of whole
+    slots, about ``_BLOCK_DIGITS`` digits each: numpy finds a block's
+    nonzero slots, and each of those costs one ``number``.
     """
     end = len(digits)
     per = max(1, _BLOCK_DIGITS // w)
-    skip = np.bytes_(str(Decimal(offset)).zfill(w).encode("ascii"))
+    zero = np.bytes_(b"0" * w)
     out: dict[Term, int] = {}
     for i0 in range(0, slots, per):
         count = min(per, slots - i0)
@@ -386,10 +377,8 @@ def _unpack(digits: str, w: int, stride: int, slots: int, offset: int,
         block = digits[max(hi - count * w, 0):hi].encode("ascii").rjust(
             count * w, b"0")
         text = np.frombuffer(block, f"S{w}")[::-1]
-        at = np.flatnonzero(text != skip)
+        at = np.flatnonzero(text != zero)
         values = map(number, text[at].tolist())
-        if offset:
-            values = [v - offset for v in values]
         at += i0
         out.update(zip(zip((at // stride).tolist(), (at % stride).tolist()),
                        values))
@@ -397,19 +386,12 @@ def _unpack(digits: str, w: int, stride: int, slots: int, offset: int,
 
 
 def _pack(p: dict[Term, int], stride: int, w: int, text) -> Decimal:
-    """p as the integer sum of c 10^(w (dx*stride + dy)), exactly; ``text``
-    prints a coefficient as w digits.  Negative coefficients are packed
-    apart and subtracted, if there are any."""
+    """p, with no negative coefficient, as the integer sum of
+    c 10^(w (dx*stride + dy)), exactly; ``text`` prints a coefficient as
+    w digits."""
     dx, dy = max(p)
     top = dx * stride + dy
-
-    def join(terms) -> Decimal:
-        slots = ["0" * w] * (top + 1)
-        for (dx, dy), c in terms:
-            slots[top - dx * stride - dy] = text(c)
-        return Decimal("".join(slots))
-
-    if min(p.values()) > 0:
-        return join(p.items())
-    return _EXACT.subtract(join((k, c) for k, c in p.items() if c > 0),
-                           join((k, -c) for k, c in p.items() if c < 0))
+    slots = ["0" * w] * (top + 1)
+    for (dx, dy), c in p.items():
+        slots[top - dx * stride - dy] = text(c)
+    return Decimal("".join(slots))

@@ -15,11 +15,12 @@ import math
 import os
 import sys
 import tempfile
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import graphs, invariants, oracle, recursion, reliability
 from .errors import FractalTutteError, SizeLimitExceeded
+from .scalars import MAX_DENOMINATOR
 
 #: Most points a --p-grid range may expand to; checked before any is made.
 MAX_GRID_POINTS = 10 ** 6
@@ -119,36 +120,44 @@ def _rational(text: str) -> Fraction:
             f"not a rational number: {text!r}") from None
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> list[Fraction]:
+    """The points start, start + step, ... up to stop, or the one value,
+    each read exactly from its decimal text."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise UsageError(
             f"grid must be 'start:stop:step' or a single value, got {text!r}")
     try:
-        numbers = [float(s) for s in parts]
-    except ValueError:
+        numbers = [Decimal(s) for s in parts]
+    except InvalidOperation:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
-    if not all(math.isfinite(v) for v in numbers):
+    if not all(v.is_finite() for v in numbers):
         raise UsageError(f"grid values must be finite, got {text!r}")
-    if len(parts) == 1:
-        start = stop = numbers[0]
-        step = 1.0
-    else:
-        start, stop, step = numbers
+    start, stop, step = numbers if len(parts) == 3 else numbers * 2 + [1]
     if step <= 0:
         raise UsageError(f"grid step must be positive, got {step}")
     if stop < start:
         raise UsageError(f"grid stop {stop} precedes start {start}")
     if not (0 < start and stop < 1):
         raise UsageError(f"grid {text!r} must lie strictly inside (0, 1)")
-    # The points start + i * step up to stop, counted in Decimal; the
-    # slack admits a last point that float rounding puts just past stop.
-    count = math.floor((Decimal(stop) - Decimal(start)) / Decimal(step)
-                       + Decimal("1e-9")) + 1
+    for s, v in zip(parts, numbers):
+        # Below 10^-13 the denominator exceeds 10^12 however the digits
+        # reduce, so such a value is refused before 10^-exponent is built.
+        if v.as_tuple().exponent < 0 and (
+                v.adjusted() < -len(str(MAX_DENOMINATOR))
+                or Fraction(v).denominator > MAX_DENOMINATOR):
+            raise UsageError(f"grid value {s!r} is not a fraction with "
+                             f"denominator at most {MAX_DENOMINATOR}")
+    # The points as integers over one denominator; a step past 1 makes
+    # the one point that a step of 1 makes, without building its integer.
+    start, stop, step = map(Fraction, (start, stop, min(step, 1)))
+    den = math.lcm(start.denominator, stop.denominator, step.denominator)
+    s0, s1, st = (int(v * den) for v in (start, stop, step))
+    count = (s1 - s0) // st + 1
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} would have about {Decimal(count):.3g}"
                          f" points, over the limit of {MAX_GRID_POINTS}")
-    return [min(start + i * step, stop) for i in range(count)]
+    return [Fraction(s, den) for s in range(s0, s1 + 1, st)]
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -70,8 +70,8 @@ def _sg_step(r, b, t):
 
 #: Deepest ``exact``-mode generation; each costs about 9 times the last.
 #: On a 2-vCPU VM (Python 3.11) ``reliability --n 10 --mode exact`` takes
-#: 1.5 s (psw) and 1.6 s (sg) end to end at p = 0.1234, and 10.2 s and
-#: 10.5 s at p = 0.123456789, read as 65807895053/533043954780.
+#: 0.7-1.6 s at p = 0.1234, 3.2-4.8 s at p = 0.123456789, and 8-10 s at
+#: 65807895053/533043954780, a denominator near ``MAX_DENOMINATOR``.
 MAX_EXACT_GENERATION = 10
 
 #: One generation of (R, B, T) by family, over any ring.  At X = 0 the

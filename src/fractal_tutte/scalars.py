@@ -46,17 +46,22 @@ LOG_CONTEXT = decimal.Context(
            decimal.Overflow, decimal.Underflow])
 
 
+#: Largest denominator of a probability read from a float or typed on
+#: the command line; exact reliability's generation limit is sized at it.
+MAX_DENOMINATOR = 10**12
+
+
 def as_probability(p) -> Fraction:
     """p as an exact probability in [0, 1].
 
     A Fraction comes back as it is.  A float is read as the nearest
-    fraction with denominator at most 10^12, so 0.1 means 1/10 rather
-    than the binary double next to it.
+    fraction with denominator at most ``MAX_DENOMINATOR``, so 0.1 means
+    1/10 rather than the binary double next to it.
     """
     if isinstance(p, Fraction):
         fr = p
     elif isinstance(p, float):
-        fr = Fraction(p).limit_denominator(10**12)
+        fr = Fraction(p).limit_denominator(MAX_DENOMINATOR)
     else:
         fr = Fraction(p)
     # The denominator is positive, so 0 <= p <= 1 is 0 <= num <= den.

@@ -1,14 +1,14 @@
 """Test-only helpers: exact division of a BiPoly by (x-1)^k, a small
 ``UnionFind`` with a component count, loop references for the graph
-module and for the Kronecker read-back, and ``tutte_json``, the json
-module's text of the ``tutte`` output.  The library needs none of them;
-the tests use them to check divisibility properties of the hub-class
-sums, the connectivity of built graphs and the subset census, the array
-validation and builders of ``graphs`` against the per-edge loops they
-replaced, the block scan of a Kronecker product in ``bipoly`` against a
-loop that reads each slot as an int less a fixed offset, and the JSON
-that ``cli`` writes directly against ``json.dumps``, and exact
-reliability states against the steps run on ``Fraction``.
+module, for the Kronecker read-back and for the reliability steps, and
+``tutte_json``, the json module's text of the ``tutte`` output.  The
+library needs none of them; the tests use them to check divisibility
+properties of the hub-class sums, the connectivity of built graphs and
+the subset census, the array validation and builders of ``graphs``
+against the per-edge loops they replaced, the block scan of an unsigned
+Kronecker product in ``bipoly`` against a loop that reads each slot as
+an int, the JSON that ``cli`` writes directly against ``json.dumps``,
+and exact reliability states against the steps run on ``Fraction``.
 """
 
 import json
@@ -190,15 +190,14 @@ def _reference_by_merging(n, glue, new_hubs) -> HubGraph:
     return HubGraph(nv, edges, hubs)
 
 
-def reference_unpack(digits: str, w: int, stride: int, slots: int,
-                     offset: int) -> dict:
+def reference_unpack(digits: str, w: int, stride: int, slots: int) -> dict:
     """``bipoly._unpack`` as one loop over the slots, lowest first: slot i
     is the w digits that end i*w digits from the right, or 0 past the
-    start of the text, less the offset."""
+    start of the text."""
     out = {}
     for i in range(slots):
         end = max(len(digits) - i * w, 0)
-        c = int(digits[max(end - w, 0):end] or "0") - offset
+        c = int(digits[max(end - w, 0):end] or "0")
         if c:
             out[divmod(i, stride)] = c
     return out

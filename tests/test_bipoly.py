@@ -63,6 +63,13 @@ wide_polys = st.dictionaries(
     big_coeffs,
     max_size=20,
 ).map(BiPoly)
+#: wide_polys without negative coefficients: the operands that
+#: ``_mul_kronecker`` takes.
+unsigned_wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.integers(min_value=1, max_value=10**40),
+    max_size=20,
+).map(BiPoly)
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=7
 )
@@ -187,7 +194,7 @@ def test_mul_ring_axioms(a, b, c):
     assert (a * BiPoly.zero()).is_zero()
 
 
-@given(wide_polys, wide_polys)
+@given(unsigned_wide_polys, unsigned_wide_polys)
 @settings(max_examples=60)
 def test_kronecker_matches_schoolbook(a, b):
     assert _via(_mul_kronecker, a, b) == _via(_mul_schoolbook, a, b)
@@ -197,14 +204,69 @@ def test_kronecker_on_tiny_inputs():
     # The dispatcher routes small products to the schoolbook path, so force
     # the packed multiplier directly on minimal operands.
     assert _via(_mul_kronecker, X, Y) == _p({(1, 1): 1})
-    assert _via(_mul_kronecker, X - ONE, X + ONE) == _p({(2, 0): 1, (0, 0): -1})
+    assert _via(_mul_kronecker, X + ONE, X + ONE) == _p({(2, 0): 1, (1, 0): 2,
+                                                         (0, 0): 1})
     assert _via(_mul_kronecker, BiPoly.zero(), X).is_zero()
 
 
-def test_kronecker_with_large_signed_coefficients():
-    a = _p({(0, 0): -(10**30), (5, 7): 10**25, (3, 2): -1})
-    b = _p({(1, 1): 10**28, (0, 0): 7, (8, 0): -(10**31)})
+def test_kronecker_with_large_coefficients():
+    a = _p({(0, 0): 10**30, (5, 7): 10**25, (3, 2): 1})
+    b = _p({(1, 1): 10**28, (0, 0): 7, (8, 0): 10**31})
     assert _via(_mul_kronecker, a, b) == _via(_mul_schoolbook, a, b)
+
+
+def _block(nx, ny, seed):
+    """An nx by ny block of terms with positive coefficients below 10^20."""
+    rng = random.Random(seed)
+    return {(i, j): rng.randrange(1, 10**20)
+            for i in range(nx) for j in range(ny)}
+
+
+def _kronecker_spy(mp):
+    """Route ``_mul_kronecker`` through a spy that records its calls and
+    raises on an operand with a negative coefficient."""
+    calls = []
+    kronecker = bipoly._mul_kronecker
+
+    def spy(a, b):
+        if min(a.values()) < 0 or min(b.values()) < 0:
+            raise AssertionError("a signed operand reached _mul_kronecker")
+        calls.append((len(a), len(b)))
+        return kronecker(a, b)
+
+    mp.setattr(bipoly, "_mul_kronecker", spy)
+    return calls
+
+
+@pytest.mark.parametrize("key", [(0, 0), (3, 4), (7, 7)])
+@pytest.mark.parametrize("negated", ["a", "b"])
+def test_signed_operands_never_reach_kronecker(monkeypatch, key, negated):
+    # 72 x 64 pairs over a box of 240 slots pass every size rule, so the
+    # unsigned product is packed; one negative coefficient anywhere in
+    # either operand sends the same product to schoolbook.
+    a, b = _block(9, 8, seed=1), _block(8, 8, seed=2)
+    calls = _kronecker_spy(monkeypatch)
+    assert BiPoly(a) * BiPoly(b) == BiPoly(_mul_schoolbook(a, b))
+    assert calls == [(72, 64)]
+    signed = a if negated == "a" else b
+    signed[key] = -signed[key]
+    assert BiPoly(a) * BiPoly(b) == BiPoly(_mul_schoolbook(a, b))
+    assert BiPoly(b) * BiPoly(a) == BiPoly(_mul_schoolbook(b, a))
+    assert calls == [(72, 64)]
+
+
+#: Dense blocks of ones that lift a wide_polys operand past the pair
+#: threshold: 169 x 169 pairs over a box of 625 slots.
+_LIFT = BiPoly({(i, j): 1 for i in range(13) for j in range(13)})
+
+
+@given(wide_polys, wide_polys)
+@settings(max_examples=30, deadline=None)
+def test_signed_random_products_never_reach_kronecker(a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        _kronecker_spy(mp)
+        for f, g in ((a, b), (a + _LIFT, b + _LIFT)):
+            assert f * g == _via(_mul_schoolbook, f, g)
 
 
 @pytest.mark.parametrize("terms,shift", [
@@ -252,89 +314,58 @@ def _packed_widths(monkeypatch):
     return widths
 
 
-@pytest.mark.parametrize("sign_a,sign_b", [(-1, 1), (1, -1), (-1, -1)])
-def test_kronecker_negative_leading_coefficient(sign_a, sign_b):
-    # The highest slot decides the sign of the packed operand and product.
-    a = {(0, 0): 5, (1, 0): -3, (2, 3): sign_a * 7 * 10**20}
-    b = {(0, 0): 2, (1, 1): 4 * 10**15, (3, 2): sign_b * 9}
-    got = _mul_kronecker(a, b)
-    assert got == _mul_schoolbook(a, b)
-    assert got[(5, 5)] == sign_a * sign_b * 63 * 10**20
-
-
-def test_kronecker_cancels_slots_to_zero():
-    # (x - y)(x + y) = x^2 - y^2 loses its x*y slot.
-    c = 10**30
-    assert _mul_kronecker({(1, 0): c, (0, 1): -c}, {(1, 0): c, (0, 1): c}) == {
-        (2, 0): c * c, (0, 2): -c * c}
-    # x^5 - 1: four cancelled slots between the -1 and the x^5.
-    geometric = {(k, 0): 1 for k in range(5)}
-    assert _mul_kronecker({(1, 0): 1, (0, 0): -1}, geometric) == {
-        (5, 0): 1, (0, 0): -1}
-    # x^2 + x - 2: a negative slot under positive ones.
-    assert _mul_kronecker({(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): -1}) == {
-        (2, 0): 1, (1, 0): 1, (0, 0): -2}
-
-
 def test_kronecker_squares_the_same_object_with_one_pack(monkeypatch):
-    # a is signed, so its square also gets the bias, which is not packed.
     widths = _packed_widths(monkeypatch)
-    a = {(0, 0): -(10**25), (1, 0): 3, (2, 1): 10**24 + 1, (0, 3): -7}
+    a = {(0, 0): 10**25, (1, 0): 3, (2, 1): 10**24 + 1, (0, 3): 7}
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
     assert len(widths) == 1
     assert _mul_kronecker(a, dict(a)) == _mul_schoolbook(a, a)
     assert len(widths) == 3
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("m,width", [((10**12 - 4) // 6, 12),
-                                     ((10**12 + 2) // 6, 13)])
-def test_kronecker_coefficient_bound_at_a_power_of_ten(monkeypatch, sign, m,
+@pytest.mark.parametrize("m,width", [(10**12 // 2 - 1, 12),
+                                     (10**12 // 2, 13)])
+def test_kronecker_coefficient_bound_at_a_power_of_ten(monkeypatch, m,
                                                        width):
-    # Three pairs of coefficient products meet in the x^2 slot, so it
-    # reaches the bound 3 m; 2 * 3 m lies just under or just over 10^12.
+    # Two pairs of coefficient products meet in the x slot, so it reaches
+    # the bound 2 m: 10^12 - 2 fits in 12 digits, and 10^12 needs 13.
     widths = _packed_widths(monkeypatch)
-    a = {(k, 0): sign * m for k in range(3)}
-    b = {(k, 0): 1 for k in range(3)}
+    a = {(k, 0): m for k in range(2)}
+    b = {(k, 0): 1 for k in range(2)}
     got = _mul_kronecker(a, b)
     assert got == _mul_schoolbook(a, b)
-    assert got[(2, 0)] == sign * 3 * m
+    assert got[(1, 0)] == 2 * m
     assert widths == [width, width]
 
 
-def test_kronecker_past_the_int_string_limit():
-    # Slots wider than the default 4300-digit int/str conversion limit.
-    a = {(0, 0): 10**3000 + 7, (1, 2): -3 * 10**2999, (2, 1): 5}
-    b = {(0, 0): -(10**2500), (3, 1): 10**2600 + 1, (1, 1): -2}
+#: Operands with coefficients over 640 digits, whose product slots are
+#: wider than the default 4300-digit int/str conversion limit.
+_OVER_4300 = ({(0, 0): 10**3000 + 7, (1, 2): 3 * 10**2999, (2, 1): 5},
+              {(0, 0): 10**2500, (3, 1): 10**2600 + 1, (1, 1): 2})
+
+
+def test_kronecker_past_the_int_string_limit(monkeypatch):
+    widths = _packed_widths(monkeypatch)
+    a, b = _OVER_4300
     assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+    assert min(widths) > 4300
 
 
 # -- reading the product back in blocks ------------------------------------
 
-#: Products at the edges of the packed reading: cancelled slots in the
-#: x^5 - 1 chain, x^2 + x - 2 and (x - y)(x + y), negative leading slots,
-#: top slots at minus the bound, which shorten the biased text by one and
-#: two slots, a coefficient of either sign at the power-of-ten width bound
-#: (+bound fills its slot to twice the bound), and slots over 640 digits.
-CARRY_CASES = {
-    "x^5-1": ({(1, 0): 1, (0, 0): -1}, {(k, 0): 1 for k in range(5)}),
-    "x^2+x-2": ({(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): -1}),
-    "x^2-y^2": ({(1, 0): 10**30, (0, 1): -(10**30)},
-                {(1, 0): 10**30, (0, 1): 10**30}),
-    "negative-leading": ({(0, 0): 5, (1, 0): -3, (2, 3): -7 * 10**20},
-                         {(0, 0): 2, (1, 1): 4 * 10**15, (3, 2): -9}),
-    "-y": ({(0, 0): -1}, {(0, 1): 1}),
-    "-y-y^2": ({(0, 0): -1}, {(0, 1): 1, (0, 2): 1}),
-    "width-bound": ({(k, 0): -((10**12 + 2) // 6) for k in range(3)},
+#: Products at the edges of the packed reading: zero slots inside the
+#: degree box, top slots of zeros that are missing from the text (one and
+#: two of them), a coefficient that fills its slot with nines at the
+#: power-of-ten width bound, and slots over 640 and over 4300 digits.
+BLOCK_CASES = {
+    "zero-slots": ({(4, 0): 1, (0, 0): 2}, {(3, 0): 1, (0, 0): 3}),
+    "top-slot-missing": ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1}),
+    "two-top-slots-missing": ({(1, 0): 1, (0, 2): 1}, {(1, 0): 1}),
+    "width-bound": ({(k, 0): (10**12 - 1) // 3 for k in range(3)},
                     {(k, 0): 1 for k in range(3)}),
-    "width-bound-both-negative": ({(k, 0): -((10**12 + 2) // 6)
-                                   for k in range(3)},
-                                  {(k, 0): -1 for k in range(3)}),
-    "over-640-digits": ({(0, 0): 10**3000 + 7, (1, 2): -3 * 10**2999,
-                         (2, 1): 5},
-                        {(0, 0): -(10**2500), (3, 1): 10**2600 + 1,
-                         (1, 1): -2}),
+    "over-640-digits": ({(0, 0): 10**700, (1, 1): 3}, {(0, 0): 7, (2, 0): 1}),
+    "over-4300-digits": _OVER_4300,
 }
 
 
@@ -348,14 +379,14 @@ def _in_blocks(mp, a, b, slots):
 
 
 @pytest.mark.parametrize("slots", [1, 2, 3])
-@pytest.mark.parametrize("case", list(CARRY_CASES))
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_kronecker_in_small_blocks_matches_schoolbook(monkeypatch, case,
                                                       slots):
-    a, b = CARRY_CASES[case]
+    a, b = BLOCK_CASES[case]
     assert _in_blocks(monkeypatch, a, b, slots) == _mul_schoolbook(a, b)
 
 
-@given(wide_polys, wide_polys, st.integers(1, 3))
+@given(unsigned_wide_polys, unsigned_wide_polys, st.integers(1, 3))
 @settings(max_examples=40)
 def test_kronecker_in_small_blocks_random(a, b, slots):
     ta, tb = a.terms(), b.terms()
@@ -367,61 +398,50 @@ def test_kronecker_in_small_blocks_random(a, b, slots):
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=80)
 def test_unpack_matches_the_slot_loop_on_any_digits(w, data):
-    # Any digit string, not only a product's: slots at, next to and far
-    # from the offset, and top slots missing from the text, whole or in
+    # Any digit string, not only a product's: zero, small, middle and
+    # all-nines slots, and top slots missing from the text, whole or in
     # part, read as the slot-by-slot loop reads them, in blocks of any size.
-    offset = data.draw(st.sampled_from([0, 1, 10**w // 2, 10**w - 1]))
-    values = [v for v in (0, offset - 1, offset, offset + 1, 10**w - 1)
-              if 0 <= v < 10**w]
+    values = [0, 1, 10**w // 2, 10**w - 1]
     slots = data.draw(st.lists(st.sampled_from(values), min_size=1,
                                max_size=12))
     digits = "".join(str(v).zfill(w) for v in reversed(slots))
     digits = digits[data.draw(st.integers(0, len(digits) - 1)):]
     count = len(slots) + data.draw(st.integers(0, 3))
     stride = data.draw(st.integers(1, 5))
-    expected = reference_unpack(digits, w, stride, count, offset)
+    expected = reference_unpack(digits, w, stride, count)
     for per in (1, 2, 3, 1000):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bipoly, "_BLOCK_DIGITS", per * w)
-            assert _unpack(digits, w, stride, count, offset) == expected
+            assert _unpack(digits, w, stride, count) == expected
 
 
 def test_unpack_reads_a_long_product_without_copying_it():
-    # 2 * 10^7 digits, 40 nonzero slots of 1000 digits, unsigned and
-    # biased; the read-back holds a block at a time, never a second copy
-    # of the digits.
+    # 2 * 10^7 digits, 40 nonzero slots of 1000 digits; the read-back
+    # holds a block at a time, never a second copy of the digits.
     w, top = 1000, 19_999
 
     def text(c):
         return str(decimal.Decimal(c)).zfill(w)
 
-    for offset in (0, 10**999):
-        rng = random.Random(7)
-        sign = -1 if offset else 1
-        p = {(0, 0): 1, (0, top): sign * 10**998}
-        while len(p) < 40:
-            p[(0, rng.randrange(top))] = rng.choice([sign, 1]) * rng.randrange(
-                1, 10**990)
-        packed = _pack(p, top + 1, w, text)
-        if offset:
-            packed = bipoly._EXACT.add(packed, decimal.Decimal(
-                text(offset) * (top + 1)))
-        digits = str(packed)
-        del packed
-        assert len(digits) > 2 * 10**7 - w
-        tracemalloc.start()
-        try:
-            got = _unpack(digits, w, top + 1, top + 1, offset,
-                          lambda s: int(decimal.Decimal(s.decode())))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == p
-        assert peak < len(digits) / 4
+    rng = random.Random(7)
+    p = {(0, 0): 1, (0, top): 10**998}
+    while len(p) < 40:
+        p[(0, rng.randrange(top))] = rng.randrange(1, 10**990)
+    digits = str(_pack(p, top + 1, w, text))
+    assert len(digits) > 2 * 10**7 - w
+    tracemalloc.start()
+    try:
+        got = _unpack(digits, w, top + 1, top + 1,
+                      lambda s: int(decimal.Decimal(s.decode())))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == p
+    assert peak < len(digits) / 4
 
 
 def test_two_term_factor_is_a_linear_product(monkeypatch):
-    big = BiPoly({(i, j): (i - j) * 10**9 + 1 for i in range(80)
+    big = BiPoly({(i, j): (i + 2 * j) * 10**9 + 1 for i in range(80)
                   for j in range(80)})
     assert big.num_terms() > 5000
     expected = {f: BiPoly(_mul_schoolbook(f.terms(), big.terms()))
@@ -439,10 +459,10 @@ def test_two_term_factor_is_a_linear_product(monkeypatch):
 def _sparse_wide(seed):
     """65 terms spread over a degree box of side 10^5."""
     rng = random.Random(seed)
-    terms = {(10**5, 0): 1, (0, 10**5): -1}
+    terms = {(10**5, 0): 1, (0, 10**5): 1}
     while len(terms) < 65:
         terms[(rng.randrange(10**5), rng.randrange(10**5))] = rng.choice(
-            [-3, -1, 2, 5])
+            [1, 2, 3, 5])
     return BiPoly(terms)
 
 
@@ -476,8 +496,8 @@ def test_sparse_operands_over_a_wide_degree_box_are_not_packed(monkeypatch):
     LOG_CONTEXT,
 ], ids=["prec3-trapping", "log-context"])
 def test_kronecker_ignores_the_thread_context(context):
-    a = {(0, 0): -(10**40), (3, 1): 10**35 + 1, (1, 4): 17, (2, 2): -5}
-    b = {(1, 0): 10**38, (0, 0): -3, (4, 4): -(10**39) - 9}
+    a = {(0, 0): 10**40, (3, 1): 10**35 + 1, (1, 4): 17, (2, 2): 5}
+    b = {(1, 0): 10**38, (0, 0): 3, (4, 4): 10**39 + 9}
     expected = _mul_schoolbook(a, b), _mul_schoolbook(a, a), tutte_psw(3)
     with decimal.localcontext(context):
         got = _mul_kronecker(a, b), _mul_kronecker(a, a), tutte_psw(3)

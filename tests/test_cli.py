@@ -26,6 +26,7 @@ from fractal_tutte.invariants import (
     spanning_trees_closed_form,
 )
 from fractal_tutte.recursion import tutte_psw
+from fractal_tutte.scalars import MAX_DENOMINATOR
 from helpers import tutte_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -356,14 +357,22 @@ def test_reliability_single_family_output_matches_both_family_columns(capsys):
 
 
 def test_parse_grid_single_value():
-    assert _parse_grid("0.5") == [0.5]
+    assert _parse_grid("0.5") == [Fraction(1, 2)]
 
 
 def test_parse_grid_inclusive_endpoints():
-    grid = _parse_grid("0.1:0.3:0.1")
-    assert len(grid) == 3
-    assert grid[0] == pytest.approx(0.1)
-    assert grid[-1] == pytest.approx(0.3)
+    assert _parse_grid("0.1:0.3:0.1") == [Fraction(1, 10), Fraction(2, 10),
+                                          Fraction(3, 10)]
+
+
+def test_parse_grid_reads_typed_decimals_exactly():
+    # Not the nearest fraction to a double: 0.123456789 once ran at
+    # 65807895053/533043954780.
+    assert _parse_grid("0.123456789") == [Fraction(123456789, 10**9)]
+    # 13 decimals that reduce to 1/8192, within the denominator bound.
+    assert _parse_grid("0.0001220703125") == [Fraction(1, 8192)]
+    assert _parse_grid("0.25:0.5:1e-1") == [Fraction(1, 4), Fraction(7, 20),
+                                            Fraction(9, 20)]
 
 
 def test_parse_grid_ninety_nine_points():
@@ -371,13 +380,10 @@ def test_parse_grid_ninety_nine_points():
 
 
 def test_parse_grid_makes_the_points_it_counts():
-    # A step of 1e-14 reaches stop after ten steps; a tolerance test on
+    # A step of 1e-12 reaches stop after ten steps; a tolerance test on
     # the float sum once added a hundred copies of stop.
-    grid = _parse_grid("0.3:0.3000000000001:0.00000000000001")
-    assert len(grid) == 11
-    assert grid[0] == 0.3
-    assert len(set(grid)) == 11
-    assert max(grid) <= 0.3000000000001
+    grid = _parse_grid("0.3:0.30000000001:0.000000000001")
+    assert grid == [Fraction(3, 10) + Fraction(k, 10**12) for k in range(11)]
 
 
 def test_parse_grid_rejects_malformed():
@@ -398,7 +404,7 @@ def test_cli_bad_grid_arguments_exit_2(capsys, grid):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("grid,count", [("0.1:0.9:1e-300", "8.00e+299"),
+@pytest.mark.parametrize("grid,count", [("0.1:0.9:1e-12", "8.00e+11"),
                                         ("0.1:0.9:8e-7", "1.00e+6")])
 def test_cli_grid_point_cap_exits_2(capsys, grid, count):
     # Refused before a single point is made, so asking is cheap.
@@ -409,17 +415,38 @@ def test_cli_grid_point_cap_exits_2(capsys, grid, count):
     assert f"limit of {MAX_GRID_POINTS}" in err
 
 
-def test_cli_subnormal_grid_ends_at_once(capsys):
-    # Ten points under the cap, each refused by compare_curves; counting
-    # by a tolerance test on the float sum once never stopped.
-    assert len(_parse_grid("1e-320:1e-319:1e-320")) == 10
+def _grid_refused_at_once(capsys, grid):
     start = time.perf_counter()
-    code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid",
-                         "1e-320:1e-319:1e-320")
+    code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid", grid)
     assert time.perf_counter() - start < 1
-    assert code == 1
+    assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert f"denominator at most {MAX_DENOMINATOR}" in err
+
+
+def test_cli_subnormal_grid_ends_at_once(capsys):
+    # Refused by the denominator bound before any point is made; counting
+    # by a tolerance test on the float sum once never stopped, and a float
+    # reading once ended in exit 1 from compare_curves.
+    _grid_refused_at_once(capsys, "1e-320:1e-319:1e-320")
+
+
+@pytest.mark.parametrize("grid", ["1e-999999999", "0.5:0.6:1e-999999999"])
+def test_cli_tiny_grid_exponent_ends_at_once(capsys, grid):
+    # Refused before 10^999999999 is built.
+    _grid_refused_at_once(capsys, grid)
+
+
+@pytest.mark.parametrize("value", ["1e-13", "0.9999999999999"])
+def test_cli_grid_value_past_the_denominator_bound_exits_2(capsys, value):
+    # Once read through a float, each ran at a neighbour with a smaller
+    # denominator, or was refused as outside (0, 1) with exit 1.
+    code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid", value)
+    assert code == 2
+    assert out == ""
+    assert f"grid value {value!r} is not a fraction" in err
+    assert f"denominator at most {MAX_DENOMINATOR}" in err
 
 
 def test_cli_grid_errors_exit_2(capsys):

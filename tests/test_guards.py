@@ -44,7 +44,7 @@ from fractal_tutte.reliability import (
     psw_rel_via_tutte,
     reliability_state,
 )
-from fractal_tutte.scalars import MAX_LOG_GENERATION
+from fractal_tutte.scalars import MAX_DENOMINATOR, MAX_LOG_GENERATION
 
 #: (entry point of n, its limit); None where no depth limit applies.
 GUARDED = {
@@ -115,6 +115,7 @@ README_GUARDS = {
     "deletion-contraction oracle": MAX_DC_EDGES,
     "matrix-tree oracle": MAX_MATRIX_TREE_VERTICES,
     "`reliability --p-grid`": MAX_GRID_POINTS,
+    "`reliability --p-grid` values": MAX_DENOMINATOR,
     "`log`-mode reliability": MAX_LOG_GENERATION,
 }
 

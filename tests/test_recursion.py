@@ -146,17 +146,23 @@ def test_four_full_size_products_per_generation(monkeypatch):
 
 
 def test_symbolic_products_pack_no_negative_coefficient(monkeypatch):
-    # So no Kronecker product of the recursion adds the signed offset.
+    # Only operands with no negative coefficient are packed, so a signed
+    # factor in the recursion would not give a wrong answer but a slow
+    # schoolbook product.  Every full-size product from generation 3 on
+    # is packed: four per generation.
     lowest = []
-    pack = bipoly._pack
+    kronecker = bipoly._mul_kronecker
 
-    def spy(p, stride, w, text):
-        lowest.append(min(p.values()))
-        return pack(p, stride, w, text)
+    def spy(a, b):
+        lowest.append(min(min(a.values()), min(b.values())))
+        return kronecker(a, b)
 
-    monkeypatch.setattr(bipoly, "_pack", spy)
-    tutte_psw(4)
-    assert lowest and min(lowest) > 0
+    monkeypatch.setattr(bipoly, "_mul_kronecker", spy)
+    for n, packed in ((3, 4), (4, 8), (5, 12)):
+        lowest.clear()
+        tutte_psw(n)
+        assert len(lowest) == packed
+        assert min(lowest) > 0
 
 
 def test_level_two_tree_count():
