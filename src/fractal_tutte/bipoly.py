@@ -11,7 +11,8 @@ arithmetic is exact; coefficients are plain Python ints and may grow to
 thousands of digits.  An int mixes in as a constant under + and -, and
 as a scalar under *, so a step written with plain + and * runs on
 ``BiPoly`` and on numbers alike.  ``evaluate`` substitutes values from
-any such ring, ``BiPoly`` included.
+any such ring, ``BiPoly`` included, by Horner's rule in x over a table
+of y powers, so it never multiplies two powers together.
 
 Multiplication by x^i y^j - 1, such as x-1 or y-1, is a shift and a
 subtraction.  Large products of operands with no negative coefficient,
@@ -241,17 +242,21 @@ class BiPoly:
 
     def evaluate(self, x, y):
         """The value at (x, y), over any ring the int coefficients act
-        on: Fraction, int or BiPoly.  Each power is built once by
-        repeated multiplication; the zero polynomial gives 0 * x."""
-        xpow, ypow = [1], [1]
-        for dx, dy in self._terms:
-            while len(xpow) <= dx:
-                xpow.append(xpow[-1] * x)
-            while len(ypow) <= dy:
-                ypow.append(ypow[-1] * y)
+        on: Fraction, int or BiPoly, by Horner's rule.  One table of y
+        powers gives each x-degree's row, the sum of c y^dy; the rows
+        fold from the top x-degree down as total * x + row, so every
+        product has x or y as a factor.  The zero polynomial gives 0 * x."""
         total = 0 * x
+        if not self._terms:
+            return total
+        dx_max, dy_max = _box(self._terms)
+        ypow, rows = [1], [0] * (dx_max + 1)
+        while len(ypow) <= dy_max:
+            ypow.append(ypow[-1] * y)
         for (dx, dy), c in self._terms.items():
-            total += c * xpow[dx] * ypow[dy]
+            rows[dx] += c * ypow[dy]
+        for row in reversed(rows):
+            total = total * x + row
         return total
 
     def eval_exact(self, x0: Fraction | int, y0: Fraction | int) -> Fraction:

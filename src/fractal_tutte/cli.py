@@ -112,12 +112,36 @@ def _generation(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> Fraction | Decimal:
+    """A rational number: a finite Decimal for decimal notation, whose
+    exponent ``_run_eval`` checks before 10^exponent is built, else a
+    Fraction such as 1/3."""
+    try:
+        if (value := Decimal(text)).is_finite():
+            return value
+    except InvalidOperation:
+        pass
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"not a rational number: {text!r}") from None
+
+
+def _shifted_bits(v: Fraction | Decimal) -> tuple[float, float]:
+    """Lower bounds on bits() of the numerator and denominator of v - 1,
+    for a Decimal c 10^q read from c and q without building 10^|q|: an
+    integer c 10^q >= 2 less 1 keeps all but one bit, and the denominator
+    of c / 10^-q is at least 10^-q / c."""
+    if isinstance(v, Fraction):
+        v -= 1
+        return invariants.bits(v.numerator), invariants.bits(v.denominator)
+    _, digits, q = v.as_tuple()
+    c = int("".join(map(str, digits)))
+    if q >= 0:
+        return (invariants.bits(c) + q * math.log2(10) - 1
+                if c >= 2 or c and q else -math.inf), 0.0
+    return -math.inf, max(0.0, -q * math.log2(10) - invariants.bits(c))
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -215,7 +239,10 @@ def _tutte_json(n: int, poly) -> str:
 
 
 def _run_eval(args) -> int:
-    value = invariants.eval_tutte_at_point(args.n, args.x, args.y)
+    (a, d), (b, e) = map(_shifted_bits, (args.x, args.y))
+    invariants.check_point_size(args.n, a, b, d, e)
+    value = invariants.eval_tutte_at_point(args.n, Fraction(args.x),
+                                           Fraction(args.y))
     text = invariants.decimal_str(value.numerator)
     if value.denominator != 1:
         text += "/" + invariants.decimal_str(value.denominator)

@@ -15,6 +15,8 @@ The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 * ``lowest_terms``: N over a product of prime powers, reduced by the
   primes of the bases;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
+* ``check_point_size``: its guard, which predicts the bits of the state
+  and of its denominator from those of the point before any work;
 * ``invariant_report``: the classical Tutte evaluations
   (spanning trees, connected spanning subgraphs, spanning forests,
   acyclic orientations, all subgraphs) at one generation;
@@ -39,7 +41,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .bipoly import _EXACT
-from .errors import DomainError, check_generation
+from .errors import DomainError, SizeLimitExceeded, check_generation
 from .recursion import psw_state
 
 MAX_EVAL_GENERATION = 14
@@ -54,14 +56,75 @@ def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fract
     ``psw_state`` at X = a/d and Y = b/e.
 
     D_0 = e d^2 and D' = e D^3, so D_n = e^((3^(n+1)-1)/2) d^(2 3^n).
+    ``check_point_size`` refuses the point first if it is too large.
     """
-    check_generation(n, MAX_EVAL_GENERATION,
-                     "exact evaluation (value bit-length grows like 3^n)")
     X, Y = Fraction(x0) - 1, Fraction(y0) - 1
     a, d, b, e = X.numerator, X.denominator, Y.numerator, Y.denominator
+    check_point_size(n, *map(bits, (a, b, d, e)))
     U, W = psw_state(n, a, b, d, e)
     return lowest_terms(U + a * W, ((e, (3 ** (n + 1) - 1) // 2),
                                     (d, 2 * 3 ** n)))
+
+
+#: Budget of an exact point's predicted (U, W) state, in bits.  T_14(2, 2),
+#: the largest point of ``invariant_report``, is predicted at 1.67e7 bits
+#: and takes 12 s on a 2-vCPU VM (Python 3.11.7); the state's products
+#: cost about (state bits)^1.5 (3.3 times the bits at n = 13 took 5.1 times
+#: the time).
+MAX_POINT_STATE_BITS = 1 << 24
+#: Budget of (D_n bits) x (state bits) once the state's share is spent.
+#: The final reduction divides the state by powers of D_n's primes, at a
+#: cost near that product: 1.1e-12 to 1.34e-12 s per bit^2 on the VM above
+#: (n = 11 and 12 at x = 1/3, 1001/3 and 32768/3), so 2^43 takes at most
+#: about T_14(2, 2)'s 12 s.
+MAX_POINT_REDUCTION = 1 << 43
+
+
+def bits(v: int) -> float:
+    """log2 |v|, the bit length of v to within a bit; -inf for 0."""
+    return math.log2(abs(v)) if v else -math.inf
+
+
+def _bits_of_sum(*sizes: float) -> float:
+    """bits() of a sum of terms of the given bits, all of one sign."""
+    top = max(sizes)
+    return top + math.log2(sum(2 ** (s - top) for s in sizes))
+
+
+def check_point_size(n: int, a: float, b: float, d: float, e: float) -> None:
+    """Refuse the exact point X = a/d, Y = b/e at generation n before any
+    work, from n and bits() of a, b, d and e alone.
+
+    Two sizes are predicted: the (U, W) state of ``psw_state`` and
+    D_n = e^((3^(n+1)-1)/2) d^(2 3^n).  The state starts at
+    U = d (d b + 3 d e + a e), W = e (2 d + a), and each step bounds
+    max(|U|, |W|) by its cube times |b| + d e (3 + |a|), so its bits s
+    grow as s' = 3 s + c.  The state is refused past
+    ``MAX_POINT_STATE_BITS``, and D_n past what the state leaves of the
+    same time: ``MAX_POINT_REDUCTION`` (1 - (s / MAX_POINT_STATE_BITS)^1.5)
+    / s bits.
+    """
+    check_generation(n, MAX_EVAL_GENERATION,
+                     "exact evaluation (value bit-length grows like 3^n)")
+    k = 3 ** n
+    three = math.log2(3)
+    start = max(d + _bits_of_sum(d + b, d + e + three, a + e),
+                e + _bits_of_sum(d + 1, a))
+    state = k * start + (k - 1) // 2 * _bits_of_sum(
+        b, d + e + _bits_of_sum(three, a))
+    if state > MAX_POINT_STATE_BITS:
+        raise SizeLimitExceeded(
+            f"exact point at n = {n}: its (U, W) state is predicted at "
+            f"{state:.4g} bits, over the budget of {MAX_POINT_STATE_BITS} "
+            f"bits")
+    den = (3 * k - 1) // 2 * e + 2 * k * d
+    budget = (MAX_POINT_REDUCTION / state
+              * (1 - (state / MAX_POINT_STATE_BITS) ** 1.5))
+    if den > budget:
+        raise SizeLimitExceeded(
+            f"exact point at n = {n}: its denominator D_n is predicted at "
+            f"{den:.4g} bits, over the budget of {budget:.4g} bits that its "
+            f"{state:.4g}-bit (U, W) state leaves")
 
 
 #: Trial division of a denominator's bases stops at this divisor.
@@ -74,10 +137,12 @@ def lowest_terms(N: int, powers) -> Fraction:
 
     Every prime p of the denominator D divides a base, so for each prime
     that trial division of the bases finds, N and D share p^min(v_p(N),
-    v_p(D)).  A base's part left unfactored (primes above
-    ``TRIAL_DIVISION_LIMIT`` only) is divided out the same way, as if it
-    were prime; one small gcd against it then tells whether N still
-    shares a prime with D, and only then is the full-size gcd taken.
+    v_p(D)).  Trial division takes each prime it finds out of its base
+    by one ``_divide_out`` ladder, not one factor per division.  A
+    base's part left unfactored (primes above ``TRIAL_DIVISION_LIMIT``
+    only) is divided out the same way, as if it were prime; one small
+    gcd against it then tells whether N still shares a prime with D, and
+    only then is the full-size gcd taken.
     """
     if N == 0:
         return Fraction(0)
@@ -88,8 +153,8 @@ def lowest_terms(N: int, powers) -> Fraction:
             if b % f:
                 f += 1 if f == 2 else 2
             else:
-                caps[f] += k
-                b //= f
+                v, b = _divide_out(b, f, math.inf)
+                caps[f] += k * v
         if b > 1:
             caps[b] += k
             if b >= f * f:  # b may be composite

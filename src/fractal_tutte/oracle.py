@@ -13,7 +13,7 @@ engine can be validated against it:
 * ``matrix_tree_count``: spanning trees via an exact integer Laplacian
   cofactor (fraction-free elimination);
 * ``reliability_enumeration``: exact all-terminal reliability and the
-  probability of the {A,B} | {C} two-component split.
+  probabilities of the {A,B} | {C} split and of three hub components.
 
 Every oracle takes simple graphs only: a ``HubGraph`` is checked where it
 is built, and a bare pair by the same ``graphs.simple_edges``.  The three
@@ -27,6 +27,8 @@ generation-2 web take seconds.  numpy loads at the first graph or
 census, not when this module is imported.  The polynomial sums add the
 counts into the rank polynomial R(X, Y) = sum of count X^corank
 Y^nullity and evaluate it at (x-1, y-1) with ``BiPoly.evaluate``.
+Reliability is the same evaluator on the count polynomial
+sum of count p^m q^(E-m), at (p, 1-p).
 """
 
 from __future__ import annotations
@@ -334,18 +336,11 @@ def reliability_enumeration(
     """
     p = as_probability(p)
     c = _hub_census(g, "reliability enumeration")
-    ne = c.num_edges
-    q = 1 - p
-    ppow = [Fraction(1)]
-    qpow = [Fraction(1)]
-    for _ in range(ne):
-        ppow.append(ppow[-1] * p)
-        qpow.append(qpow[-1] * q)
-    # (hub pattern, component count) of R, B and T
-    totals = dict.fromkeys(((HubPattern.ALL_TOGETHER, 1),
-                            (HubPattern.AB_C, 2),
-                            (HubPattern.ALL_APART, 3)), Fraction(0))
+    # (hub pattern, component count) of R, B and T -> sum of cnt p^m q^(E-m)
+    polys = {key: {} for key in ((HubPattern.ALL_TOGETHER, 1),
+                                 (HubPattern.AB_C, 2),
+                                 (HubPattern.ALL_APART, 3))}
     for (pat, k, m), cnt in c.counts.items():
-        if (pat, k) in totals:
-            totals[pat, k] += cnt * ppow[m] * qpow[ne - m]
-    return tuple(totals.values())
+        if (pat, k) in polys:
+            polys[pat, k][m, c.num_edges - m] = cnt
+    return tuple(BiPoly(terms).evaluate(p, 1 - p) for terms in polys.values())

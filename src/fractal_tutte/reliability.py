@@ -49,7 +49,12 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import MAX_EVAL_GENERATION, lowest_terms
+from .invariants import (
+    MAX_EVAL_GENERATION,
+    bits,
+    check_point_size,
+    lowest_terms,
+)
 from .recursion import psw_state, psw_step
 from .scalars import (
     LOG_CONTEXT,
@@ -151,7 +156,8 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     of s.
     p = 0 and p = 1 are answered directly (0 and 1) since 1/(1-p) is
     singular at p = 1, after the exact-point guard
-    ``invariants.MAX_EVAL_GENERATION``.
+    ``invariants.MAX_EVAL_GENERATION``; any other p is then refused if
+    ``invariants.check_point_size`` predicts it too large.
     """
     check_generation(n, MAX_EVAL_GENERATION,
                      "exact Tutte-route reliability (value bit-length grows "
@@ -164,6 +170,7 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     # At x = 1, Y = p/(1-p) = r/(s-r), and U's common denominator
     # (s-r)^((3^(n+1)-1)/2) = (s-r)^(E-V+1) cancels against (1-p)^(E-V+1).
     r, s = p.numerator, p.denominator
+    check_point_size(n, -math.inf, bits(r), 0.0, bits(s - r))
     u, _ = psw_state(n, 0, r, 1, s - r)
     return lowest_terms(r ** (psw_vertex_count(n) - 1) * u,
                         ((s, psw_edge_count(n)),))

@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# A failing example prints the blob that @reproduce_failure replays.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 def pytest_addoption(parser):

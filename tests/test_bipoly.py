@@ -590,6 +590,35 @@ def test_evaluate_at_polynomials_composes(a, f, g):
         f.eval_exact(x0, y0), g.eval_exact(x0, y0))
 
 
+#: a, f and g of a composition that took 0.19 s when each term multiplied
+#: a power of f by a power of g, over the 200 ms default deadline above.
+SLOW_A = -X ** 6 * Y ** 6 + Y - ONE
+SLOW_F = X ** 6 * Y ** 5 + X ** 6 + X ** 2 * Y - 95 * X + Y ** 3 - Y + ONE
+SLOW_G = (-25 * X ** 6 + X ** 3 * Y ** 6 + 2046 * X ** 2 - X - Y ** 6
+          - Y ** 4 + 2 * Y + 4)
+
+
+def test_evaluate_multiplies_only_by_its_arguments(monkeypatch):
+    # Horner's rule: every polynomial product has f or g as a factor, so
+    # none is a product of two full powers.
+    pairs = []
+    mul = BiPoly.__mul__
+
+    def spy(self, other):
+        if isinstance(other, BiPoly):
+            pairs.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(BiPoly, "__mul__", spy)
+    composed = SLOW_A.evaluate(SLOW_F, SLOW_G)
+    monkeypatch.undo()
+    assert pairs
+    assert all(SLOW_F in (a, b) or SLOW_G in (a, b) for a, b in pairs)
+    x0, y0 = Fraction(2, 3), Fraction(-3, 2)
+    assert composed.eval_exact(x0, y0) == SLOW_A.evaluate(
+        SLOW_F.eval_exact(x0, y0), SLOW_G.eval_exact(x0, y0))
+
+
 @given(small_polys, small_polys, rationals, rationals)
 @settings(max_examples=60)
 def test_eval_is_ring_homomorphism(a, b, x0, y0):

@@ -5,6 +5,7 @@ guarantee.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +248,41 @@ def test_eval_rejects_malformed_rational():
     with pytest.raises(SystemExit) as info:
         main(["eval", "--n", "1", "--x", "one", "--y", "1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("x", ["1e-999999999", "1e999999999",
+                               "-2.5e-999999999"])
+def test_eval_refuses_a_huge_exponent_before_building_it(capsys, x):
+    # 10^999999999 would take minutes to build; the sizes read from the
+    # exponent are refused at once.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--n", "1", f"--x={x}", "--y", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "predicted at" in err and "bits, over the budget" in err
+
+
+@pytest.mark.parametrize("x,y", [("1e-2000", "2"), ("2.5e-1500", "7e3"),
+                                 ("-4e2", "1e-40"), ("0.125", "1/3")])
+def test_eval_reads_decimal_notation_exactly(capsys, x, y):
+    code, out, _ = run(capsys, "eval", "--n", "1", f"--x={x}", f"--y={y}")
+    value = eval_tutte_at_point(1, Fraction(x), Fraction(y))
+    num, _, den = out.partition("/")
+    assert code == 0
+    assert (Decimal(num), Decimal(den or 1)) == (value.numerator,
+                                                 value.denominator)
+
+
+@pytest.mark.parametrize("text", [
+    "1", "2", "0", "-1", "1e0", "3e1", "-7e5", "0.5", "1e-9", "2.5e-40",
+    "1024e-10", "-0.0001", "125e-3", "1000000e-6", "1/3", "-22/7"])
+def test_shifted_bits_bound_the_exact_sizes(text):
+    # The sizes read from the text never exceed those of the number.
+    bound = cli._shifted_bits(cli._rational(text))
+    shifted = Fraction(text) - 1
+    exact = tuple(math.log2(abs(v)) if v else -math.inf
+                  for v in (shifted.numerator, shifted.denominator))
+    assert all(b <= x + 1e-9 for b, x in zip(bound, exact))
 
 
 # -- invariants -------------------------------------------------------------

@@ -21,7 +21,11 @@ from fractal_tutte.graphs import (
 )
 from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
+    MAX_POINT_REDUCTION,
+    MAX_POINT_STATE_BITS,
     MAX_TREE_COUNT_GENERATION,
+    bits,
+    check_point_size,
     eval_tutte_at_point,
     invariant_report,
     spanning_trees_closed_form,
@@ -108,6 +112,8 @@ README_GUARDS = {
     "symbolic `tutte_psw`": MAX_SYMBOLIC_GENERATION,
     "exact point evaluation / invariants / reliability via the Tutte bridge":
         MAX_EVAL_GENERATION,
+    "exact point's predicted (U, W) state": MAX_POINT_STATE_BITS,
+    "exact point's predicted denominator D_n": MAX_POINT_REDUCTION,
     "`exact`-mode reliability": MAX_EXACT_GENERATION,
     "spanning-tree counts": MAX_TREE_COUNT_GENERATION,
     "decay approximation `psw_rel_approx_log`": MAX_APPROX_GENERATION,
@@ -137,3 +143,60 @@ def _readme_guard_rows() -> dict[str, int]:
 
 def test_readme_guard_table_matches_the_constants():
     assert _readme_guard_rows() == README_GUARDS
+
+
+def _point_sizes(n, x0, y0):
+    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    return n, *map(bits, (X.numerator, Y.numerator, X.denominator,
+                          Y.denominator))
+
+
+#: Exact points of README, the tests and the benchmark with the largest
+#: predicted sizes; check_point_size must admit each.
+ADMITTED = {
+    "invariants --n 14": [(14, x, y) for x, y in
+                          ((1, 1), (1, 2), (2, 1), (2, 0), (2, 2))],
+    "eval --n 1 --x 1e-99999 --y 2": [(1, Fraction(1, 10 ** 99999), 2)],
+    "eval --n 11 --x=-3/4 --y 3/7": [(11, Fraction(-3, 4), Fraction(3, 7))],
+    "chromatic line at n = 12": [(12, Fraction(1, 3), 0), (12, -3, 0)],
+    "x = 1/(10^9+7), y = 2 at n = 9": [(9, Fraction(1, 10 ** 9 + 7), 2)],
+    # psw_rel_via_tutte at p = r/s is the point X = 0, Y = r/(s-r).
+    "psw_rel_via_tutte(12, 3/8)": [(12, 1, Fraction(8, 5))],
+    "psw_rel_via_tutte(10, 123456789/10^9)": [
+        (10, 1, Fraction(10 ** 9, 10 ** 9 - 123456789))],
+}
+
+#: Points predicted slower than T_14(2, 2) (12 s), with the size each is
+#: refused for; those timed before the guard took 9.9 s (n = 10) to 42 s.
+REFUSED = {
+    "x = 1/(10^9+7), y = 2 at n = 10": ((10, Fraction(1, 10 ** 9 + 7), 2),
+                                        "denominator"),
+    "x = 1/3, y = 2 at n = 13": ((13, Fraction(1, 3), 2), "denominator"),
+    "x = 32768/3, y = 2 at n = 12": ((12, Fraction(32768, 3), 2),
+                                     "denominator"),
+    "x = 1e-300000, y = 2 at n = 1": ((1, Fraction(1, 10 ** 300000), 2),
+                                      "denominator"),
+    "T_14(3, 3)": ((14, 3, 3), "state"),
+    "psw_rel_via_tutte(14, 3/8)": ((14, 1, Fraction(8, 5)), "state"),
+}
+
+
+@pytest.mark.parametrize("name", ADMITTED)
+def test_exact_point_guard_admits_the_documented_points(name):
+    for point in ADMITTED[name]:
+        check_point_size(*_point_sizes(*point))
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_exact_point_guard_refuses_by_predicted_size(name):
+    point, what = REFUSED[name]
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"{what}.* predicted at .* bits, over the budget"):
+        check_point_size(*_point_sizes(*point))
+
+
+def test_exact_point_entry_points_refuse_before_the_recursion():
+    with pytest.raises(SizeLimitExceeded, match="denominator D_n"):
+        eval_tutte_at_point(13, Fraction(1, 3), 2)
+    with pytest.raises(SizeLimitExceeded, match="state"):
+        psw_rel_via_tutte(14, Fraction(3, 8))

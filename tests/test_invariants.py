@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from fractal_tutte import invariants
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
@@ -211,6 +212,35 @@ def test_lowest_terms_every_valuation_and_cap():
                 value = lowest_terms(-(p ** v) * 7, ((p, cap),))
                 assert _parts(value) == _parts(Fraction(-(p ** v) * 7,
                                                         p ** cap))
+
+
+@pytest.mark.parametrize("base_exps,n_exps,unit", [
+    ((7, 5, 3), (30, 2, 40), -7),
+    ((61, 40, 29), (100, 300, 0), 11),
+    ((0, 64, 2), (0, 63, 2), 1),
+    ((5000, 0, 5000), (7000, 0, 3000), 3),  # 10^5000
+    ((5000, 0, 5000), (4999, 0, 4999), -7),
+])
+def test_smooth_bases_reduce_by_one_ladder_per_prime(monkeypatch, base_exps,
+                                                     n_exps, unit):
+    # The base is 2^a 3^b 5^c and N is unit 2^a' 3^b' 5^c'.  Trial
+    # division takes each prime out of the base by one ladder (cap
+    # unbounded), not by one division per factor.
+    base = math.prod(p ** k for p, k in zip((2, 3, 5), base_exps))
+    N = unit * math.prod(p ** k for p, k in zip((2, 3, 5), n_exps))
+    found = []
+    divide_out = invariants._divide_out
+
+    def spy(M, p, cap):
+        if cap == math.inf:
+            found.append(p)
+        return divide_out(M, p, cap)
+
+    monkeypatch.setattr(invariants, "_divide_out", spy)
+    value = lowest_terms(N, ((base, 2),))
+    monkeypatch.undo()
+    assert _parts(value) == _parts(Fraction(N, base ** 2))
+    assert found == [p for p, k in zip((2, 3, 5), base_exps) if k]
 
 
 @pytest.mark.parametrize("x0,y0", [
