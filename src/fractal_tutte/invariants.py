@@ -8,12 +8,12 @@ symbolic limit.  With X = x0-1 = a/d and Y = y0-1 = b/e, the state is
 kept on integers over one common denominator D, a power product of d
 and e, so a rational point pays for one reduction at the end instead of
 a gcd at every ``Fraction`` operation.  That reduction divides out the
-known primes of D rather than taking a gcd of two full-size integers.
+bases of D, by their primes or by gcds no wider than a base, and never
+takes a gcd of two full-size integers.
 The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 ``Fraction``.  This module provides
 
-* ``lowest_terms``: N over a product of prime powers, reduced by the
-  primes of the bases;
+* ``lowest_terms``: N over a product of powers, reduced base by base;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
 * ``check_point_size``: its guard, which predicts the bits of the state
   and of its denominator from those of the point before any work;
@@ -43,6 +43,7 @@ from fractions import Fraction
 from .bipoly import _EXACT
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .recursion import psw_state
+from .scalars import logsumexp
 
 MAX_EVAL_GENERATION = 14
 #: Each generation triples the tree count's bits.  On a 2-vCPU VM (Python
@@ -87,8 +88,7 @@ def bits(v: int) -> float:
 
 def _bits_of_sum(*sizes: float) -> float:
     """bits() of a sum of terms of the given bits, all of one sign."""
-    top = max(sizes)
-    return top + math.log2(sum(2 ** (s - top) for s in sizes))
+    return logsumexp(*(s * math.log(2) for s in sizes)) / math.log(2)
 
 
 def check_point_size(n: int, a: float, b: float, d: float, e: float) -> None:
@@ -135,18 +135,16 @@ def lowest_terms(N: int, powers) -> Fraction:
     """N / prod(b^k for b, k in powers) in lowest terms, with no
     full-size gcd.
 
-    Every prime p of the denominator D divides a base, so for each prime
-    that trial division of the bases finds, N and D share p^min(v_p(N),
-    v_p(D)).  Trial division takes each prime it finds out of its base
-    by one ``_divide_out`` ladder, not one factor per division.  A
-    base's part left unfactored (primes above ``TRIAL_DIVISION_LIMIT``
-    only) is divided out the same way, as if it were prime; one small
-    gcd against it then tells whether N still shares a prime with D, and
-    only then is the full-size gcd taken.
+    Trial division takes each prime it finds out of its base by one
+    ``_divide_out`` ladder; a part left unfactored (primes above
+    ``TRIAL_DIVISION_LIMIT`` only) is kept whole.  Each p^cap of D is
+    divided out of N in rounds: g = gcd(N mod p, p), one ladder takes
+    g^v out of N, and p^v leaves D for (p / g)^v, prime to the rest of
+    N.  A prime p takes one ladder, and no gcd is wider than p.
     """
     if N == 0:
         return Fraction(0)
-    caps, unproven = Counter(), set()
+    caps = Counter()
     for b, k in powers:
         f = 2
         while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
@@ -157,21 +155,17 @@ def lowest_terms(N: int, powers) -> Fraction:
                 caps[f] += k * v
         if b > 1:
             caps[b] += k
-            if b >= f * f:  # b may be composite
-                unproven.add(b)
     den = 1
     for p, cap in caps.items():
         if p == 2:
             v = min((N & -N).bit_length() - 1, cap)
-            N >>= v
+            N, cap = N >> v, cap - v
         else:
-            v, N = _divide_out(N, p, cap)
-        den *= p ** (cap - v)
-        if v == cap:
-            unproven.discard(p)
-    if any(math.gcd(N % b, b) > 1 for b in unproven):
-        g = math.gcd(N, den)
-        N, den = N // g, den // g
+            while cap and (g := math.gcd(N % p, p)) > 1:
+                v, N = _divide_out(N, g, cap)
+                den *= (p // g) ** v
+                cap -= v
+        den *= p ** cap
     return _coprime_fraction(N, den)
 
 

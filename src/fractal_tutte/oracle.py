@@ -11,7 +11,7 @@ engine can be validated against it:
 * ``tutte_deletion_contraction``: the classical recursive algorithm, an
   algorithmically independent second witness;
 * ``matrix_tree_count``: spanning trees via an exact integer Laplacian
-  cofactor (fraction-free elimination);
+  cofactor (fraction-free elimination, with no row swaps);
 * ``reliability_enumeration``: exact all-terminal reliability and the
   probabilities of the {A,B} | {C} split and of three hub components.
 
@@ -295,23 +295,18 @@ def matrix_tree_count(g: GraphLike) -> int:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
+    """Determinant of a positive semidefinite integer matrix (a reduced
+    Laplacian) by fraction-free elimination.  Pivot k is the leading
+    principal minor of order k + 1; if it is 0, so is a diagonal entry
+    of the semidefinite Schur complement, hence its column, and the
+    determinant: no row swap is ever needed."""
     n = len(m)
-    if n == 0:
-        return 1
     m = [row[:] for row in m]
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = m[k][k]
+        if pivot == 0:
+            return 0
         for i in range(k + 1, n):
             row_i = m[i]
             row_k = m[k]
@@ -320,7 +315,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1]
 
 
 def reliability_enumeration(

@@ -58,6 +58,7 @@ from .invariants import (
 from .recursion import psw_state, psw_step
 from .scalars import (
     LOG_CONTEXT,
+    MAX_DENOMINATOR,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
     as_probability,
@@ -105,8 +106,10 @@ def reliability_state(family: str, n: int, p,
                       mode: str = "exact") -> RelState:
     """(R, B, T) of the family's generation n at edge probability p.
 
-    Log mode's depth is checked generation by generation, so that a
-    value leaving the exponent range first is reported as such.
+    Exact mode at p = a/d is refused first if d^(3^(n+1)) is wider than
+    at ``MAX_DENOMINATOR`` and ``MAX_EXACT_GENERATION``.  Log mode's depth
+    is checked generation by generation, so that a value leaving the
+    exponent range first is reported as such.
     """
     check_generation(n, MAX_EXACT_GENERATION if mode == "exact" else math.inf,
                      "exact reliability (each generation costs about 9 times "
@@ -116,11 +119,19 @@ def reliability_state(family: str, n: int, p,
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     step = STEPS[family]
     p = as_probability(p)
+    a, d = p.numerator, p.denominator
+    if mode == "exact":
+        den = 3 ** (n + 1) * bits(d)
+        budget = 3 ** (MAX_EXACT_GENERATION + 1) * math.log2(MAX_DENOMINATOR)
+        if den > budget:
+            raise SizeLimitExceeded(
+                f"exact reliability at n = {n}: its denominator "
+                f"d^(3^(n+1)) is predicted at {den:.4g} bits, over the "
+                f"budget of {budget:.4g} bits")
     if mode == "log" and not 0 < p < 1:
         raise DomainError(
             f"log mode needs p strictly inside (0, 1), got {p}")
     # The triangle at p = a/d: R, B and T over the common denominator d^3.
-    a, d = p.numerator, p.denominator
     rbt = [a * a * (3 * d - 2 * a), a * (d - a) ** 2, (d - a) ** 3]
     if mode != "exact":
         rbt = [embed(v, d ** 3, mode) for v in rbt]

@@ -126,7 +126,6 @@ def fraction_ln(fr: Fraction) -> float:
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-# No caller; kept because perfbench/tracing.py counts calls to it by name.
 def logsumexp(*values: float) -> float:
     """ln(sum(exp(v))) without leaving the log domain."""
     m = max(values)

@@ -11,11 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fractal_tutte"
 
-#: Public names kept without such a user, each with its reason.
-ALLOWED = {
-    "logsumexp",  # perfbench/tracing.py counts calls to it by name
-}
-
 
 def _read_names(node):
     """Every name that the code under node reads, bare or as an
@@ -43,6 +38,6 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
             used = set().union(*reads[:i], *reads[i + 1:])
-            if node.name not in used | documented | ALLOWED:
+            if node.name not in used | documented:
                 unused.append(node.name)
     assert not unused, f"public, with no user outside the tests: {unused}"

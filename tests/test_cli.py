@@ -99,6 +99,18 @@ def test_failed_out_names_the_path_given(tmp_path, capsys):
     assert ".fractal-tutte-" not in err
 
 
+def test_out_naming_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    code, out, err = run(capsys, "generate", "--family", "psw", "--n", "1",
+                         "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert repr(str(target)) in err
+    assert os.listdir(tmp_path) == ["dir"]
+    assert os.listdir(target) == []
+
+
 @pytest.mark.parametrize("key", ["generate.psw.9", "generate.sg.9",
                                  "generate.psw.10"])
 def test_generate_matches_the_benchmark_golden_digest(tmp_path, capsys, key):
@@ -432,7 +444,8 @@ def test_parse_grid_rejects_malformed():
 
 
 @pytest.mark.parametrize("grid", ["0:1:0.5", "0.5:1:0.25", "abc",
-                                  "0.1:0.9:x", "nan", "0.1:inf:0.1"])
+                                  "0.1:0.9:x", "nan", "0.1:inf:0.1",
+                                  "0.5:0.2:0.1"])
 def test_cli_bad_grid_arguments_exit_2(capsys, grid):
     code, out, err = run(capsys, "reliability", "--n", "2", "--p-grid", grid)
     assert code == 2

@@ -3,7 +3,9 @@ DomainError and the generation one past its limit with SizeLimitExceeded,
 before any costly work starts.
 """
 
+import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +116,8 @@ README_GUARDS = {
         MAX_EVAL_GENERATION,
     "exact point's predicted (U, W) state": MAX_POINT_STATE_BITS,
     "exact point's predicted denominator D_n": MAX_POINT_REDUCTION,
+    "`exact`-mode reliability's denominator d^(3^(n+1)) at p = a/d":
+        int(3 ** (MAX_EXACT_GENERATION + 1) * math.log2(MAX_DENOMINATOR)),
     "`exact`-mode reliability": MAX_EXACT_GENERATION,
     "spanning-tree counts": MAX_TREE_COUNT_GENERATION,
     "decay approximation `psw_rel_approx_log`": MAX_APPROX_GENERATION,
@@ -193,6 +197,37 @@ def test_exact_point_guard_refuses_by_predicted_size(name):
     with pytest.raises(SizeLimitExceeded,
                        match=f"{what}.* predicted at .* bits, over the budget"):
         check_point_size(*_point_sizes(*point))
+
+
+#: The largest exact reliability state the CLI can ask for, in bits.
+EXACT_RELIABILITY_BUDGET = (3 ** (MAX_EXACT_GENERATION + 1)
+                            * math.log2(MAX_DENOMINATOR))
+
+
+@pytest.mark.parametrize("n,d", [
+    (6, 10 ** 1000), (4, 10 ** 10000),
+    (MAX_EXACT_GENERATION, MAX_DENOMINATOR + 1),
+], ids=["1e-1000 at n = 6", "1e-10000 at n = 4", "1/(10^12 + 1) at n = 10"])
+def test_exact_reliability_refuses_a_wide_denominator_at_once(n, d):
+    # p = 1/10^1000 at n = 6 took 3.7 s, and at n = 10 it would carry
+    # about 5.9e8 bits.
+    p = Fraction(1, d)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match=re.escape(
+            f"exact reliability at n = {n}: its denominator d^(3^(n+1)) is "
+            f"predicted at {3 ** (n + 1) * bits(d):.4g} bits, over the "
+            f"budget of {EXACT_RELIABILITY_BUDGET:.4g} bits")):
+        reliability_state("psw", n, p, "exact")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.slow
+def test_exact_reliability_admits_the_widest_cli_denominator():
+    # The CLI reads p with d <= MAX_DENOMINATOR; at the deepest
+    # generation that is the budget itself (about 3.4 s on a 2-vCPU VM).
+    value = reliability_state("psw", MAX_EXACT_GENERATION,
+                              Fraction(1, MAX_DENOMINATOR), "exact")
+    assert 0 < value.r < 1
 
 
 def test_exact_point_entry_points_refuse_before_the_recursion():

@@ -243,6 +243,27 @@ def test_smooth_bases_reduce_by_one_ladder_per_prime(monkeypatch, base_exps,
     assert found == [p for p, k in zip((2, 3, 5), base_exps) if k]
 
 
+def test_composite_leftover_base_reduces_without_a_full_size_gcd(monkeypatch):
+    # The base's part 12 = 2^2 * 3 is found by trial division; P20 * Q20 is
+    # left whole, and N holds its primes unevenly (P20^2 but Q20^1).
+    # Dividing the part out in rounds of gcd(N mod p, p) never needs a
+    # gcd wider than the base.
+    base = 12 * P20 * Q20
+    N = 2 ** 5 * 3 * P20 ** 2 * Q20 * (2 ** 10000 + 1)
+    widths = []
+    gcd = math.gcd
+
+    def recording(*args):
+        widths.append(min(abs(a).bit_length() for a in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording)
+    value = lowest_terms(N, ((base, 3),))
+    monkeypatch.undo()
+    assert _parts(value) == _parts(Fraction(N, base ** 3))
+    assert widths and max(widths) <= base.bit_length()
+
+
 @pytest.mark.parametrize("x0,y0", [
     (Fraction(1, P40), Fraction(5, 6)),
     (Fraction(1, P20 * Q20), Fraction(5, 6)),

@@ -25,6 +25,7 @@ from fractal_tutte.oracle import (
     MAX_MATRIX_TREE_VERTICES,
     MAX_SUBSET_EDGES,
     HubPattern,
+    census,
     matrix_tree_count,
     partition_subgraph_sum,
     reliability_enumeration,
@@ -141,6 +142,26 @@ def test_matrix_tree_known_counts():
     assert matrix_tree_count(build_psw_edge_expansion(1)) == 54
     assert matrix_tree_count(build_psw_edge_expansion(3)) == 2 ** 18 * 3 ** 22
     assert matrix_tree_count(build_sierpinski(3)) == 803355125990400000
+    assert matrix_tree_count((1, [])) == 1
+    # Disconnected: no tree.  In the last, vertex 1 is isolated, so the
+    # first pivot of the minor is 0.
+    assert matrix_tree_count((4, [(0, 1), (2, 3)])) == 0
+    assert matrix_tree_count((3, [(0, 1)])) == 0
+    assert matrix_tree_count((3, [(0, 2)])) == 0
+
+
+def test_matrix_tree_matches_the_census_on_random_graphs():
+    # Connected or not, the cofactor counts the edge subsets with one
+    # component and V - 1 edges.
+    rng = random.Random(20261020)
+    for _ in range(60):
+        nv = rng.randrange(1, 13)
+        pool = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+        edges = rng.sample(pool, min(len(pool), rng.randrange(17)))
+        counts = census((nv, edges)).counts
+        trees = sum(cnt for (_, k, m), cnt in counts.items()
+                    if k == 1 and m == nv - 1)
+        assert matrix_tree_count((nv, edges)) == trees
 
 
 def test_sierpinski_has_at_least_as_many_trees():

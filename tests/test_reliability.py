@@ -4,6 +4,7 @@ the hub-together Tutte class, and the CSV formatting layer.
 
 import decimal
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -394,6 +395,20 @@ def test_sci_from_ln():
     mantissa, exp = text.split("e")
     assert exp == "-3000"
     assert float(mantissa) == pytest.approx(1.0)
+
+
+def test_exact_printing_corrects_a_low_exponent_estimate():
+    # num / den = 10^j exactly, but the float estimate of log10 can fall
+    # below j, and then the quotient's range moves the exponent back up.
+    rng = random.Random(5)
+    corrected = 0
+    for _ in range(200):
+        den = rng.randrange(10 ** 59, 10 ** 60)
+        j = rng.randrange(-20, 5)
+        num, den = (den * 10 ** j, den) if j >= 0 else (den, den * 10 ** -j)
+        corrected += math.floor(math.log10(num) - math.log10(den)) == j - 1
+        assert reliability._fraction_sci(num, den) == ("1.00000000000", j)
+    assert corrected
 
 
 def _decimal_route(fr: Fraction) -> str:
