@@ -33,7 +33,8 @@ one interleaved block, so the new vertex nv + i belongs to the i-th edge
 in creation order.  A merge offsets three copies of the array by 0, V and
 2V and maps them through one label array over the 3V raw indices.  Only
 the final graph becomes a ``HubGraph``, whose validation is itself a few
-array passes (sort, adjacent-duplicate scan, connected components).
+array passes: one ``np.sort`` of a single int64 key per pair, a scan for
+equal adjacent keys, and connected components.
 
 A ``HubGraph`` keeps its sorted (min, max) pairs as one read-only int64
 (E, 2) array, ``pairs``.  ``edges``, the same pairs as a tuple of int
@@ -41,6 +42,12 @@ tuples, is a view built on first use for the per-edge oracles;
 ``num_edges``, ``degrees()``, equality and ``to_edge_list`` read the
 array and never build it.  numpy loads when the first graph is built or
 read, not when this module is imported.
+
+``to_edge_list`` prints from two byte tables with one fixed-width record
+per label: its digits, NUL bytes in place of leading zeros, then a space
+(first table) or a newline (second table).  Each edge takes its two
+records whole, by one 1-D take per column, and dropping every NUL byte
+leaves the text.
 """
 
 from __future__ import annotations
@@ -54,11 +61,12 @@ from dataclasses import dataclass
 from ._arrays import np
 from .errors import DomainError, SizeLimitExceeded, check_generation
 
-#: Peak memory per edge above the imported package, measured at n = 11
-#: and 12 on CPython 3.11 for both families: 103-107 B, reached while the
-#: graph is built and validated; printing its edge list stays below that.
-#: The tuple view ``HubGraph.edges``, built only on first use, adds about
-#: 120 B per edge: a pointer, a 2-tuple and two ints.
+#: Peak memory per edge of ``generate --n 12`` above the imported package
+#: and numpy, on CPython 3.11 with numpy 2.4: 89 B for psw, reached while
+#: the graph is built and validated, and 94 B for sg, reached while its
+#: edge list is printed.  The tuple view ``HubGraph.edges``, built only
+#: on first use, adds about 120 B per edge: a pointer, a 2-tuple and two
+#: ints.
 BYTES_PER_EDGE = 110
 
 #: Largest accepted generation for any builder: 3^14 edges need about
@@ -91,8 +99,7 @@ class HubGraph:
 
     def __post_init__(self):
         n = self.num_vertices
-        lo, hi = simple_edges(n, self.pairs)
-        pairs = np.column_stack((lo, hi))
+        pairs = simple_edges(n, self.pairs).T
         pairs.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
         if len(set(self.hubs)) != 3:
@@ -100,7 +107,7 @@ class HubGraph:
         for h in self.hubs:
             if not 0 <= h < n:
                 raise DomainError(f"hub {h} out of range")
-        components = _component_count(n, lo, hi)
+        components = _component_count(n, pairs[:, 0], pairs[:, 1])
         if components != 1:
             raise DomainError(
                 f"graph is disconnected ({components} components)")
@@ -128,26 +135,56 @@ class HubGraph:
                            minlength=self.num_vertices).tolist()
 
 
-def simple_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted (min, max) pairs of a simple graph on range(n), as int64
-    arrays (lo, hi); the first sorted pair that is a self-loop, out of
-    range or repeated is refused with a ``DomainError`` that names it."""
-    pairs, wide = _edge_array(edges)
+def simple_edges(n: int, edges) -> np.ndarray:
+    """The sorted (min, max) pairs of a simple graph on range(n), as rows
+    lo and hi of an int64 (2, E) array, the transpose of a C-ordered
+    (E, 2) one; the least pair that is a self-loop, out of range or
+    repeated is refused with a ``DomainError`` that names it.
+
+    Self-loops and out-of-range pairs are found without sorting and left
+    out.  The rest sort by one int64 key, lo * n + hi, with ``np.sort``;
+    a repeat is two equal adjacent keys, and ``divmod`` gives (lo, hi)
+    back.  E edges cannot connect more than E + 1 labels, so past that
+    the key is built from the ranks of the touched labels, and it stays
+    below (2E)^2 for any n: no graph that fits in memory overflows it.
+    """
+    pairs, bad_pairs = _edge_array(edges)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    bad = _first_bad_edge(lo, hi, n)
-    if wide and (bad is None or min(wide) < bad):
-        bad = min(wide)
-    if bad is not None:
-        u, v = bad
+    key = np.maximum(pairs[:, 0], pairs[:, 1])
+    del pairs
+    bad = (lo == key) | (lo < 0) | (key >= n)
+    if bad.any():
+        bad_pairs.append(_least_pair(lo[bad], key[bad]))
+        lo, key = lo[~bad], key[~bad]
+    del bad
+    span, labels = n, None
+    if n > len(key) + 1:
+        labels = np.unique(np.concatenate((lo, key)))
+        lo, key = np.searchsorted(labels, lo), np.searchsorted(labels, key)
+        span = len(labels)
+    lo *= span
+    key += lo
+    del lo
+    key.sort()
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        u, v = divmod(int(key[repeat.argmax()]), span)
+        if labels is not None:
+            u, v = int(labels[u]), int(labels[v])
+        bad_pairs.append((u, v))
+    del repeat
+    if bad_pairs:
+        u, v = min(bad_pairs)
         if u == v:
             raise DomainError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"edge ({u}, {v}) out of range for {n} vertices")
         raise DomainError(f"duplicate edge ({u}, {v})")
-    return lo, hi
+    pairs = np.empty((len(key), 2), np.int64)
+    np.divmod(key, span, out=(pairs[:, 0], pairs[:, 1]))
+    if labels is not None:
+        pairs = labels[pairs]
+    return pairs.T
 
 
 def _edge_array(edges) -> tuple[np.ndarray, list[Edge]]:
@@ -178,15 +215,10 @@ def _edge_array(edges) -> tuple[np.ndarray, list[Edge]]:
     return arr, wide
 
 
-def _first_bad_edge(lo: np.ndarray, hi: np.ndarray, n: int) -> Edge | None:
-    """The first sorted pair that is a self-loop, out of range, or equal to
-    the pair before it; None if there is none."""
-    bad = (lo == hi) | (lo < 0) | (hi >= n)
-    bad[1:] |= (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
-    return int(lo[i]), int(hi[i])
+def _least_pair(lo: np.ndarray, hi: np.ndarray) -> Edge:
+    """The lexicographically least of the pairs (lo[i], hi[i])."""
+    u = lo.min()
+    return int(u), int(hi[lo == u].min())
 
 
 def _component_count(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
@@ -314,23 +346,32 @@ def degree_histogram(g: HubGraph) -> dict[int, int]:
 def to_edge_list(g: HubGraph) -> str:
     """Serialize: "V E" header, "H a b c" hub line, then sorted "u v" lines.
 
-    The lines are printed in whole-array passes: row v of a byte table
-    holds label v's digits right-aligned, and a mask hides its leading
-    zeros.  Each edge gathers the rows of its two labels, each followed by
-    a separator (space, then newline), and one mask compaction joins them.
+    Row v of a byte table is label v's record of w + 1 bytes, w the digit
+    count of V - 1: its digits right-aligned, NUL bytes in place of
+    leading zeros, then a space; a copy ends its records in a newline.
+    Seen as one numpy void item per record, each table gives every edge
+    the record of one endpoint by a 1-D take, and one compaction of the
+    non-NUL bytes (no printed byte is NUL) joins the lines.
     """
     header = "{} {}\nH {} {} {}\n".format(g.num_vertices, g.num_edges, *g.hubs)
-    labels = np.arange(g.num_vertices)[:, None]
-    powers = 10 ** np.arange(len(str(g.num_vertices - 1)))[::-1]
-    width = len(powers)
-    digits = (labels // powers % 10 + ord("0")).astype(np.uint8)
-    shown = (labels >= powers) | (powers == 1)
-    text = np.full((g.num_edges, 2, width + 1), ord(" "), dtype=np.uint8)
-    text[:, :, :width] = digits[g.pairs]
-    text[:, 1, width] = ord("\n")
-    keep = np.ones(text.shape, dtype=bool)
-    keep[:, :, :width] = shown[g.pairs]
-    return header + text[keep].tobytes().decode("ascii")
+    nv = g.num_vertices
+    width = len(str(nv - 1))
+    label = np.arange(nv, dtype=np.min_scalar_type(nv - 1))
+    first = np.empty((nv, width + 1), np.uint8)
+    for j in reversed(range(width)):
+        first[:, j] = label % 10 + ord("0")
+        label //= 10
+    for k in range(1, width):
+        first[:10 ** k, width - 1 - k] = 0  # no such digit below 10^k
+    first[:, width] = ord(" ")
+    second = first.copy()
+    second[:, width] = ord("\n")
+    record = np.dtype((np.void, width + 1))
+    text = np.empty((g.num_edges, 2), record)
+    for column, table in enumerate((first, second)):
+        text[:, column] = table.view(record)[:, 0][g.pairs[:, column]]
+    data = text.view(np.uint8)
+    return header + data[data != 0].tobytes().decode("ascii")
 
 
 def from_edge_list(text: str) -> HubGraph:

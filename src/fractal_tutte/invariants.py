@@ -135,21 +135,25 @@ def lowest_terms(N: int, powers) -> Fraction:
     """N / prod(b^k for b, k in powers) in lowest terms, with no
     full-size gcd.
 
-    Trial division takes each prime it finds out of its base by one
-    ``_divide_out`` ladder; a part left unfactored (primes above
-    ``TRIAL_DIVISION_LIMIT`` only) is kept whole.  Each p^cap of D is
-    divided out of N in rounds: g = gcd(N mod p, p), one ladder takes
-    g^v out of N, and p^v leaves D for (p / g)^v, prime to the rest of
-    N.  A prime p takes one ladder, and no gcd is wider than p.
+    Trial division takes 2 out of a base by one shift, as it does out
+    of N, and each odd prime it finds by one ``_divide_out`` ladder; a
+    part left unfactored (primes above ``TRIAL_DIVISION_LIMIT`` only) is
+    kept whole.  Each p^cap of D is divided out of N in rounds:
+    g = gcd(N mod p, p), one ladder takes g^v out of N, and p^v leaves D
+    for (p / g)^v, prime to the rest of N.  A prime p takes one ladder,
+    and no gcd is wider than p.
     """
     if N == 0:
         return Fraction(0)
     caps = Counter()
     for b, k in powers:
-        f = 2
+        v = (b & -b).bit_length() - 1
+        b >>= v
+        caps[2] += k * v
+        f = 3
         while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
             if b % f:
-                f += 1 if f == 2 else 2
+                f += 2
             else:
                 v, b = _divide_out(b, f, math.inf)
                 caps[f] += k * v

@@ -21,7 +21,13 @@ from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.cli import MAX_GRID_POINTS, _parse_grid, main
 from fractal_tutte.cli import UsageError
 from fractal_tutte.errors import SizeLimitExceeded
-from fractal_tutte.graphs import build_psw_edge_expansion, from_edge_list, to_edge_list
+from fractal_tutte.graphs import (
+    BYTES_PER_EDGE,
+    build_psw_edge_expansion,
+    from_edge_list,
+    psw_edge_count,
+    to_edge_list,
+)
 from fractal_tutte.invariants import (
     eval_tutte_at_point,
     spanning_trees_closed_form,
@@ -122,6 +128,33 @@ def test_generate_matches_the_benchmark_golden_digest(tmp_path, capsys, key):
                      "--out", str(target))
     assert code == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == golden[key]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["psw", "sg"])
+def test_generate_12_peak_bytes_per_edge(tmp_path, family):
+    # The child's peak (VmHWM) above its RSS once the package and numpy
+    # are loaded, per edge of G(12), is held to the builders' estimate.
+    script = ("import re, sys\n"
+              "from fractal_tutte import graphs\n"
+              "from fractal_tutte.cli import main\n"
+              "graphs.build_psw_edge_expansion(0)  # loads numpy\n"
+              "def kib(field):\n"
+              "    status = open('/proc/self/status').read()\n"
+              "    return re.search(field + r':\\s*(\\d+) kB', status)[1]\n"
+              "base = kib('VmRSS')\n"
+              "code = main(['generate', '--family', sys.argv[1], '--n', '12',\n"
+              "             '--out', sys.argv[2]])\n"
+              "print(code, base, kib('VmHWM'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "g12.txt"
+    done = subprocess.run([sys.executable, "-c", script, family, str(out)],
+                          env=env, capture_output=True, text=True, check=True)
+    code, base, peak = map(int, done.stdout.split())
+    assert code == 0
+    edges = psw_edge_count(12)
+    assert out.read_bytes().count(b"\n") == edges + 2
+    assert (peak - base) * 1024 / edges <= BYTES_PER_EDGE
 
 
 # -- tutte ------------------------------------------------------------------

@@ -191,6 +191,70 @@ def test_sparse_header_is_refused_in_memory_bounded_by_edges():
     assert peak < 50 * 2**20
 
 
+@pytest.mark.parametrize("build", [build_psw_edge_expansion, build_sierpinski])
+def test_shuffled_and_reversed_pairs_give_the_builders_graph(build):
+    g = build(6)
+    rng = np.random.default_rng(6)
+    shuffled = rng.permutation(g.pairs)
+    flip = rng.random(len(shuffled)) < 0.5
+    shuffled[flip] = shuffled[flip, ::-1]
+    for pairs in (shuffled, g.pairs[::-1], g.pairs[::-1, ::-1],
+                  shuffled.tolist()):
+        assert HubGraph(g.num_vertices, pairs, g.hubs) == g
+
+
+#: Vertex counts either side of 2^31.5, where lo * n + hi leaves int64,
+#: and near 2^62 and 2^63.
+_HUGE_N = [3037000499, 3037000500, 3037000501, 2**62, 2**62 + 3, 2**63 - 1]
+
+
+@pytest.mark.parametrize("n", _HUGE_N)
+def test_labels_near_the_key_limit_keep_their_messages(n):
+    a = n - 3
+    hubs = (a, a + 1, a + 2)
+    triangle = [(a, a + 1), (a + 2, a + 1), (a, a + 2)]
+    cases = [
+        (triangle, f"graph is disconnected ({n - 2} components)"),
+        (triangle + [(a + 2, a)], f"duplicate edge ({a}, {a + 2})"),
+        (triangle + [(a + 1, a + 1)], f"self-loop at vertex {a + 1}"),
+        (triangle + [(a + 2, a + 3)],
+         f"edge ({a + 2}, {a + 3}) out of range for {n} vertices"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(DomainError) as info:
+            HubGraph(n, edges, hubs)
+        assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        HubGraph(3, [(0, 1), (1, 2), (0, 2), (a + 2, 0)], (0, 1, 2))
+    assert str(info.value) == f"edge (0, {a + 2}) out of range for 3 vertices"
+
+
+@pytest.mark.parametrize("faults,message", [
+    ([(9, 1), (1, 1), (5, 1), (4, 3)], "self-loop at vertex 1"),
+    ([(9, 1), (1, 2), (5, 1), (4, 3)], "duplicate edge (1, 2)"),
+    ([(9, 1), (7, -1), (1, 1), (-1, 4)],
+     "edge (-1, 4) out of range for 3 vertices"),
+    ([(2, 7), (2, 2), (2, 5), (0, 9)],
+     "edge (0, 9) out of range for 3 vertices"),
+])
+def test_the_least_bad_pair_is_named_in_any_order(faults, message):
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for edges in (triangle + faults, faults[::-1] + triangle):
+        with pytest.raises(DomainError) as info:
+            HubGraph(3, edges, (0, 1, 2))
+        assert str(info.value) == message
+
+
+def test_huge_headers_report_disconnected_and_duplicate_edges():
+    with pytest.raises(DomainError) as info:
+        from_edge_list("10000000000 3\nH 0 1 2\n0 1\n0 2\n1 2\n")
+    assert str(info.value) == "graph is disconnected (9999999998 components)"
+    with pytest.raises(DomainError) as info:
+        from_edge_list("10000000000 5\nH 0 1 2\n0 1\n0 2\n1 2\n"
+                       "9999999999 9999999998\n9999999998 9999999999\n")
+    assert str(info.value) == "duplicate edge (9999999998, 9999999999)"
+
+
 def test_constructor_rejects_bad_hubs():
     with pytest.raises(DomainError):
         HubGraph(3, ((0, 1), (0, 2), (1, 2)), (0, 0, 1))
@@ -359,6 +423,19 @@ def test_edge_list_across_a_digit_boundary(nv):
     edges = {(v, v + 1) for v in range(nv - 1)} | {(0, nv - 1)}
     edges |= {(0, v) for v in range(2, nv, 7)}
     g = HubGraph(nv, edges, (nv - 1, 0, 5))
+    assert to_edge_list(g) == reference_edge_list(g)
+
+
+@pytest.mark.parametrize("nv", [3, 10, 100, 1000, 10**5 + 1, 10**6 + 1,
+                                10**6 + 2])
+def test_edge_list_for_every_label_width(nv):
+    # A star from the largest label, a hub, to every other label: the
+    # first column runs through every shorter width and the second holds
+    # the widest label, up to 7 digits (V_13 has 7-digit labels, 8-byte
+    # records); at 10^6 + 2 a 7-digit label also leads a line.
+    top = nv - 1
+    edges = np.stack((np.arange(top), np.full(top, top)), axis=1)
+    g = HubGraph(nv, edges, (top, 0, top - 1))
     assert to_edge_list(g) == reference_edge_list(g)
 
 

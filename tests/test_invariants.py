@@ -224,8 +224,8 @@ def test_lowest_terms_every_valuation_and_cap():
 def test_smooth_bases_reduce_by_one_ladder_per_prime(monkeypatch, base_exps,
                                                      n_exps, unit):
     # The base is 2^a 3^b 5^c and N is unit 2^a' 3^b' 5^c'.  Trial
-    # division takes each prime out of the base by one ladder (cap
-    # unbounded), not by one division per factor.
+    # division takes each odd prime out of the base by one ladder (cap
+    # unbounded), not by one division per factor, and 2 by a shift.
     base = math.prod(p ** k for p, k in zip((2, 3, 5), base_exps))
     N = unit * math.prod(p ** k for p, k in zip((2, 3, 5), n_exps))
     found = []
@@ -240,7 +240,40 @@ def test_smooth_bases_reduce_by_one_ladder_per_prime(monkeypatch, base_exps,
     value = lowest_terms(N, ((base, 2),))
     monkeypatch.undo()
     assert _parts(value) == _parts(Fraction(N, base ** 2))
-    assert found == [p for p, k in zip((2, 3, 5), base_exps) if k]
+    assert found == [p for p, k in zip((3, 5), base_exps[1:]) if k]
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 63, 64, 65, 1000, 10 ** 5])
+@pytest.mark.parametrize("m", [1, 3, 15, 4099 * P20])
+def test_lowest_terms_on_bases_with_many_twos(a, m):
+    # Bases 2^a m against N that holds fewer, as many and more twos than
+    # the base's power, times odd parts sharing some of m's primes.
+    base, k = 2 ** a * m, 3
+    for c in {0, 1, a, max(a * k - 1, 0), a * k, a * k + 5}:
+        for N in (2 ** c * 7, -(2 ** c) * 5 * 4099, 2 ** c * m * P40):
+            assert _parts(lowest_terms(N, ((base, k),))) == _parts(
+                Fraction(N, base ** k))
+
+
+def test_trial_division_takes_no_ladder_for_two(monkeypatch):
+    # 2 leaves a base by a shift; a ladder for it would divide the base
+    # by 2, 4, 16, ..., quadratic in the base's size (0.36 s for 10^200000).
+    on_bases = []
+    divide_out = invariants._divide_out
+
+    def spy(M, p, cap):
+        if cap == math.inf:
+            on_bases.append(p)
+        return divide_out(M, p, cap)
+
+    monkeypatch.setattr(invariants, "_divide_out", spy)
+    powers = ((10 ** 2000, 3), (2 ** 70 * 3, 2), (2, 5), (6 * P20, 1))
+    N = 3 ** 5 * 2 ** 100 * P20 * 7
+    value = lowest_terms(N, powers)
+    monkeypatch.undo()
+    assert _parts(value) == _parts(
+        Fraction(N, math.prod(b ** k for b, k in powers)))
+    assert sorted(set(on_bases)) == [3, 5]
 
 
 def test_composite_leftover_base_reduces_without_a_full_size_gcd(monkeypatch):
