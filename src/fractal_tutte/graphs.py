@@ -54,7 +54,9 @@ from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -137,21 +139,23 @@ class HubGraph:
 
 def simple_edges(n: int, edges) -> np.ndarray:
     """The sorted (min, max) pairs of a simple graph on range(n), as rows
-    lo and hi of an int64 (2, E) array, the transpose of a C-ordered
-    (E, 2) one; the least pair that is a self-loop, out of range or
-    repeated is refused with a ``DomainError`` that names it.
+    lo and hi of an int64 (2, E) array (of Python ints if n and a label
+    pass int64), the transpose of a C-ordered (E, 2) one; the least pair
+    that is a self-loop, out of range or repeated is refused with a
+    ``DomainError`` that names it.
 
-    Self-loops and out-of-range pairs are found without sorting and left
-    out.  The rest sort by one int64 key, lo * n + hi, with ``np.sort``;
-    a repeat is two equal adjacent keys, and ``divmod`` gives (lo, hi)
+    Self-loops and out-of-range pairs are found elementwise and left out.
+    The rest sort by one int64 key, lo * n + hi, with ``np.sort``; a
+    repeat is two equal adjacent keys, and ``divmod`` gives (lo, hi)
     back.  E edges cannot connect more than E + 1 labels, so past that
-    the key is built from the ranks of the touched labels, and it stays
-    below (2E)^2 for any n: no graph that fits in memory overflows it.
+    the key is built from the ranks of the touched labels (``np.unique``
+    sorts Python ints too), and it stays below (2E)^2 for any n.
     """
-    pairs, bad_pairs = _edge_array(edges)
+    pairs = _edge_array(edges)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     key = np.maximum(pairs[:, 0], pairs[:, 1])
     del pairs
+    bad_pairs = []
     bad = (lo == key) | (lo < 0) | (key >= n)
     if bad.any():
         bad_pairs.append(_least_pair(lo[bad], key[bad]))
@@ -162,6 +166,8 @@ def simple_edges(n: int, edges) -> np.ndarray:
         labels = np.unique(np.concatenate((lo, key)))
         lo, key = np.searchsorted(labels, lo), np.searchsorted(labels, key)
         span = len(labels)
+    else:  # every label left is below n <= E + 1, inside int64
+        lo, key = lo.astype(np.int64, copy=False), key.astype(np.int64, copy=False)
     lo *= span
     key += lo
     del lo
@@ -187,32 +193,31 @@ def simple_edges(n: int, edges) -> np.ndarray:
     return pairs.T
 
 
-def _edge_array(edges) -> tuple[np.ndarray, list[Edge]]:
-    """The pairs as an int64 (E, 2) array, and apart from it, normalized,
-    the pairs with a label outside int64 (out of range for any graph that
-    fits in memory)."""
-    wide: list[Edge] = []
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=False)
-    else:
-        pairs = list(edges)
-        try:
-            arr = np.array(pairs, dtype=np.int64)
-        except OverflowError:
-            fits = []
-            for u, v in pairs:
-                if _INT64_MIN <= min(u, v) and max(u, v) <= _INT64_MAX:
-                    fits.append((u, v))
-                else:
-                    wide.append((u, v) if u < v else (v, u))
-            arr = np.array(fits, dtype=np.int64)
-        except ValueError:
-            raise DomainError("edges must be (u, v) pairs") from None
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError("edges must be (u, v) pairs")
-    return arr, wide
+def _edge_array(edges) -> np.ndarray:
+    """The pairs as one (E, 2) array: int64 (an int64 array as it is),
+    or Python ints in an object array when a label does not fit int64.
+    A label must be an integer: a bool, float or string is refused, not
+    truncated or parsed."""
+    if (isinstance(edges, np.ndarray) and edges.ndim == 2
+            and edges.shape[1] == 2 and (edges.dtype.kind == "i" or (
+                edges.dtype.kind == "u" and not (edges > _INT64_MAX).any()))):
+        return edges.astype(np.int64, copy=False)
+    pairs = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        if not set(map(len, pairs)) <= {2}:
+            raise TypeError
+    except TypeError:
+        raise DomainError("edges must be (u, v) pairs") from None
+    labels = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, labels)) <= {int}:
+        if not all(isinstance(v, numbers.Integral)
+                   and not isinstance(v, bool) for v in labels):
+            raise DomainError("edges must be (u, v) pairs of integers")
+        labels = list(map(int, labels))
+    try:
+        return np.fromiter(labels, np.int64, len(labels)).reshape(-1, 2)
+    except OverflowError:
+        return np.array(labels, object).reshape(-1, 2)
 
 
 def _least_pair(lo: np.ndarray, hi: np.ndarray) -> Edge:

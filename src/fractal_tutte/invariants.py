@@ -45,7 +45,6 @@ from .errors import DomainError, SizeLimitExceeded, check_generation
 from .recursion import psw_state
 from .scalars import logsumexp
 
-MAX_EVAL_GENERATION = 14
 #: Each generation triples the tree count's bits.  On a 2-vCPU VM (Python
 #: 3.11.7) n = 15 takes 5.1 s in closed form and 28 s by the recurrence
 #: (52 MB), and n = 16 takes 26 s and 158 s (100 MB).
@@ -79,6 +78,12 @@ MAX_POINT_STATE_BITS = 1 << 24
 #: (n = 11 and 12 at x = 1/3, 1001/3 and 32768/3), so 2^43 takes at most
 #: about T_14(2, 2)'s 12 s.
 MAX_POINT_REDUCTION = 1 << 43
+#: Deepest generation of an exact point, 14: where T_n(1, 1)'s predicted
+#: state, log2(3) (3^(n+1) - 1) / 2 bits, the smallest of any point, still
+#: fits ``MAX_POINT_STATE_BITS``.  It refuses a huge n before 3^n is built.
+MAX_EVAL_GENERATION = max(
+    n for n in range(64)
+    if math.log2(3) * (3 ** (n + 1) - 1) / 2 <= MAX_POINT_STATE_BITS)
 
 
 def bits(v: int) -> float:

@@ -58,7 +58,7 @@ from .invariants import (
 from .recursion import psw_state, psw_step
 from .scalars import (
     LOG_CONTEXT,
-    MAX_DENOMINATOR,
+    MAX_EXACT_BITS,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
     as_probability,
@@ -73,12 +73,6 @@ def _sg_step(r, b, t):
             r * (r * (b + t) + 7 * b * b),
             b * (3 * r * b + 12 * r * t + 14 * b * b))
 
-
-#: Deepest ``exact``-mode generation; each costs about 9 times the last.
-#: On a 2-vCPU VM (Python 3.11) ``reliability --n 10 --mode exact`` takes
-#: 0.7-1.6 s at p = 0.1234, 3.2-4.8 s at p = 0.123456789, and 8-10 s at
-#: 65807895053/533043954780, a denominator near ``MAX_DENOMINATOR``.
-MAX_EXACT_GENERATION = 10
 
 #: One generation of (R, B, T) by family, over any ring.  At X = 0 the
 #: psw step does not read its q slot, so 0 stands in for T there.
@@ -106,14 +100,12 @@ def reliability_state(family: str, n: int, p,
                       mode: str = "exact") -> RelState:
     """(R, B, T) of the family's generation n at edge probability p.
 
-    Exact mode at p = a/d is refused first if d^(3^(n+1)) is wider than
-    at ``MAX_DENOMINATOR`` and ``MAX_EXACT_GENERATION``.  Log mode's depth
-    is checked generation by generation, so that a value leaving the
-    exponent range first is reported as such.
+    Exact mode at p = a/d is refused first if d^(3^(n+1)) is predicted
+    wider than ``MAX_EXACT_BITS``, which alone sets how deep it goes.
+    Log mode's depth is checked generation by generation, so that a
+    value leaving the exponent range first is reported as such.
     """
-    check_generation(n, MAX_EXACT_GENERATION if mode == "exact" else math.inf,
-                     "exact reliability (each generation costs about 9 times "
-                     "the last)")
+    check_generation(n, math.inf, "reliability")
     if family not in STEPS:
         raise DomainError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
@@ -121,13 +113,15 @@ def reliability_state(family: str, n: int, p,
     p = as_probability(p)
     a, d = p.numerator, p.denominator
     if mode == "exact":
-        den = 3 ** (n + 1) * bits(d)
-        budget = 3 ** (MAX_EXACT_GENERATION + 1) * math.log2(MAX_DENOMINATOR)
-        if den > budget:
+        # d = 1 (p = 0 or 1) counts as one bit, so n stays bounded.  Past
+        # the n where no float holds 3^(n+1), it is not built.
+        den = ((3 ** (n + 1) if n + 2 <= MAX_APPROX_GENERATION else math.inf)
+               * max(bits(d), 1.0))
+        if den > MAX_EXACT_BITS:
             raise SizeLimitExceeded(
                 f"exact reliability at n = {n}: its denominator "
                 f"d^(3^(n+1)) is predicted at {den:.4g} bits, over the "
-                f"budget of {budget:.4g} bits")
+                f"budget of {MAX_EXACT_BITS:.4g} bits")
     if mode == "log" and not 0 < p < 1:
         raise DomainError(
             f"log mode needs p strictly inside (0, 1), got {p}")

@@ -24,7 +24,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, SizeLimitExceeded
 
 #: Significant digits of a printed probability.
 PRINTED_DIGITS = 12
@@ -47,8 +47,14 @@ LOG_CONTEXT = decimal.Context(
 
 
 #: Largest denominator of a probability read from a float or typed on
-#: the command line; exact reliability's generation limit is sized at it.
+#: the command line.
 MAX_DENOMINATOR = 10**12
+
+#: Budget of ``exact``-mode reliability's denominator d^(3^(n+1)) at
+#: p = a/d, in bits: what n = 10 and d = ``MAX_DENOMINATOR`` need.  It is
+#: the only limit of that mode, so the depth follows from d: n <= 13 at
+#: p = 1/2, n <= 12 at 1/3, n <= 11 at 0.1234 and n <= 10 at 12 digits.
+MAX_EXACT_BITS = 3 ** 11 * math.log2(MAX_DENOMINATOR)
 
 
 def as_probability(p) -> Fraction:
@@ -56,18 +62,42 @@ def as_probability(p) -> Fraction:
 
     A Fraction comes back as it is.  A float is read as the nearest
     fraction with denominator at most ``MAX_DENOMINATOR``, so 0.1 means
-    1/10 rather than the binary double next to it.
+    1/10 rather than the binary double next to it.  A denominator wider
+    than the widest exact state, d^3 at n = 0, is refused; a decimal
+    string or Decimal, from its exponent alone before 10^k is built: with
+    its first significant digit j places after the point it is over
+    10^(j-1).
     """
+    if isinstance(p, str) and "/" not in p:
+        try:
+            p = Decimal(p)
+        except decimal.InvalidOperation:
+            raise DomainError(
+                f"edge probability {p!r} is neither a fraction a/b nor a "
+                f"decimal whose exponent Decimal holds") from None
+    if isinstance(p, Decimal) and p.is_finite():
+        _check_width((-p.adjusted() - 1) * math.log2(10))
     if isinstance(p, Fraction):
         fr = p
     elif isinstance(p, float):
         fr = Fraction(p).limit_denominator(MAX_DENOMINATOR)
     else:
         fr = Fraction(p)
+    _check_width(math.log2(fr.denominator))
     # The denominator is positive, so 0 <= p <= 1 is 0 <= num <= den.
     if not 0 <= fr.numerator <= fr.denominator:
         raise DomainError(f"edge probability {p} outside [0, 1]")
     return fr
+
+
+def _check_width(bits: float) -> None:
+    """Refuse a probability whose denominator is at least ``bits`` wide
+    when its cube, the exact state at n = 0, passes ``MAX_EXACT_BITS``."""
+    if 3 * bits > MAX_EXACT_BITS:
+        raise SizeLimitExceeded(
+            f"edge probability: its denominator is at least {bits:.4g} bits "
+            f"wide, over the budget of {MAX_EXACT_BITS / 3:.4g} bits of the "
+            f"widest exact state, d^3 at n = 0")
 
 
 def embed(num: int, den: int, mode: str):

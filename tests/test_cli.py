@@ -377,6 +377,20 @@ def test_reliability_log_mode_deep(capsys):
     assert float(row[3]) < -50000  # ln R far beyond double underflow
 
 
+def test_reliability_exact_mode_runs_to_its_budget(capsys):
+    # At p = 1/2 the denominator's bit budget admits n = 13 (about 2 s for
+    # both families), and the output equals log mode's.
+    args = ("reliability", "--n", "13", "--p-grid", "0.5", "--mode")
+    code, out, _ = run(capsys, *args, "exact")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "8.42110993517e-114040"
+    assert run(capsys, *args, "log") == (0, out, "")
+    code, out, err = run(capsys, "reliability", "--n", "14", "--p-grid",
+                         "0.5", "--mode", "exact")
+    assert (code, out) == (1, "")
+    assert "over the budget" in err
+
+
 def test_reliability_file_idempotent(tmp_path, capsys):
     target = tmp_path / "curves.csv"
     args = ("reliability", "--n", "3", "--p-grid", "0.1:0.9:0.1",

@@ -27,6 +27,7 @@ from fractal_tutte.graphs import (
     psw_vertex_count,
     to_edge_list,
 )
+from fractal_tutte.graphs import _edge_array
 from helpers import (
     component_count,
     reference_edge_list,
@@ -204,8 +205,9 @@ def test_shuffled_and_reversed_pairs_give_the_builders_graph(build):
 
 
 #: Vertex counts either side of 2^31.5, where lo * n + hi leaves int64,
-#: and near 2^62 and 2^63.
-_HUGE_N = [3037000499, 3037000500, 3037000501, 2**62, 2**62 + 3, 2**63 - 1]
+#: near 2^62 and 2^63, and past int64, where labels are Python ints.
+_HUGE_N = [3037000499, 3037000500, 3037000501, 2**62, 2**62 + 3, 2**63 - 1,
+           2**63 + 2, 2**64, 2**70]
 
 
 @pytest.mark.parametrize("n", _HUGE_N)
@@ -272,6 +274,55 @@ def test_constructor_rejects_labels_beyond_int64():
     # the first bad pair in sorted order is named, wide or not
     with pytest.raises(DomainError, match=r"^self-loop at vertex -1$"):
         HubGraph(3, ((0, 1), (1, 2), (0, 2**70), (-1, -1)), (0, 1, 2))
+
+
+def test_labels_past_int64_on_a_huge_vertex_set_name_the_right_fault():
+    # Labels beyond int64 are in range when n is: three edges on 2^64
+    # vertices are a disconnected graph, not a duplicate edge.
+    a = 2**64 - 3
+    with pytest.raises(DomainError) as info:
+        HubGraph(2**64, [(a, a + 1), (a + 1, a + 2), (a, a + 2)],
+                 (a, a + 1, a + 2))
+    assert str(info.value) == (
+        "graph is disconnected (18446744073709551614 components)")
+
+
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1), (1, 2.9), (0, 2)],
+    [("0", "1"), ("1", "2"), ("0", "2")],
+    np.array([(0, 1), (1, 2), (0, 2)], dtype=float),
+    [(False, True), (True, 2), (False, 2)],
+    np.array([(0, 1), (1, 1), (0, 1)], dtype=bool),
+    [(0, 1), (1, 2), (0, np.float64(2))],
+    [(0, 1), (1, 2), (0, 2), (2**70, 0.5)],
+], ids=["float", "str", "float array", "bool", "bool array",
+        "numpy float", "float beside a wide label"])
+def test_constructor_refuses_labels_that_are_not_integers(edges):
+    # Each of these was truncated or parsed into the triangle.
+    with pytest.raises(DomainError,
+                       match=r"^edges must be \(u, v\) pairs of integers$"):
+        HubGraph(3, edges, (0, 1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, object])
+def test_integer_arrays_of_any_width_give_the_triangle(dtype):
+    triangle = HubGraph(3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2))
+    edges = np.array([(1, 2), (0, 1), (2, 0)], dtype=dtype)
+    assert HubGraph(3, edges, (0, 1, 2)) == triangle
+    assert HubGraph(3, [(np.int64(1), 2), (np.uint8(0), 1), (2, 0)],
+                    (0, 1, 2)) == triangle
+
+
+def test_uint64_labels_past_int64_keep_their_value():
+    edges = np.array([(0, 1), (1, 2), (0, 2), (2**63 + 5, 0)], np.uint64)
+    with pytest.raises(DomainError, match=(
+            r"^edge \(0, 9223372036854775813\) out of range for 3 vertices$")):
+        HubGraph(3, edges, (0, 1, 2))
+
+
+def test_an_int64_pair_array_is_read_without_a_copy():
+    pairs = build_psw_edge_expansion(3).pairs.copy()
+    assert _edge_array(pairs) is pairs
 
 
 def test_constructor_rejects_negative_label():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fractal_tutte import invariants
 from fractal_tutte.cli import MAX_GRID_POINTS
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
@@ -45,12 +46,23 @@ from fractal_tutte.recursion import (
 )
 from fractal_tutte.reliability import (
     MAX_APPROX_GENERATION,
-    MAX_EXACT_GENERATION,
     compare_curves,
     psw_rel_via_tutte,
     reliability_state,
 )
-from fractal_tutte.scalars import MAX_DENOMINATOR, MAX_LOG_GENERATION
+from fractal_tutte.scalars import (
+    MAX_DENOMINATOR,
+    MAX_EXACT_BITS,
+    MAX_LOG_GENERATION,
+)
+
+
+def deepest_exact_generation(p: Fraction) -> int:
+    """The deepest n whose exact reliability state at p fits the budget:
+    3^(n+1) bits(d), with d = 1 counted as one bit."""
+    width = max(bits(p.denominator), 1.0)
+    return max(n for n in range(64) if 3 ** (n + 1) * width <= MAX_EXACT_BITS)
+
 
 #: (entry point of n, its limit); None where no depth limit applies.
 GUARDED = {
@@ -74,10 +86,14 @@ GUARDED = {
                              MAX_EVAL_GENERATION),
     "reliability_state.psw.exact": (
         lambda n: reliability_state("psw", n, Fraction(1, 3), "exact"),
-        MAX_EXACT_GENERATION),
+        deepest_exact_generation(Fraction(1, 3))),
     "reliability_state.sg.exact": (
         lambda n: reliability_state("sg", n, Fraction(1, 3), "exact"),
-        MAX_EXACT_GENERATION),
+        deepest_exact_generation(Fraction(1, 3))),
+    # d = 1 counts as one bit, so p = 1 goes as deep as p = 1/2.
+    "reliability_state.psw.exact.p1": (
+        lambda n: reliability_state("psw", n, 1, "exact"),
+        deepest_exact_generation(Fraction(1))),
     "reliability_state.psw.float": (
         lambda n: reliability_state("psw", n, 0.5, "float"), None),
     # Near p = 1 no value leaves Decimal's exponent range by n = 41.
@@ -85,7 +101,8 @@ GUARDED = {
         lambda n: reliability_state("sg", n, 0.99, "log"),
         MAX_LOG_GENERATION),
     "compare_curves.exact": (
-        lambda n: compare_curves(n, [0.5], "exact"), MAX_EXACT_GENERATION),
+        lambda n: compare_curves(n, [0.5], "exact"),
+        deepest_exact_generation(Fraction(1, 2))),
     "compare_curves.float": (
         lambda n: compare_curves(n, [0.5], "float"), None),
     "compare_curves.log": (
@@ -117,8 +134,8 @@ README_GUARDS = {
     "exact point's predicted (U, W) state": MAX_POINT_STATE_BITS,
     "exact point's predicted denominator D_n": MAX_POINT_REDUCTION,
     "`exact`-mode reliability's denominator d^(3^(n+1)) at p = a/d":
-        int(3 ** (MAX_EXACT_GENERATION + 1) * math.log2(MAX_DENOMINATOR)),
-    "`exact`-mode reliability": MAX_EXACT_GENERATION,
+        int(MAX_EXACT_BITS),
+    "edge probability passed to the library": int(MAX_EXACT_BITS),
     "spanning-tree counts": MAX_TREE_COUNT_GENERATION,
     "decay approximation `psw_rel_approx_log`": MAX_APPROX_GENERATION,
     "subgraph-sum oracles and reliability enumeration": MAX_SUBSET_EDGES,
@@ -199,14 +216,16 @@ def test_exact_point_guard_refuses_by_predicted_size(name):
         check_point_size(*_point_sizes(*point))
 
 
-#: The largest exact reliability state the CLI can ask for, in bits.
-EXACT_RELIABILITY_BUDGET = (3 ** (MAX_EXACT_GENERATION + 1)
-                            * math.log2(MAX_DENOMINATOR))
+def test_exact_limits_follow_from_the_budget():
+    assert MAX_EXACT_BITS == 3 ** 11 * math.log2(MAX_DENOMINATOR)
+    assert deepest_exact_generation(Fraction(1, 3)) == 12
+    assert deepest_exact_generation(Fraction(1, 2)) == 13
+    assert deepest_exact_generation(Fraction(0)) == 13
+    assert deepest_exact_generation(Fraction(1, MAX_DENOMINATOR)) == 10
 
 
 @pytest.mark.parametrize("n,d", [
-    (6, 10 ** 1000), (4, 10 ** 10000),
-    (MAX_EXACT_GENERATION, MAX_DENOMINATOR + 1),
+    (6, 10 ** 1000), (4, 10 ** 10000), (10, MAX_DENOMINATOR + 1),
 ], ids=["1e-1000 at n = 6", "1e-10000 at n = 4", "1/(10^12 + 1) at n = 10"])
 def test_exact_reliability_refuses_a_wide_denominator_at_once(n, d):
     # p = 1/10^1000 at n = 6 took 3.7 s, and at n = 10 it would carry
@@ -216,18 +235,50 @@ def test_exact_reliability_refuses_a_wide_denominator_at_once(n, d):
     with pytest.raises(SizeLimitExceeded, match=re.escape(
             f"exact reliability at n = {n}: its denominator d^(3^(n+1)) is "
             f"predicted at {3 ** (n + 1) * bits(d):.4g} bits, over the "
-            f"budget of {EXACT_RELIABILITY_BUDGET:.4g} bits")):
+            f"budget of {MAX_EXACT_BITS:.4g} bits")):
         reliability_state("psw", n, p, "exact")
     assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.slow
 def test_exact_reliability_admits_the_widest_cli_denominator():
-    # The CLI reads p with d <= MAX_DENOMINATOR; at the deepest
-    # generation that is the budget itself (about 3.4 s on a 2-vCPU VM).
-    value = reliability_state("psw", MAX_EXACT_GENERATION,
-                              Fraction(1, MAX_DENOMINATOR), "exact")
+    # The CLI reads p with d <= MAX_DENOMINATOR; at n = 10 that is the
+    # budget itself (about 3.4 s on a 2-vCPU VM).
+    value = reliability_state("psw", 10, Fraction(1, MAX_DENOMINATOR),
+                              "exact")
     assert 0 < value.r < 1
+
+
+HUGE = 10 ** 18
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: eval_tutte_at_point(HUGE, 1, 1),
+    lambda: invariant_report(HUGE),
+    lambda: psw_rel_via_tutte(HUGE, Fraction(1, 2)),
+    lambda: psw_rel_via_tutte(HUGE, 1),
+    lambda: reliability_state("sg", HUGE, Fraction(1, 2), "exact"),
+    lambda: reliability_state("psw", HUGE, 0, "exact"),
+    lambda: reliability_state("psw", HUGE, 1, "exact"),
+    lambda: compare_curves(HUGE, [0.5], "exact"),
+], ids=["eval_tutte_at_point", "invariant_report", "psw_rel_via_tutte",
+        "psw_rel_via_tutte.p1", "reliability_state.p1/2",
+        "reliability_state.p0", "reliability_state.p1", "compare_curves"])
+def test_a_huge_generation_is_refused_at_once(entry):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded):
+        entry()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_eval_generation_follows_from_the_state_budget(monkeypatch):
+    # T_n(1, 1) has the smallest predicted state of any point; lift the
+    # generation check, and the state budget alone admits it to n = 14.
+    monkeypatch.setattr(invariants, "MAX_EVAL_GENERATION", 64)
+    check_point_size(*_point_sizes(MAX_EVAL_GENERATION, 1, 1))
+    with pytest.raises(SizeLimitExceeded, match="state"):
+        check_point_size(*_point_sizes(MAX_EVAL_GENERATION + 1, 1, 1))
+    assert MAX_EVAL_GENERATION == 14
 
 
 def test_exact_point_entry_points_refuse_before_the_recursion():

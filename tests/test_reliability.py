@@ -5,6 +5,7 @@ the hub-together Tutte class, and the CSV formatting layer.
 import decimal
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -183,6 +184,31 @@ def test_via_tutte_endpoints_and_guard():
     for p in (Fraction(0), HALF, Fraction(1)):
         with pytest.raises(SizeLimitExceeded):
             psw_rel_via_tutte(MAX_EVAL_GENERATION + 1, p)
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_exact_mode_past_generation_ten_equals_the_tutte_route(n):
+    # At p = 1/2 the bit budget admits exact mode to n = 13 (0.3 s there,
+    # and 0.4 s for the Tutte route).
+    assert reliability_state("psw", n, HALF).r == psw_rel_via_tutte(n, HALF)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_sg_exact_mode_past_generation_ten_prints_the_log_digits(n):
+    # n = 13 (8.42110993517e-114040) is the CLI test's.
+    exact, log = (reliability_state("sg", n, HALF, mode).r
+                  for mode in ("exact", "log"))
+    assert format_probability(exact, "exact") == format_probability(log, "log")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "log"])
+def test_a_too_wide_probability_is_refused_at_once_in_every_mode(mode):
+    # float mode took 32.6 s at 1e-3000000 before p was sized.
+    for p in ("1e-3000000", "1e-99999999"):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded, match="denominator is at least"):
+            reliability_state("psw", 1, p, mode)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.slow

@@ -2,15 +2,17 @@
 
 import decimal
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from fractal_tutte.errors import DomainError
+from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.scalars import (
     LOG_CONTEXT,
     LOG_PRECISION,
+    MAX_EXACT_BITS,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
     as_probability,
@@ -50,6 +52,37 @@ def test_as_probability_reads_each_input_type():
     for p in (Fraction(4, 3), Fraction(-1, 10 ** 12), 1.5, -0.0001, 2, "-1/2"):
         with pytest.raises(DomainError, match="outside"):
             as_probability(p)
+
+
+def test_as_probability_refuses_a_denominator_wider_than_any_exact_state():
+    # The widest exact state is d^3 at n = 0, so d may take a third of
+    # the budget: 2353878 bits.
+    widest = math.floor(MAX_EXACT_BITS / 3)
+    assert as_probability(Fraction(1, 2 ** widest)).denominator == 2 ** widest
+    with pytest.raises(SizeLimitExceeded, match="over the budget"):
+        as_probability(Fraction(1, 2 ** (widest + 1)))
+    assert as_probability("1e-708587").denominator == 10 ** 708587
+    with pytest.raises(SizeLimitExceeded, match="over the budget"):
+        as_probability("1e-708588")
+
+
+@pytest.mark.parametrize("p", ["1e-99999999", Decimal("1e-99999999"),
+                               "0.25e-3000000", Decimal("-3E-3000000")],
+                         ids=str)
+def test_as_probability_sizes_a_decimal_before_building_it(p):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded,
+                       match="denominator is at least .* bits wide"):
+        as_probability(p)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p", ["abc", "1e-9999999999999999999999", "0.5/"])
+def test_as_probability_refuses_text_it_cannot_read(p):
+    start = time.perf_counter()
+    with pytest.raises((DomainError, ValueError)):
+        as_probability(p)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_log_precision_covers_the_generation_limit():
