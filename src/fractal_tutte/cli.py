@@ -4,6 +4,8 @@ Subcommands: generate, tutte, eval, invariants, reliability, oracle.
 Exit codes: 0 on success, 1 when a computation guard or check fails,
 2 on argument errors.  File outputs are written to a temporary file and
 renamed into place, so an interrupted run never leaves partial output.
+``scalars.read_exact`` reads and sizes every typed number, and an error
+quotes at most 40 characters of a typed value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tempfile
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from . import graphs, invariants, oracle, recursion, reliability
+from . import graphs, invariants, oracle, recursion, reliability, scalars
 from .errors import FractalTutteError, SizeLimitExceeded
 from .scalars import MAX_DENOMINATOR
 
@@ -109,77 +111,65 @@ def _generation(text: str) -> int:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"not a nonnegative integer: {_cut(text)!r}")
 
 
-def _rational(text: str) -> Fraction | Decimal:
-    """A rational number: a finite Decimal for decimal notation, whose
-    exponent ``_run_eval`` checks before 10^exponent is built, else a
-    Fraction such as 1/3."""
+def _rational(text: str) -> Decimal | str:
+    """A rational number: a finite Decimal, or "a/b" as its text."""
     try:
         if (value := Decimal(text)).is_finite():
             return value
     except InvalidOperation:
-        pass
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r}") from None
+        if scalars.RATIO_TEXT.fullmatch(text):
+            return text
+    raise argparse.ArgumentTypeError(f"not a rational number: {_cut(text)!r}")
 
 
-def _shifted_bits(v: Fraction | Decimal) -> tuple[float, float]:
-    """Lower bounds on bits() of the numerator and denominator of v - 1,
-    for a Decimal c 10^q read from c and q without building 10^|q|: an
-    integer c 10^q >= 2 less 1 keeps all but one bit, and the denominator
-    of c / 10^-q is at least 10^-q / c."""
-    if isinstance(v, Fraction):
-        v -= 1
-        return invariants.bits(v.numerator), invariants.bits(v.denominator)
-    _, digits, q = v.as_tuple()
-    c = int("".join(map(str, digits)))
-    if q >= 0:
-        return (invariants.bits(c) + q * math.log2(10) - 1
-                if c >= 2 or c and q else -math.inf), 0.0
-    return -math.inf, max(0.0, -q * math.log2(10) - invariants.bits(c))
+def _cut(text: str) -> str:
+    """text, or past 40 characters its first 40 and its length."""
+    return (text if len(text) <= 40
+            else f"{text[:40]}... ({len(text)} characters)")
 
 
 def _parse_grid(text: str) -> list[Fraction]:
     """The points start, start + step, ... up to stop, or the one value,
     each read exactly from its decimal text."""
-    parts = text.split(":")
+    parts, shown = text.split(":"), repr(_cut(text))
     if len(parts) not in (1, 3):
         raise UsageError(
-            f"grid must be 'start:stop:step' or a single value, got {text!r}")
+            f"grid must be 'start:stop:step' or a single value, got {shown}")
     try:
         numbers = [Decimal(s) for s in parts]
     except InvalidOperation:
-        raise UsageError(f"grid values must be numbers, got {text!r}") from None
+        raise UsageError(f"grid values must be numbers, got {shown}") from None
     if not all(v.is_finite() for v in numbers):
-        raise UsageError(f"grid values must be finite, got {text!r}")
+        raise UsageError(f"grid values must be finite, got {shown}")
     start, stop, step = numbers if len(parts) == 3 else numbers * 2 + [1]
     if step <= 0:
-        raise UsageError(f"grid step must be positive, got {step}")
+        raise UsageError(f"grid step must be positive, got {_cut(str(step))}")
     if stop < start:
-        raise UsageError(f"grid stop {stop} precedes start {start}")
+        raise UsageError(f"grid stop {_cut(str(stop))} precedes start "
+                         f"{_cut(str(start))}")
     if not (0 < start and stop < 1):
-        raise UsageError(f"grid {text!r} must lie strictly inside (0, 1)")
-    for s, v in zip(parts, numbers):
-        # Below 10^-13 the denominator exceeds 10^12 however the digits
-        # reduce, so such a value is refused before 10^-exponent is built.
-        if v.as_tuple().exponent < 0 and (
-                v.adjusted() < -len(str(MAX_DENOMINATOR))
-                or Fraction(v).denominator > MAX_DENOMINATOR):
-            raise UsageError(f"grid value {s!r} is not a fraction with "
-                             f"denominator at most {MAX_DENOMINATOR}")
-    # The points as integers over one denominator; a step past 1 makes
-    # the one point that a step of 1 makes, without building its integer.
-    start, stop, step = map(Fraction, (start, stop, min(step, 1)))
+        raise UsageError(f"grid {shown} must lie strictly inside (0, 1)")
+    # A step past 1 makes the one point that a step of 1 makes, without
+    # building its integer; a single value is start, stop and its text.
+    values = []
+    for s, v in zip(parts * 3, (start, stop, min(step, 1))):
+        try:
+            values.append(scalars.read_exact(v, math.log2(MAX_DENOMINATOR),
+                                             "grid value"))
+        except SizeLimitExceeded:
+            raise UsageError(f"grid value {_cut(s)!r} is not a fraction with "
+                             f"denominator at most {MAX_DENOMINATOR}") from None
+    # The points as integers over one denominator.
+    start, stop, step = values
     den = math.lcm(start.denominator, stop.denominator, step.denominator)
     s0, s1, st = (int(v * den) for v in (start, stop, step))
     count = (s1 - s0) // st + 1
     if count > MAX_GRID_POINTS:
-        raise UsageError(f"grid {text!r} would have about {Decimal(count):.3g}"
+        raise UsageError(f"grid {shown} would have about {Decimal(count):.3g}"
                          f" points, over the limit of {MAX_GRID_POINTS}")
     return [Fraction(s, den) for s in range(s0, s1 + 1, st)]
 
@@ -239,10 +229,7 @@ def _tutte_json(n: int, poly) -> str:
 
 
 def _run_eval(args) -> int:
-    (a, d), (b, e) = map(_shifted_bits, (args.x, args.y))
-    invariants.check_point_size(args.n, a, b, d, e)
-    value = invariants.eval_tutte_at_point(args.n, Fraction(args.x),
-                                           Fraction(args.y))
+    value = invariants.eval_tutte_at_point(args.n, args.x, args.y)
     text = invariants.decimal_str(value.numerator)
     if value.denominator != 1:
         text += "/" + invariants.decimal_str(value.denominator)
@@ -261,7 +248,7 @@ def _run_reliability(args) -> int:
     unknown = set(requested) - set(reliability.FAMILIES)
     if unknown or not requested:
         raise UsageError(
-            f"--families must name psw and/or sg, got {args.families!r}")
+            f"--families must name psw and/or sg, got {_cut(args.families)!r}")
     families = [f for f in reliability.FAMILIES if f in requested]
     grid = _parse_grid(args.p_grid)
     points = reliability.compare_curves(args.n, grid, args.mode, families)
@@ -282,7 +269,7 @@ def _run_oracle(args) -> int:
         if bad or not names:
             raise UsageError(
                 f"--check must name checks from {', '.join(available)} "
-                f"or all, got {args.check!r}")
+                f"or all, got {_cut(args.check)!r}")
     sizes = graphs.psw_vertex_count(args.n), graphs.psw_edge_count(args.n)
     built = functools.cache(lambda: _build(args))
 

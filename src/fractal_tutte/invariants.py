@@ -43,7 +43,7 @@ from fractions import Fraction
 from .bipoly import _EXACT
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .recursion import psw_state
-from .scalars import logsumexp
+from .scalars import bits, logsumexp, read_exact
 
 #: Each generation triples the tree count's bits.  On a 2-vCPU VM (Python
 #: 3.11.7) n = 15 takes 5.1 s in closed form and 28 s by the recurrence
@@ -51,14 +51,20 @@ from .scalars import logsumexp
 MAX_TREE_COUNT_GENERATION = 15
 
 
-def eval_tutte_at_point(n: int, x0: Fraction | int, y0: Fraction | int) -> Fraction:
+def eval_tutte_at_point(n: int, x0, y0) -> Fraction:
     """T_n(x0, y0) = (U + a W) / D, in lowest terms, with (U, W) from
     ``psw_state`` at X = a/d and Y = b/e.
 
     D_0 = e d^2 and D' = e D^3, so D_n = e^((3^(n+1)-1)/2) d^(2 3^n).
-    ``check_point_size`` refuses the point first if it is too large.
+    ``scalars.read_exact`` reads x0 and y0 at the bits ``check_point_size``
+    leaves them, the state being at least 3^n times the larger of bits(a)
+    + bits(d) and 2 bits(d), plus the bit x0 = (a + d)/d may add;
+    ``check_point_size`` then sizes the point.
     """
-    X, Y = Fraction(x0) - 1, Fraction(y0) - 1
+    check_generation(n, MAX_EVAL_GENERATION, _EXACT_EVALUATION)
+    budget = MAX_POINT_STATE_BITS / 3 ** n + 1
+    X, Y = (read_exact(v, budget, f"{name} of the exact point at n = {n}") - 1
+            for v, name in ((x0, "x"), (y0, "y")))
     a, d, b, e = X.numerator, X.denominator, Y.numerator, Y.denominator
     check_point_size(n, *map(bits, (a, b, d, e)))
     U, W = psw_state(n, a, b, d, e)
@@ -84,11 +90,7 @@ MAX_POINT_REDUCTION = 1 << 43
 MAX_EVAL_GENERATION = max(
     n for n in range(64)
     if math.log2(3) * (3 ** (n + 1) - 1) / 2 <= MAX_POINT_STATE_BITS)
-
-
-def bits(v: int) -> float:
-    """log2 |v|, the bit length of v to within a bit; -inf for 0."""
-    return math.log2(abs(v)) if v else -math.inf
+_EXACT_EVALUATION = "exact evaluation (value bit-length grows like 3^n)"
 
 
 def _bits_of_sum(*sizes: float) -> float:
@@ -109,8 +111,7 @@ def check_point_size(n: int, a: float, b: float, d: float, e: float) -> None:
     same time: ``MAX_POINT_REDUCTION`` (1 - (s / MAX_POINT_STATE_BITS)^1.5)
     / s bits.
     """
-    check_generation(n, MAX_EVAL_GENERATION,
-                     "exact evaluation (value bit-length grows like 3^n)")
+    check_generation(n, MAX_EVAL_GENERATION, _EXACT_EVALUATION)
     k = 3 ** n
     three = math.log2(3)
     start = max(d + _bits_of_sum(d + b, d + e + three, a + e),

@@ -49,12 +49,7 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import (
-    MAX_EVAL_GENERATION,
-    bits,
-    check_point_size,
-    lowest_terms,
-)
+from .invariants import MAX_EVAL_GENERATION, check_point_size, lowest_terms
 from .recursion import psw_state, psw_step
 from .scalars import (
     LOG_CONTEXT,
@@ -62,6 +57,7 @@ from .scalars import (
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
     as_probability,
+    bits,
     embed,
     ln,
 )

@@ -15,12 +15,17 @@ Every term is positive, so one step amplifies relative rounding error at
 most threefold.  ``LOG_PRECISION`` covers that growth through
 ``MAX_LOG_GENERATION`` steps with guard digits to spare, which keeps all
 12 printed digits correct.
+
+``read_exact`` is the one reader of a number from outside, a probability
+or a point, and sizes it before it builds any integer.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import numbers
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -57,47 +62,90 @@ MAX_DENOMINATOR = 10**12
 MAX_EXACT_BITS = 3 ** 11 * math.log2(MAX_DENOMINATOR)
 
 
-def as_probability(p) -> Fraction:
-    """p as an exact probability in [0, 1].
+def bits(v: int) -> float:
+    """log2 |v|, the bit length of v to within a bit; -inf for 0."""
+    return math.log2(abs(v)) if v else -math.inf
 
-    A Fraction comes back as it is.  A float is read as the nearest
-    fraction with denominator at most ``MAX_DENOMINATOR``, so 0.1 means
-    1/10 rather than the binary double next to it.  A denominator wider
-    than the widest exact state, d^3 at n = 0, is refused; a decimal
-    string or Decimal, from its exponent alone before 10^k is built: with
-    its first significant digit j places after the point it is over
-    10^(j-1).
+
+#: Decimal notation as ``str(Decimal)`` writes it, and "a/b" as
+#: ``Fraction`` reads it, with b > 0.
+_DECIMAL_TEXT = re.compile(r"(-?)(\d*)\.?(\d*)(?:[eE]([+-]\d+))?")
+RATIO_TEXT = re.compile(
+    r"\s*([+-]?)(\d+(?:_\d+)*)/(?![0_]*\s*$)(\d+(?:_\d+)*)\s*")
+_QUIET = decimal.Context(traps=[])  # malformed text reads as NaN
+
+
+class _WideNumerator(SizeLimitExceeded):
+    """A numerator past the budget when the denominator fits it, which
+    only a value over 1 in magnitude has."""
+
+
+def read_exact(value, max_bits: float, what: str) -> Fraction:
+    """value, a number from outside, as a Fraction; ``SizeLimitExceeded``
+    if its reduced denominator, then numerator, must pass ``max_bits``.
+
+    A float is the nearest fraction with denominator at most
+    ``MAX_DENOMINATOR``, so 0.1 means 1/10.  Text is "a/b" or a Decimal.
+    Either, trailing zeros moved into the exponent, is N 10^q / M with N
+    and M of i and j digits, within a factor of 10 of 10^(i - j + q),
+    which bounds both reduced parts before any integer is built.
     """
-    if isinstance(p, str) and "/" not in p:
-        try:
-            p = Decimal(p)
-        except decimal.InvalidOperation:
-            raise DomainError(
-                f"edge probability {p!r} is neither a fraction a/b nor a "
-                f"decimal whose exponent Decimal holds") from None
-    if isinstance(p, Decimal) and p.is_finite():
-        _check_width((-p.adjusted() - 1) * math.log2(10))
-    if isinstance(p, Fraction):
-        fr = p
-    elif isinstance(p, float):
-        fr = Fraction(p).limit_denominator(MAX_DENOMINATOR)
-    else:
-        fr = Fraction(p)
-    _check_width(math.log2(fr.denominator))
-    # The denominator is positive, so 0 <= p <= 1 is 0 <= num <= den.
-    if not 0 <= fr.numerator <= fr.denominator:
-        raise DomainError(f"edge probability {p} outside [0, 1]")
+    if isinstance(value, float):
+        value = Fraction(value).limit_denominator(MAX_DENOMINATOR)
+    if not isinstance(value, (int, Fraction, numbers.Rational)):  # fast first
+        if isinstance(value, str) and (ratio := RATIO_TEXT.fullmatch(value)):
+            sign, num, den = (s.replace("_", "").lstrip("0")
+                              for s in ratio.groups())
+            q = 0
+        elif parts := _DECIMAL_TEXT.fullmatch(str(Decimal(value, _QUIET))):
+            sign, whole, frac, exp = parts.groups()
+            digits = (whole + frac).lstrip("0")
+            num, den = digits.rstrip("0"), "1"
+            q = int(exp or 0) - len(frac) + len(digits) - len(num)
+        else:
+            raise DomainError(f"{what} is neither a fraction a/b with b > 0 "
+                              f"nor a finite decimal")
+        if not num:
+            return Fraction(0)
+        size = (len(num) - len(den) + q - 1) * math.log2(10)
+        _check_bits(what, max_bits, size, -size - 2 * math.log2(10))
+        value = Fraction(int(Decimal(sign + num)) * 10 ** max(q, 0),
+                         int(Decimal(den)) * 10 ** max(-q, 0))
+    fr = value if isinstance(value, Fraction) else Fraction(value)
+    _check_bits(what, max_bits, bits(fr.numerator), bits(fr.denominator))
     return fr
 
 
-def _check_width(bits: float) -> None:
-    """Refuse a probability whose denominator is at least ``bits`` wide
-    when its cube, the exact state at n = 0, passes ``MAX_EXACT_BITS``."""
-    if 3 * bits > MAX_EXACT_BITS:
-        raise SizeLimitExceeded(
-            f"edge probability: its denominator is at least {bits:.4g} bits "
-            f"wide, over the budget of {MAX_EXACT_BITS / 3:.4g} bits of the "
-            f"widest exact state, d^3 at n = 0")
+def _check_bits(what: str, max_bits: float, num: float, den: float) -> None:
+    """Refuse a denominator, then a numerator, past ``max_bits``."""
+    for part, size, error in (("denominator", den, SizeLimitExceeded),
+                              ("numerator", num, _WideNumerator)):
+        if size > max_bits:
+            raise error(
+                f"{what}: its {part} is predicted at {size:.4g} bits, over "
+                f"the budget of {max_bits:.4g} bits: the {part} is at least "
+                f"that many bits wide")
+
+
+def as_probability(p) -> Fraction:
+    """p as an exact probability in [0, 1], by ``read_exact`` at a third
+    of ``MAX_EXACT_BITS``, where d^3, the widest exact state, fits.  A
+    numerator past it is refused as outside [0, 1] before it is built,
+    and a long p is named by its sign and size."""
+    try:
+        fr = read_exact(p, MAX_EXACT_BITS / 3, "edge probability")
+    except _WideNumerator:
+        raise DomainError(
+            f"edge probability with a numerator over "
+            f"2^{MAX_EXACT_BITS / 3:.4g} outside [0, 1]") from None
+    # The denominator is positive, so 0 <= p <= 1 is 0 <= num <= den.
+    if not 0 <= fr.numerator <= fr.denominator:
+        short = fr.numerator.bit_length() + fr.denominator.bit_length() < 128
+        shown = (str(p) if short and len(str(p)) <= 40 else
+                 f"of about {'-' if fr < 0 else ''}2^"
+                 f"{bits(fr.numerator) - bits(fr.denominator):.4g}")
+        raise DomainError(f"edge probability {shown} outside [0, 1]")
+    return fr
 
 
 def embed(num: int, den: int, mode: str):

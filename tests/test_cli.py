@@ -4,6 +4,7 @@ guarantee.
 """
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from fractal_tutte import cli, oracle, reliability
+from fractal_tutte import cli, oracle, reliability, scalars
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.cli import MAX_GRID_POINTS, _parse_grid, main
 from fractal_tutte.cli import UsageError
@@ -29,11 +30,12 @@ from fractal_tutte.graphs import (
     to_edge_list,
 )
 from fractal_tutte.invariants import (
+    decimal_str,
     eval_tutte_at_point,
     spanning_trees_closed_form,
 )
 from fractal_tutte.recursion import tutte_psw
-from fractal_tutte.scalars import MAX_DENOMINATOR
+from fractal_tutte.scalars import MAX_DENOMINATOR, bits
 from helpers import tutte_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,6 +253,13 @@ def test_tutte_beyond_guard_fails_cleanly(capsys):
     assert err.count("\n") == 1
 
 
+def test_console_script_runs_main():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, _, name = project["scripts"]["fractal-tutte"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+
+
 # -- eval -------------------------------------------------------------------
 
 
@@ -318,16 +327,56 @@ def test_eval_reads_decimal_notation_exactly(capsys, x, y):
                                                  value.denominator)
 
 
+#: Long coefficients: 1.11...1 = (10^5001 - 1) / (9 10^5000) and
+#: 33...3 = (10^5000 - 1) / 3, written without int(str)'s 4300-digit limit.
+LONG_COORDINATES = {
+    "1." + "1" * 5000: Fraction(10 ** 5001 - 1, 9 * 10 ** 5000),
+    "1/" + "3" * 5000: Fraction(3, 10 ** 5000 - 1),
+    "-" + "7" * 5000 + "e-4990": Fraction(-7 * (10 ** 5000 - 1), 9 * 10 ** 4990),
+    "0.5" + "0" * 5000: Fraction(1, 2),
+}
+
+
 @pytest.mark.parametrize("text", [
     "1", "2", "0", "-1", "1e0", "3e1", "-7e5", "0.5", "1e-9", "2.5e-40",
-    "1024e-10", "-0.0001", "125e-3", "1000000e-6", "1/3", "-22/7"])
+    "1024e-10", "-0.0001", "125e-3", "1000000e-6", "1/3", "-22/7",
+    *LONG_COORDINATES], ids=lambda text: text[:12])
 def test_shifted_bits_bound_the_exact_sizes(text):
-    # The sizes read from the text never exceed those of the number.
-    bound = cli._shifted_bits(cli._rational(text))
-    shifted = Fraction(text) - 1
-    exact = tuple(math.log2(abs(v)) if v else -math.inf
-                  for v in (shifted.numerator, shifted.denominator))
-    assert all(b <= x + 1e-9 for b, x in zip(bound, exact))
+    # The sizes read_exact predicts from the digits of a typed coordinate,
+    # before it builds one integer, never exceed those of the number: at
+    # a budget of its exact width it is read, and a bit less refuses it.
+    value = LONG_COORDINATES.get(text) or Fraction(text)
+    width = max(bits(value.numerator), bits(value.denominator))
+    assert scalars.read_exact(cli._rational(text), width, "x") == value
+    if width > 0:
+        with pytest.raises(SizeLimitExceeded, match="over the budget"):
+            scalars.read_exact(cli._rational(text), width - 1e-9, "x")
+
+
+@pytest.mark.parametrize("x", list(LONG_COORDINATES)[:2], ids=["1.1...1",
+                                                               "1/3...3"])
+def test_eval_reads_long_coefficients(capsys, x):
+    # The first once ended in int(str)'s traceback, the second in exit 2.
+    code, out, _ = run(capsys, "eval", "--n", "1", "--x", x, "--y", "2")
+    value = eval_tutte_at_point(1, LONG_COORDINATES[x], 2)
+    assert (code, out) == (0, f"{decimal_str(value.numerator)}/"
+                              f"{decimal_str(value.denominator)}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "--n", "1", "--x", "x" * 5000, "--y", "2"),
+    ("reliability", "--n", "2", "--p-grid", "0." + "3" * 5000),
+    ("reliability", "--n", "2", "--p-grid", "0.5:" + "9" * 5000 + ":0.1"),
+    ("reliability", "--families", "tree" * 1000, "--n", "2", "--p-grid", "0.5"),
+], ids=["rational", "grid value", "grid range", "families"])
+def test_errors_quote_a_long_argument_in_part(capsys, args):
+    try:
+        code, out, err = run(capsys, *args)
+    except SystemExit as exc:
+        code, err = exc.code, capsys.readouterr().err
+    assert code == 2
+    assert f"... ({len(max(args, key=len))} characters)" in err
+    assert len(err.splitlines()[-1]) < 200
 
 
 # -- invariants -------------------------------------------------------------

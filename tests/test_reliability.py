@@ -5,6 +5,7 @@ the hub-together Tutte class, and the CSV formatting layer.
 import decimal
 import math
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -209,6 +210,35 @@ def test_a_too_wide_probability_is_refused_at_once_in_every_mode(mode):
         with pytest.raises(SizeLimitExceeded, match="denominator is at least"):
             reliability_state("psw", 1, p, mode)
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: reliability_state("psw", 1, p, "float"),
+    lambda p: reliability_state("sg", 1, p, "exact"),
+    lambda p: reliability_enumeration(build_psw_edge_expansion(0), p),
+], ids=["reliability_state.float", "reliability_state.exact",
+        "reliability_enumeration"])
+@pytest.mark.parametrize("p", ["1e99999999", Decimal("1e99999999"),
+                               "-1e99999999"], ids=repr)
+def test_a_huge_probability_is_outside_at_once(entry, p):
+    # Its numerator is past every exact budget, so it is not built:
+    # 10^99999999 was still being built after 20 s.
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=re.escape("outside [0, 1]")):
+        entry(p)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p", [Fraction(10 ** 5000), Fraction(-1, 10 ** 5000)],
+                         ids=["10^5000", "-10^-5000"])
+def test_an_out_of_range_probability_is_named_by_sign_and_size(p):
+    # str(p) is past int's 4300-digit limit; it once raised ValueError.
+    for entry in (lambda: reliability_state("psw", 1, p, "float"),
+                  lambda: psw_rel_via_tutte(1, p)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"edge probability of about {'-' if p < 0 else ''}2^"
+                f"{'' if p > 1 else '-'}1.661e+04 outside [0, 1]")):
+            entry()
 
 
 @pytest.mark.slow
