@@ -31,7 +31,6 @@ among them is purely a speed choice.
 
 from __future__ import annotations
 
-import decimal
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
@@ -39,6 +38,7 @@ from typing import Iterator, Mapping
 
 from ._arrays import np
 from .errors import ZeroPolynomial
+from .scalars import _EXACT
 
 Term = tuple[int, int]
 
@@ -46,11 +46,6 @@ Term = tuple[int, int]
 # substitution.  Schoolbook wins below it because packing has fixed overhead,
 # and on sparse operands whose degree box holds more slots than term pairs.
 _KRONECKER_PAIRS = 4096
-
-#: Exact context of the packed products (Inexact would raise).  Every
-#: Decimal operation here names it, since the thread's context may round.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 #: Digits of a packed product read back per block by ``_unpack``, so its
 #: temporaries stay near this size however long the product is.

@@ -32,9 +32,16 @@ class UsageError(Exception):
     """Argument combinations argparse cannot catch by itself."""
 
 
+#: The parser, built by the first ``main`` call of the process; parsing
+#: leaves it unchanged, so one serves every later call.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

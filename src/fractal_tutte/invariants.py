@@ -25,7 +25,8 @@ The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 * ``exponent_sequences``: the integer sequences a_k, b_k, c_k, d_k that
   arise when unrolling the tree-count recurrence, from their closed
   forms;
-* ``decimal_str``: the digits of a value, in less than quadratic time.
+* ``decimal_str`` (from ``scalars``): the digits of a value, in less
+  than quadratic time.
 
 Every value here that is an integer by construction is computed as one:
 the closed forms divide exactly, and the report's points have D = 1.
@@ -37,13 +38,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
-from .bipoly import _EXACT
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .recursion import psw_state
-from .scalars import bits, logsumexp, read_exact
+from .scalars import (_coprime_fraction, _divide_out, bits, decimal_str,
+                      logsumexp, read_exact)
 
 #: Each generation triples the tree count's bits.  On a 2-vCPU VM (Python
 #: 3.11.7) n = 15 takes 5.1 s in closed form and 28 s by the recurrence
@@ -179,34 +179,6 @@ def lowest_terms(N: int, powers) -> Fraction:
     return _coprime_fraction(N, den)
 
 
-def _divide_out(N: int, p: int, cap: int) -> tuple[int, int]:
-    """(v, N / p^v) with v = min(v_p(N), cap): divide by p, p^2, p^4, ...
-    while they divide, then walk back down the same powers."""
-    v, q, k, ladder = 0, p, 1, []
-    while v + k <= cap:
-        quo, r = divmod(N, q)
-        if r:
-            break
-        N, v = quo, v + k
-        ladder.append((q, k))
-        q, k = q * q, 2 * k
-    for q, k in reversed(ladder):
-        if v + k <= cap:
-            quo, r = divmod(N, q)
-            if not r:
-                N, v = quo, v + k
-    return v, N
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """num/den for coprime num and den > 0, without the full-size gcd the
-    public constructor would repeat (as CPython 3.12's
-    ``Fraction._from_coprime_ints``)."""
-    value = object.__new__(Fraction)
-    value._numerator, value._denominator = num, den
-    return value
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """The classical counting evaluations of T_n at one generation."""
@@ -228,37 +200,6 @@ class InvariantReport:
             "acyclic_orientations": decimal_str(self.acyclic_orientations),
             "all_subgraphs": decimal_str(self.all_subgraphs),
         }
-
-
-#: ``decimal_str`` converts values up to this width with ``Decimal(int)``.
-_LEAF_BITS = 1 << 12
-
-
-def decimal_str(value: int) -> str:
-    """Decimal digits of an integer of any size, in less than quadratic
-    time.
-
-    ``str(int)`` refuses values over 4300 digits by default (Python >=
-    3.10.7), and ``Decimal(int)`` takes time quadratic in the digit
-    count.  So a value wider than ``_LEAF_BITS`` is split as hi 2^h + lo,
-    each half converted the same way, and the halves joined by one
-    ``Decimal`` product and sum.  Every operation names the exact
-    context, so the thread's context never rounds a digit.
-    """
-    powers: dict[int, Decimal] = {}  # 2^h, built once per width h
-
-    def convert(v: int, width: int) -> Decimal:
-        """v as a Decimal, for 0 <= v < 2^width."""
-        if width <= _LEAF_BITS:
-            return Decimal(v)
-        h = width >> 1
-        if h not in powers:
-            powers[h] = _EXACT.power(2, h)
-        return _EXACT.add(_EXACT.multiply(convert(v >> h, width - h), powers[h]),
-                          convert(v & ((1 << h) - 1), h))
-
-    digits = convert(abs(value), value.bit_length())
-    return _EXACT.to_sci_string(digits.copy_negate() if value < 0 else digits)
 
 
 def invariant_report(n: int) -> InvariantReport:

@@ -29,8 +29,11 @@ whatever number type the mode picks: int (``exact``), float (``float``)
 or Decimal (``log``, module ``scalars``).  Both steps are homogeneous of
 degree 3, so for p = a/d ``exact`` mode steps the triangle's integer
 numerators over d^3, and after n steps holds integers over
-d^(3^(n+1)), each reduced once (``invariants.lowest_terms``) instead of
-a gcd at every ``Fraction`` operation.
+d^(3^(n+1)).  ``reliability_state`` reduces each of R, B and T once
+(``invariants.lowest_terms``) instead of a gcd at every ``Fraction``
+operation.  ``compare_curves`` makes one pass over a grid: it reads each
+p once, runs the same stepping core per family, and reduces only R, the
+value it prints.
 
 An independent exact route goes through the Tutte polynomial:
 R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer (u, w)
@@ -41,6 +44,7 @@ agree exactly, and a test holds them to it.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import math
 from dataclasses import dataclass
@@ -59,6 +63,7 @@ from .scalars import (
     as_probability,
     bits,
     embed,
+    fraction_ln,
     ln,
 )
 
@@ -105,9 +110,29 @@ def reliability_state(family: str, n: int, p,
     if family not in STEPS:
         raise DomainError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    step = STEPS[family]
     p = as_probability(p)
     a, d = p.numerator, p.denominator
+    if mode == "log" and not 0 < a < d:
+        raise DomainError(
+            f"log mode needs p strictly inside (0, 1), got {p}")
+    rbt = _run(STEPS[family], n, a, d, mode)
+    if mode == "exact":
+        rbt = [lowest_terms(v, ((d, 3 ** (n + 1)),)) for v in rbt]
+    return RelState(family, n, *rbt, mode)
+
+
+#: What float and exact mode step under: their arithmetic reads no context.
+_NO_CONTEXT = contextlib.nullcontext()
+
+
+def _run(step, n: int, a: int, d: int, mode: str) -> list:
+    """(R, B, T) of generation n at p = a/d, 0 <= a <= d, by ``step``.
+
+    Exact mode gives integer numerators over d^(3^(n+1)), since each
+    step is homogeneous of degree 3; float and log mode give values of
+    their number type.  The one stepping core of ``reliability_state``
+    and ``compare_curves``, which check n and read p first.
+    """
     if mode == "exact":
         # d = 1 (p = 0 or 1) counts as one bit, so n stays bounded.  Past
         # the n where no float holds 3^(n+1), it is not built.
@@ -118,15 +143,11 @@ def reliability_state(family: str, n: int, p,
                 f"exact reliability at n = {n}: its denominator "
                 f"d^(3^(n+1)) is predicted at {den:.4g} bits, over the "
                 f"budget of {MAX_EXACT_BITS:.4g} bits")
-    if mode == "log" and not 0 < p < 1:
-        raise DomainError(
-            f"log mode needs p strictly inside (0, 1), got {p}")
     # The triangle at p = a/d: R, B and T over the common denominator d^3.
     rbt = [a * a * (3 * d - 2 * a), a * (d - a) ** 2, (d - a) ** 3]
     if mode != "exact":
         rbt = [embed(v, d ** 3, mode) for v in rbt]
-    # Every mode steps under LOG_CONTEXT: int and float never read it.
-    with decimal.localcontext(LOG_CONTEXT):
+    with decimal.localcontext(LOG_CONTEXT) if mode == "log" else _NO_CONTEXT:
         for level in range(n):
             if mode == "log" and level >= MAX_LOG_GENERATION:
                 raise SizeLimitExceeded(
@@ -140,11 +161,7 @@ def reliability_state(family: str, n: int, p,
                     f"log mode: generation {level + 1} holds a value below "
                     f"1e{LOG_CONTEXT.Emin}, outside Decimal's exponent range"
                 ) from None
-    if mode == "exact":
-        # Each step is homogeneous of degree 3, so the denominator is now
-        # d^(3^(n+1)).
-        rbt = [lowest_terms(v, ((d, 3 ** (n + 1)),)) for v in rbt]
-    return RelState(family, n, *rbt, mode)
+    return rbt
 
 
 def psw_rel_via_tutte(n: int, p) -> Fraction:
@@ -181,21 +198,24 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
 MAX_APPROX_GENERATION = 647
 
 
-def psw_rel_approx_log(n: int, p: float) -> float:
+def psw_rel_approx_log(n: int, p) -> float:
     """The decay approximation ln R(n) ~ 3^(n-1) * ln(p (2-p)).
 
     Defined for n >= 1 and p in (0, 1]; at p = 1 it is exactly 0 at any n.
+    p is read exactly (``scalars.as_probability``) and the logarithm taken
+    of the exact p (2-p), so a p no float holds, such as 10^-5000, has
+    one.
     """
     if n < 1:
         raise DomainError(f"approximation needs n >= 1, got {n}")
-    p = float(p)
-    if not 0 < p <= 1:
+    p = as_probability(p)
+    if p == 0:
         raise DomainError(f"p must lie in (0, 1], got {p}")
     if p == 1:
         return 0.0
     check_generation(n, MAX_APPROX_GENERATION,
                      "the decay approximation (3^(n-1) must fit a float)")
-    return 3 ** (n - 1) * math.log(p * (2 - p))
+    return 3 ** (n - 1) * fraction_ln(p * (2 - p))
 
 
 # -- comparison curves and CSV ---------------------------------------------
@@ -217,20 +237,28 @@ def compare_curves(n: int, p_grid, mode: str = "exact",
 
     Rows come back sorted by p; every grid value must lie strictly
     inside (0, 1) so that the values and their logarithms exist in
-    every mode.
+    every mode.  One pass reads each p once and runs each family's
+    recursion from it, with the checks and messages of
+    ``reliability_state``; exact mode reduces only R, the value printed.
     """
     unknown = set(families) - set(FAMILIES)
     if unknown or not families:
         raise DomainError(
             f"families must be drawn from {', '.join(FAMILIES)}, "
             f"got {', '.join(families) or 'none'}")
+    check_generation(n, math.inf, "reliability")
     points = []
     for p in sorted(p_grid):
         pf = as_probability(p)
-        if not 0 < pf < 1:
+        a, d = pf.numerator, pf.denominator
+        if not 0 < a < d:
             raise DomainError(f"grid value {p} outside (0, 1)")
-        points.append(CurvePoint(p=float(p), mode=mode, r={
-            f: reliability_state(f, n, pf, mode).r for f in families}))
+        r = {}
+        for f in families:
+            r[f] = _run(STEPS[f], n, a, d, mode)[0]
+            if mode == "exact":
+                r[f] = lowest_terms(r[f], ((d, 3 ** (n + 1)),))
+        points.append(CurvePoint(p=float(p), mode=mode, r=r))
     return points
 
 

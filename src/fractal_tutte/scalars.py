@@ -17,7 +17,9 @@ most threefold.  ``LOG_PRECISION`` covers that growth through
 12 printed digits correct.
 
 ``read_exact`` is the one reader of a number from outside, a probability
-or a point, and sizes it before it builds any integer.
+or a point, and sizes it before it builds any integer.  ``decimal_int``
+and ``decimal_str`` convert between digits and integers of any length in
+less than quadratic time.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ LOG_CONTEXT = decimal.Context(
     traps=[decimal.InvalidOperation, decimal.DivisionByZero,
            decimal.Overflow, decimal.Underflow])
 
+
+#: Exact context of big-integer digit conversions and packed products
+#: (Inexact would raise).  Every Decimal operation on them names it, since
+#: the thread's context may round.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 #: Largest denominator of a probability read from a float or typed on
 #: the command line.
@@ -109,11 +117,50 @@ def read_exact(value, max_bits: float, what: str) -> Fraction:
             return Fraction(0)
         size = (len(num) - len(den) + q - 1) * math.log2(10)
         _check_bits(what, max_bits, size, -size - 2 * math.log2(10))
-        value = Fraction(int(Decimal(sign + num)) * 10 ** max(q, 0),
-                         int(Decimal(den)) * 10 ** max(-q, 0))
+        top = decimal_int(num) * 10 ** max(q, 0)
+        top = -top if sign == "-" else top
+        value = (_over_ten_to(top, max(-q, 0)) if den == "1"
+                 else Fraction(top, decimal_int(den)))
     fr = value if isinstance(value, Fraction) else Fraction(value)
     _check_bits(what, max_bits, bits(fr.numerator), bits(fr.denominator))
     return fr
+
+
+def _over_ten_to(N: int, k: int) -> Fraction:
+    """N / 10^k in lowest terms for N with no factor 10 (or k = 0), so
+    that only the 2s or only the 5s of 10^k can divide out: by a shift,
+    or by one ``_divide_out`` ladder, instead of a full-size gcd."""
+    twos = min((N & -N).bit_length() - 1, k)
+    fives, N = _divide_out(N >> twos, 5, k)
+    return _coprime_fraction(N, 2 ** (k - twos) * 5 ** (k - fives))
+
+
+def _divide_out(N: int, p: int, cap: int) -> tuple[int, int]:
+    """(v, N / p^v) with v = min(v_p(N), cap): divide by p, p^2, p^4, ...
+    while they divide, then walk back down the same powers."""
+    v, q, k, ladder = 0, p, 1, []
+    while v + k <= cap:
+        quo, r = divmod(N, q)
+        if r:
+            break
+        N, v = quo, v + k
+        ladder.append((q, k))
+        q, k = q * q, 2 * k
+    for q, k in reversed(ladder):
+        if v + k <= cap:
+            quo, r = divmod(N, q)
+            if not r:
+                N, v = quo, v + k
+    return v, N
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, without the full-size gcd the
+    public constructor would repeat (as CPython 3.12's
+    ``Fraction._from_coprime_ints``)."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 def _check_bits(what: str, max_bits: float, num: float, den: float) -> None:
@@ -125,6 +172,65 @@ def _check_bits(what: str, max_bits: float, num: float, den: float) -> None:
                 f"{what}: its {part} is predicted at {size:.4g} bits, over "
                 f"the budget of {max_bits:.4g} bits: the {part} is at least "
                 f"that many bits wide")
+
+
+#: ``decimal_int`` hands strings up to this many digits to ``int(str)``:
+#: 640 is the lowest limit ``sys.set_int_max_str_digits`` accepts.
+_LEAF_DIGITS = 640
+
+
+def decimal_int(digits: str) -> int:
+    """The integer of a string of decimal digits, in less than quadratic
+    time.
+
+    ``int(str)`` refuses strings over 4300 digits by default, and
+    ``int(Decimal)`` takes time quadratic in the digit count (1.35 s at
+    200,000 digits on a 2-vCPU VM, Python 3.11).  So a string longer
+    than ``_LEAF_DIGITS`` is split as hi 10^h + lo, each part converted
+    the same way, and the parts joined by one integer product and sum.
+    """
+    powers: dict[int, int] = {}  # 10^h, built once per length h
+
+    def convert(s: str) -> int:
+        if len(s) <= _LEAF_DIGITS:
+            return int(s)
+        h = len(s) >> 1
+        if h not in powers:
+            powers[h] = 10 ** h
+        return convert(s[:-h]) * powers[h] + convert(s[-h:])
+
+    return convert(digits)
+
+
+#: ``decimal_str`` converts values up to this width with ``Decimal(int)``.
+_LEAF_BITS = 1 << 12
+
+
+def decimal_str(value: int) -> str:
+    """Decimal digits of an integer of any size, in less than quadratic
+    time.
+
+    ``str(int)`` refuses values over 4300 digits by default (Python >=
+    3.10.7), and ``Decimal(int)`` takes time quadratic in the digit
+    count.  So a value wider than ``_LEAF_BITS`` is split as hi 2^h + lo,
+    each half converted the same way, and the halves joined by one
+    ``Decimal`` product and sum.  Every operation names the exact
+    context, so the thread's context never rounds a digit.
+    """
+    powers: dict[int, Decimal] = {}  # 2^h, built once per width h
+
+    def convert(v: int, width: int) -> Decimal:
+        """v as a Decimal, for 0 <= v < 2^width."""
+        if width <= _LEAF_BITS:
+            return Decimal(v)
+        h = width >> 1
+        if h not in powers:
+            powers[h] = _EXACT.power(2, h)
+        return _EXACT.add(_EXACT.multiply(convert(v >> h, width - h), powers[h]),
+                          convert(v & ((1 << h) - 1), h))
+
+    digits = convert(abs(value), value.bit_length())
+    return _EXACT.to_sci_string(digits.copy_negate() if value < 0 else digits)
 
 
 def as_probability(p) -> Fraction:

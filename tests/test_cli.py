@@ -881,6 +881,33 @@ def _in_child(script, *args):
     return json.loads(done.stdout)
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    argvs = [["reliability", "--n", "2"],  # no --p-grid: a usage error
+             ["reliability", "--n", "3", "--p-grid", "0.1:0.9:0.2"],
+             ["tutte", "--n", "1"],
+             ["reliability", "--n", "2"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    alone = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(outcome(argv))
+    assert [code for code, _, _ in alone] == [2, 0, 0, 2]
+    build, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or build())
+    assert [outcome(argv) for argv in argvs] == alone
+    assert len(built) == 1
+
+
 def test_scalar_commands_run_no_numpy(capsys):
     array_argvs = [["tutte", "--n", "3"],
                    ["generate", "--family", "psw", "--n", "2"]]

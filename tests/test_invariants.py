@@ -21,7 +21,6 @@ from fractal_tutte.graphs import (
     psw_vertex_count,
 )
 from fractal_tutte.invariants import (
-    _LEAF_BITS,
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
     decimal_str,
@@ -35,6 +34,7 @@ from fractal_tutte.invariants import (
 from fractal_tutte.oracle import matrix_tree_count
 from fractal_tutte.recursion import psw_state, psw_step, tutte_psw
 from fractal_tutte.reliability import psw_rel_via_tutte
+from fractal_tutte.scalars import _LEAF_BITS
 
 
 def _scaled_state(n, X, Y):

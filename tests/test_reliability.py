@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fractal_tutte import reliability
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import build_psw_edge_expansion, build_sierpinski
-from fractal_tutte.invariants import MAX_EVAL_GENERATION
+from fractal_tutte.invariants import MAX_EVAL_GENERATION, lowest_terms
 from fractal_tutte.oracle import (
     partition_subgraph_sum,
     reliability_enumeration,
@@ -372,6 +372,18 @@ def test_approx_log_at_p_one_is_zero_at_any_n(n):
     assert psw_rel_approx_log(n, 1.0) == 0.0
 
 
+def test_approx_log_reads_p_exactly():
+    # A float of p overflowed, failed to parse, or rounded to 0.0.
+    with pytest.raises(DomainError):
+        psw_rel_approx_log(3, Fraction(10 ** 5000))
+    with pytest.raises(DomainError):
+        psw_rel_approx_log(3, "abc")
+    # ln(p (2-p)) = ln 2 - 5000 ln 10 to within p/2
+    tiny = psw_rel_approx_log(3, Fraction(1, 10 ** 5000))
+    assert math.isfinite(tiny)
+    assert tiny == pytest.approx(9 * (math.log(2) - 5000 * math.log(10)))
+
+
 def test_approx_log_tracks_true_value():
     # the closed form captures the 3^n decay rate; its prefactor
     # underestimates |ln R| by a roughly constant factor, so pin the ratio
@@ -660,3 +672,59 @@ def test_compare_curves_steps_only_the_families_asked_for(monkeypatch):
         "p,R_psw,lnR_psw\n0.5000,4.88281250000e-02,-3.019449\n")
     with pytest.raises(DomainError):
         compare_curves(2, [HALF], "exact", families=("psw", "tree"))
+
+
+# -- one pass over the grid -------------------------------------------------
+
+PASS_GRID = [Fraction(15, 16), Fraction(1, 16), HALF, 0.3, Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("families", [FAMILIES, ("psw",)], ids="-".join)
+@pytest.mark.parametrize("mode, n", [("exact", 5), ("float", 7), ("log", 12)])
+def test_compare_curves_equals_reliability_state_at_every_point(
+        mode, n, families):
+    points = compare_curves(n, PASS_GRID, mode, families)
+    assert [pt.p for pt in points] == sorted(map(float, PASS_GRID))
+    for pt, p in zip(points, sorted(PASS_GRID)):
+        assert pt.mode == mode and pt.r.keys() == set(families)
+        for f in families:
+            # repr tells a float, Fraction or Decimal and all its digits
+            assert repr(pt.r[f]) == repr(reliability_state(f, n, p, mode).r)
+
+
+@pytest.mark.parametrize("families", [FAMILIES, ("psw",)], ids="-".join)
+@pytest.mark.parametrize("n, grid, mode, refused, match", [
+    # 12 digits of denominator are too many past n = 10
+    (11, [Fraction(1, 4), Fraction(533043954779, 533043954780), HALF],
+     "exact", Fraction(533043954779, 533043954780), "over the budget"),
+    # near p = 1 no value leaves the exponent range by n = 41
+    (41, [Fraction(999, 1000), Fraction(99, 100)], "log", Fraction(99, 100),
+     "limited to n <= 40"),
+    (40, [HALF, 1e-12], "log", 1e-12,
+     r"generation \d+ holds a value below"),
+], ids=["exact budget", "log depth", "log underflow"])
+def test_compare_curves_refuses_the_first_point_as_reliability_state_does(
+        n, grid, mode, refused, match, families):
+    with pytest.raises(SizeLimitExceeded, match=match) as expected:
+        reliability_state(families[0], n, refused, mode)
+    with pytest.raises(SizeLimitExceeded) as got:
+        compare_curves(n, grid, mode, families)
+    assert str(got.value) == str(expected.value)
+
+
+def test_exact_curves_reduce_only_r(monkeypatch):
+    calls = []
+
+    def spy(N, powers):
+        calls.append(powers)
+        return lowest_terms(N, powers)
+
+    monkeypatch.setattr(reliability, "lowest_terms", spy)
+    grid = [Fraction(1, 3), HALF, Fraction(3, 4)]
+    for families in (FAMILIES, ("psw",)):
+        calls.clear()
+        compare_curves(4, grid, "exact", families)
+        assert len(calls) == len(grid) * len(families)
+    calls.clear()
+    reliability_state("sg", 4, HALF)
+    assert len(calls) == 3

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -9,17 +10,22 @@ from fractions import Fraction
 import pytest
 
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
+from fractal_tutte.invariants import MAX_POINT_STATE_BITS
 from fractal_tutte.scalars import (
+    _LEAF_DIGITS,
     LOG_CONTEXT,
     LOG_PRECISION,
     MAX_EXACT_BITS,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
     as_probability,
+    decimal_int,
+    decimal_str,
     embed,
     fraction_ln,
     ln,
     logsumexp,
+    read_exact,
 )
 
 
@@ -91,6 +97,41 @@ def test_as_probability_reads_trailing_zeros_at_once():
     assert as_probability("0.5" + "0" * 200000) == Fraction(1, 2)
     assert as_probability(Decimal("0.5" + "0" * 200000)) == Fraction(1, 2)
     assert time.perf_counter() - start < 0.1
+
+
+def test_decimal_int_inverts_decimal_str():
+    # A string longer than _LEAF_DIGITS splits at h = len // 2 digits;
+    # lengths either side of a split, and a low part with leading zeros.
+    rng = random.Random(3)
+    values = [0, 7, 10 ** 5000 + 3]
+    for digits in (_LEAF_DIGITS, _LEAF_DIGITS + 1, 2 * _LEAF_DIGITS + 1,
+                   9 * _LEAF_DIGITS):
+        values += [10 ** digits - 1, 10 ** digits, 10 ** digits + 1,
+                   10 ** (digits - 1) * 7 + 10 ** (digits // 2) - 1]
+    values += [rng.getrandbits(rng.randrange(1, 70000)) for _ in range(20)]
+    for value in values:
+        assert decimal_int(decimal_str(value)) == value
+    assert decimal_int("000" + "9" * 2000) == 10 ** 2000 - 1
+
+
+def test_long_decimals_read_to_their_exact_value():
+    # int(Decimal(...)) of the significand took 1.39 s at 200,000 digits.
+    k = 100_000
+    assert as_probability("0." + "3" * k) == Fraction((10 ** k - 1) // 3,
+                                                     10 ** k)
+    # a coordinate of an exact point at n = 1, at the budget it is read at
+    point = MAX_POINT_STATE_BITS / 3 + 1
+    assert (read_exact("1." + "1" * k, point, "x")
+            == 1 + Fraction((10 ** k - 1) // 9, 10 ** k))
+    assert read_exact("1/" + "3" * k, point, "x") == Fraction(
+        3, 10 ** k - 1)
+    # only 5s, or only 2s, of 10^k divide out of a significand
+    assert read_exact(decimal_str(5 ** k) + f"e-{k}", point, "x") == Fraction(
+        1, 2 ** k)
+    assert read_exact(f"-{decimal_str(2 ** k)}e-{k}", point, "x") == Fraction(
+        -1, 5 ** k)
+    assert read_exact(f"{decimal_str(3 ** k)}e-{k}", point, "x") == Fraction(
+        3 ** k, 10 ** k)
 
 
 def test_log_precision_covers_the_generation_limit():
