@@ -1,19 +1,21 @@
 """Numeric invariants of the pseudofractal web via scalar recursion.
 
 The symbolic recursion (module ``recursion``) is exponential in output
-size.  Evaluating at a fixed rational point instead runs the same (u, w)
-runner, ``recursion.psw_state``, on integers: four big-integer products
-per generation, so counts like T_n(1,1) are reachable far beyond the
-symbolic limit.  With X = x0-1 = a/d and Y = y0-1 = b/e, the state is
-kept on integers over one common denominator D, a power product of d
-and e, so a rational point pays for one reduction at the end instead of
-a gcd at every ``Fraction`` operation.  That reduction divides out the
+size.  Evaluating at a fixed rational point instead runs the same
+recursion, ``recursion.psw_tutte``, on integers: four big-integer
+products per generation, and two in the last one at x = 1, so counts
+like T_n(1,1) are reachable far beyond the symbolic limit.  With
+X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers over
+one common denominator D, a power product of d and e, so a rational
+point pays for one reduction at the end instead of a gcd at every
+``Fraction`` operation.  That reduction divides out the
 bases of D, by their primes or by gcds no wider than a base, and never
 takes a gcd of two full-size integers.
 The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
 ``Fraction``.  This module provides
 
-* ``lowest_terms``: N over a product of powers, reduced base by base;
+* ``Denominator`` and ``lowest_terms``: N over a product of powers,
+  factored once and reduced base by base;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
 * ``check_point_size``: its guard, which predicts the bits of the state
   and of its denominator from those of the point before any work;
@@ -35,13 +37,14 @@ The tests, not run-time checks, hold them to the recurrences they solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded, check_generation
-from .recursion import psw_state
+from .recursion import psw_tutte
 from .scalars import (_coprime_fraction, _divide_out, bits, decimal_str,
                       logsumexp, read_exact)
 
@@ -52,8 +55,8 @@ MAX_TREE_COUNT_GENERATION = 15
 
 
 def eval_tutte_at_point(n: int, x0, y0) -> Fraction:
-    """T_n(x0, y0) = (U + a W) / D, in lowest terms, with (U, W) from
-    ``psw_state`` at X = a/d and Y = b/e.
+    """T_n(x0, y0) = (U + a W) / D, in lowest terms, with U + a W from
+    ``psw_tutte`` at X = a/d and Y = b/e.
 
     D_0 = e d^2 and D' = e D^3, so D_n = e^((3^(n+1)-1)/2) d^(2 3^n).
     ``scalars.read_exact`` reads x0 and y0 at the bits ``check_point_size``
@@ -67,22 +70,21 @@ def eval_tutte_at_point(n: int, x0, y0) -> Fraction:
             for v, name in ((x0, "x"), (y0, "y")))
     a, d, b, e = X.numerator, X.denominator, Y.numerator, Y.denominator
     check_point_size(n, *map(bits, (a, b, d, e)))
-    U, W = psw_state(n, a, b, d, e)
-    return lowest_terms(U + a * W, ((e, (3 ** (n + 1) - 1) // 2),
-                                    (d, 2 * 3 ** n)))
+    return lowest_terms(psw_tutte(n, a, b, d, e), Denominator(
+        ((e, (3 ** (n + 1) - 1) // 2), (d, 2 * 3 ** n))))
 
 
 #: Budget of an exact point's predicted (U, W) state, in bits.  T_14(2, 2),
 #: the largest point of ``invariant_report``, is predicted at 1.67e7 bits
-#: and takes 12 s on a 2-vCPU VM (Python 3.11.7); the state's products
-#: cost about (state bits)^1.5 (3.3 times the bits at n = 13 took 5.1 times
-#: the time).
+#: and takes 6.4-7.9 s on a 2-vCPU VM (Python 3.11.7); the state's products
+#: cost about (state bits)^1.5 (3 times the bits of T_13(2, 2) took 5.3 to
+#: 6.4 times the time).
 MAX_POINT_STATE_BITS = 1 << 24
 #: Budget of (D_n bits) x (state bits) once the state's share is spent.
 #: The final reduction divides the state by powers of D_n's primes, at a
 #: cost near that product: 1.1e-12 to 1.34e-12 s per bit^2 on the VM above
 #: (n = 11 and 12 at x = 1/3, 1001/3 and 32768/3), so 2^43 takes at most
-#: about T_14(2, 2)'s 12 s.
+#: about 12 s.
 MAX_POINT_REDUCTION = 1 << 43
 #: Deepest generation of an exact point, 14: where T_n(1, 1)'s predicted
 #: state, log2(3) (3^(n+1) - 1) / 2 bits, the smallest of any point, still
@@ -137,46 +139,88 @@ def check_point_size(n: int, a: float, b: float, d: float, e: float) -> None:
 TRIAL_DIVISION_LIMIT = 1 << 12
 
 
-def lowest_terms(N: int, powers) -> Fraction:
-    """N / prod(b^k for b, k in powers) in lowest terms, with no
-    full-size gcd.
+class Denominator:
+    """D = prod(b^k for b, k in powers), factored once for every
+    numerator that ``lowest_terms`` reduces over it.
 
-    Trial division takes 2 out of a base by one shift, as it does out
-    of N, and each odd prime it finds by one ``_divide_out`` ladder; a
-    part left unfactored (primes above ``TRIAL_DIVISION_LIMIT`` only) is
-    kept whole.  Each p^cap of D is divided out of N in rounds:
-    g = gcd(N mod p, p), one ladder takes g^v out of N, and p^v leaves D
-    for (p / g)^v, prime to the rest of N.  A prime p takes one ladder,
-    and no gcd is wider than p.
+    Trial division takes 2 out of a base by one shift and each odd prime
+    it finds by one ``_divide_out`` ladder; a part left unfactored
+    (primes above ``TRIAL_DIVISION_LIMIT`` only) is kept whole.  D is
+    2^twos times the odd bases of ``caps`` to their exponents.
+    """
+
+    def __init__(self, powers):
+        self.twos, self.caps = 0, Counter()
+        for b, k in powers:
+            v = (b & -b).bit_length() - 1
+            b >>= v
+            self.twos += k * v
+            f = 3
+            while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
+                if b % f:
+                    f += 2
+                else:
+                    v, b = _divide_out(b, f, math.inf)
+                    self.caps[f] += k * v
+            if b > 1:
+                self.caps[b] += k
+
+    @functools.cached_property
+    def odd(self) -> int:
+        """The odd part of D, built at its first use."""
+        return _power_product(self.caps.items())
+
+
+#: Widest part of D, in bits, that ``lowest_terms`` divides out of
+#: ``Denominator.odd``.  A division costs the product of the two widths,
+#: so past this it builds what is left instead.
+MAX_CANCELLED_BITS = 1 << 12
+
+
+def lowest_terms(N: int, D: Denominator) -> Fraction:
+    """N / D in lowest terms, with no full-size gcd.
+
+    2 leaves N and D by one shift.  Each p^cap of D is divided out of N
+    in rounds: g = gcd(N mod p, p), one ladder takes g^v out of N, and
+    p^v leaves D for (p / g)^v, prime to the rest of N.  A prime p takes
+    one ladder, and no gcd is wider than p.  What is left of D's odd
+    part is ``D.odd`` divided by the g^v cancelled, up to
+    ``MAX_CANCELLED_BITS`` of them, so values over one D, such as the
+    (R, B, T) of an exact reliability state, build it once.
     """
     if N == 0:
         return Fraction(0)
-    caps = Counter()
-    for b, k in powers:
-        v = (b & -b).bit_length() - 1
-        b >>= v
-        caps[2] += k * v
-        f = 3
-        while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
-            if b % f:
-                f += 2
-            else:
-                v, b = _divide_out(b, f, math.inf)
-                caps[f] += k * v
-        if b > 1:
-            caps[b] += k
-    den = 1
-    for p, cap in caps.items():
-        if p == 2:
-            v = min((N & -N).bit_length() - 1, cap)
-            N, cap = N >> v, cap - v
-        else:
-            while cap and (g := math.gcd(N % p, p)) > 1:
-                v, N = _divide_out(N, g, cap)
-                den *= (p // g) ** v
-                cap -= v
-        den *= p ** cap
-    return _coprime_fraction(N, den)
+    v = min((N & -N).bit_length() - 1, D.twos)
+    N, twos = N >> v, D.twos - v
+    left, cancelled = Counter(), 1
+    for p, cap in D.caps.items():
+        while cap and (g := math.gcd(N % p, p)) > 1:
+            v, N = _divide_out(N, g, cap)
+            left[p // g] += v
+            cancelled *= g ** v
+            cap -= v
+        left[p] += cap
+    odd = (D.odd // cancelled if cancelled.bit_length() <= MAX_CANCELLED_BITS
+           else _power_product(left.items()))
+    return _coprime_fraction(N, odd << twos)
+
+
+def _power_product(powers) -> int:
+    """prod(b^k for b, k in powers), one square per bit of the largest k.
+
+    From the top bit down, the product so far is squared and multiplied
+    by the bases whose k has that bit, so every full-size product is a
+    square.
+    """
+    powers = tuple(powers)
+    out = 1
+    for i in reversed(range(max((k for _, k in powers), default=0)
+                            .bit_length())):
+        out *= out
+        for b, k in powers:
+            if k >> i & 1:
+                out *= b
+    return out
 
 
 @dataclass(frozen=True)

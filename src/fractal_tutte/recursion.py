@@ -26,12 +26,19 @@ per generation (w^2, u (Y u + 3 w), u (...) and w^2 (2 u + X w)); the
 factors X and Y are linear passes.  No factor of a full-size product has
 a negative coefficient (checked through n = 6), so on ``BiPoly`` they all
 run as unsigned Kronecker products.  ``psw_state`` is the one runner of
-it over any ring: on ``BiPoly`` for the polynomial (``tutte_psw``), and
-on integers for every exact point (``invariants.eval_tutte_at_point``,
-``reliability.psw_rel_via_tutte``), with a scale that multiplies out the
-denominators of X and Y.  ``psw_step`` stays as the hub-class map: psw
-reliability runs it at X = 0, Y = 1, and the tests derive the (u, w)
-step from it.
+it over any ring, with a scale that multiplies out the denominators of X
+and Y.  Only T_n = u' + X w' of the last generation is ever read, and it
+folds into
+
+    T_n = u^2 (Y u + 3 w) + X w^2 (3 u + X w),
+
+which ``psw_tutte`` makes from the state one generation short: two
+squares and two lopsided products, and at X = 0 (x = 1) one of each,
+with no w' built.  It serves the polynomial (``tutte_psw``) and every
+exact point (``invariants.eval_tutte_at_point``,
+``reliability.psw_rel_via_tutte``).  ``psw_step`` stays as the hub-class
+map: psw reliability runs it at X = 0, Y = 1, and the tests derive the
+(u, w) step from it.
 """
 
 from __future__ import annotations
@@ -84,12 +91,33 @@ def psw_state(n: int, a, b, d=1, e=1):
     return U, W
 
 
+def psw_tutte(n: int, a, b, d=1, e=1):
+    """The numerator U + a W of T_n over D_n at X = a/d, Y = b/e, with
+    (U, W) the generation-n state of ``psw_state``.
+
+    From n = 1 on, the last generation is fused with that sum: from the
+    state (U, W) one generation short and c = d e it is
+    U^2 (b U + 3 c W) + a c W^2 (3 U + a W), whose second term is
+    skipped at a = 0.  a multiplies the finished product W^2 (3 U + a W),
+    so on ``BiPoly`` no full-size factor is signed: 3 U + X W is U plus
+    the unsigned 2 U + X W of the step.
+    """
+    check_generation(n, math.inf, "the psw Tutte value")
+    if n == 0:
+        U, W = psw_state(0, a, b, d, e)
+        return U + a * W
+    U, W = psw_state(n - 1, a, b, d, e)
+    c = d * e
+    T = U * U * (b * U + 3 * c * W)
+    if a:
+        T += a * c * (W * W * (3 * U + a * W))
+    return T
+
+
 def tutte_psw(n: int) -> BiPoly:
     """Full Tutte polynomial of the generation-n pseudofractal web,
     T_n = u + (x-1) w."""
     check_generation(n, MAX_SYMBOLIC_GENERATION,
                      "the symbolic polynomial (terms and coefficient digits "
                      "grow like 3^n)")
-    X = BiPoly.x_minus_1()
-    u, w = psw_state(n, X, BiPoly.y_minus_1())
-    return u + X * w
+    return psw_tutte(n, BiPoly.x_minus_1(), BiPoly.y_minus_1())

@@ -31,14 +31,17 @@ degree 3, so for p = a/d ``exact`` mode steps the triangle's integer
 numerators over d^3, and after n steps holds integers over
 d^(3^(n+1)).  ``reliability_state`` reduces each of R, B and T once
 (``invariants.lowest_terms``) instead of a gcd at every ``Fraction``
-operation.  ``compare_curves`` makes one pass over a grid: it reads each
-p once, runs the same stepping core per family, and reduces only R, the
-value it prints.
+operation, over one ``invariants.Denominator``, so d is factored and the
+odd part of d^(3^(n+1)) built once for the three.  ``compare_curves``
+makes one pass over a grid: it reads each p once, runs the same
+stepping core per family, and reduces only R, the value it prints, over
+one ``Denominator`` per p.
 
 An independent exact route goes through the Tutte polynomial:
-R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer (u, w)
-runner ``recursion.psw_state``, whose u is t1 at x = 1, reduced by the
-primes of p's denominator (``invariants.lowest_terms``); the two must
+R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer
+numerator of T from ``recursion.psw_tutte``, which at x = 1 is u = t1
+and builds no w in its last generation, reduced by the primes of p's
+denominator (``invariants.lowest_terms``); the two must
 agree exactly, and a test holds them to it.
 """
 
@@ -53,8 +56,9 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import MAX_EVAL_GENERATION, check_point_size, lowest_terms
-from .recursion import psw_state, psw_step
+from .invariants import (MAX_EVAL_GENERATION, Denominator, check_point_size,
+                         lowest_terms)
+from .recursion import psw_step, psw_tutte
 from .scalars import (
     LOG_CONTEXT,
     MAX_EXACT_BITS,
@@ -102,9 +106,10 @@ def reliability_state(family: str, n: int, p,
     """(R, B, T) of the family's generation n at edge probability p.
 
     Exact mode at p = a/d is refused first if d^(3^(n+1)) is predicted
-    wider than ``MAX_EXACT_BITS``, which alone sets how deep it goes.
-    Log mode's depth is checked generation by generation, so that a
-    value leaving the exponent range first is reported as such.
+    wider than ``MAX_EXACT_BITS``, which alone sets how deep it goes,
+    and float mode past ``MAX_LOG_GENERATION``.  Log mode's depth is
+    checked generation by generation, so that a value leaving the
+    exponent range first is reported as such.
     """
     check_generation(n, math.inf, "reliability")
     if family not in STEPS:
@@ -117,7 +122,8 @@ def reliability_state(family: str, n: int, p,
             f"log mode needs p strictly inside (0, 1), got {p}")
     rbt = _run(STEPS[family], n, a, d, mode)
     if mode == "exact":
-        rbt = [lowest_terms(v, ((d, 3 ** (n + 1)),)) for v in rbt]
+        den = Denominator(((d, 3 ** (n + 1)),))
+        rbt = [lowest_terms(v, den) for v in rbt]
     return RelState(family, n, *rbt, mode)
 
 
@@ -143,6 +149,11 @@ def _run(step, n: int, a: int, d: int, mode: str) -> list:
                 f"exact reliability at n = {n}: its denominator "
                 f"d^(3^(n+1)) is predicted at {den:.4g} bits, over the "
                 f"budget of {MAX_EXACT_BITS:.4g} bits")
+    elif mode == "float" and n > MAX_LOG_GENERATION:
+        raise SizeLimitExceeded(
+            f"float mode is limited to n <= {MAX_LOG_GENERATION}, as log "
+            f"mode is: there its a-priori relative error, 3^n 2^-53, is "
+            f"already over 10^3")
     # The triangle at p = a/d: R, B and T over the common denominator d^3.
     rbt = [a * a * (3 * d - 2 * a), a * (d - a) ** 2, (d - a) ** 3]
     if mode != "exact":
@@ -169,7 +180,7 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
 
     R(n) = p^(V-1) (1-p)^(E-V+1) * T_1,n(1, 1/(1-p)).  Equals the direct
     probability recursion identically; exists as its second witness.
-    For p = r/s it is r^(V-1) U / s^E, with U from ``psw_state`` at
+    For p = r/s it is r^(V-1) U / s^E, with U from ``psw_tutte`` at
     X = 0, Y = r/(s-r) (u = t1 at X = 0), reduced once by the primes
     of s.
     p = 0 and p = 1 are answered directly (0 and 1) since 1/(1-p) is
@@ -189,9 +200,9 @@ def psw_rel_via_tutte(n: int, p) -> Fraction:
     # (s-r)^((3^(n+1)-1)/2) = (s-r)^(E-V+1) cancels against (1-p)^(E-V+1).
     r, s = p.numerator, p.denominator
     check_point_size(n, -math.inf, bits(r), 0.0, bits(s - r))
-    u, _ = psw_state(n, 0, r, 1, s - r)
+    u = psw_tutte(n, 0, r, 1, s - r)
     return lowest_terms(r ** (psw_vertex_count(n) - 1) * u,
-                        ((s, psw_edge_count(n)),))
+                        Denominator(((s, psw_edge_count(n)),)))
 
 
 #: 3^(n-1) fits a float up to this n: 3^646 < 1.8e308 < 3^647.
@@ -239,7 +250,8 @@ def compare_curves(n: int, p_grid, mode: str = "exact",
     inside (0, 1) so that the values and their logarithms exist in
     every mode.  One pass reads each p once and runs each family's
     recursion from it, with the checks and messages of
-    ``reliability_state``; exact mode reduces only R, the value printed.
+    ``reliability_state``; exact mode reduces only R, the value printed,
+    with one ``Denominator`` for the families at a p.
     """
     unknown = set(families) - set(FAMILIES)
     if unknown or not families:
@@ -253,11 +265,10 @@ def compare_curves(n: int, p_grid, mode: str = "exact",
         a, d = pf.numerator, pf.denominator
         if not 0 < a < d:
             raise DomainError(f"grid value {p} outside (0, 1)")
-        r = {}
-        for f in families:
-            r[f] = _run(STEPS[f], n, a, d, mode)[0]
-            if mode == "exact":
-                r[f] = lowest_terms(r[f], ((d, 3 ** (n + 1)),))
+        r = {f: _run(STEPS[f], n, a, d, mode)[0] for f in families}
+        if mode == "exact":
+            den = Denominator(((d, 3 ** (n + 1)),))
+            r = {f: lowest_terms(v, den) for f, v in r.items()}
         points.append(CurvePoint(p=float(p), mode=mode, r=r))
     return points
 

@@ -36,9 +36,10 @@ from .errors import DomainError, SizeLimitExceeded
 #: Significant digits of a printed probability.
 PRINTED_DIGITS = 12
 
-#: Deepest generation ``log`` mode computes.  For p up to 0.5 the values
-#: leave Decimal's exponent range before this anyway: at n = 36 for
-#: p = 1e-12, at n = 40 for p = 0.5.
+#: Deepest generation ``log`` and ``float`` mode compute.  For p up to 0.5
+#: the values leave Decimal's exponent range before this anyway: at n = 36
+#: for p = 1e-12, at n = 40 for p = 0.5.  A float's relative error may
+#: grow threefold per step, to 3^40 2^-53 > 10^3 here.
 MAX_LOG_GENERATION = 40
 
 #: 12 printed digits + log10(3) digits lost per step + 8 guard digits.

@@ -487,6 +487,14 @@ def test_reliability_log_mode_generation_limit(capsys):
     assert "n <= 40" in err
 
 
+def test_reliability_deep_float_mode_exits_1_naming_the_limit(capsys):
+    code, out, err = run(capsys, "reliability", "--n", "1000000000",
+                         "--mode", "float", "--p-grid", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: float mode is limited to n <= 40")
+
+
 def test_reliability_single_family_output_matches_both_family_columns(capsys):
     _, both, _ = run(capsys, "reliability", "--n", "3", "--p-grid",
                      "0.1:0.9:0.2", "--mode", "log")

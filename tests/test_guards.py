@@ -42,6 +42,7 @@ from fractal_tutte.oracle import (
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
     psw_state,
+    psw_tutte,
     tutte_psw,
 )
 from fractal_tutte.reliability import (
@@ -72,6 +73,7 @@ GUARDED = {
     "psw_vertex_count": (psw_vertex_count, None),
     "psw_edge_count": (psw_edge_count, None),
     "psw_state": (lambda n: psw_state(n, 1, 2), None),
+    "psw_tutte": (lambda n: psw_tutte(n, 1, 2), None),
     "tutte_psw": (tutte_psw, MAX_SYMBOLIC_GENERATION),
     "eval_tutte_at_point": (lambda n: eval_tutte_at_point(n, 1, 1),
                             MAX_EVAL_GENERATION),
@@ -95,7 +97,8 @@ GUARDED = {
         lambda n: reliability_state("psw", n, 1, "exact"),
         deepest_exact_generation(Fraction(1))),
     "reliability_state.psw.float": (
-        lambda n: reliability_state("psw", n, 0.5, "float"), None),
+        lambda n: reliability_state("psw", n, 0.5, "float"),
+        MAX_LOG_GENERATION),
     # Near p = 1 no value leaves Decimal's exponent range by n = 41.
     "reliability_state.sg.log": (
         lambda n: reliability_state("sg", n, 0.99, "log"),
@@ -104,7 +107,7 @@ GUARDED = {
         lambda n: compare_curves(n, [0.5], "exact"),
         deepest_exact_generation(Fraction(1, 2))),
     "compare_curves.float": (
-        lambda n: compare_curves(n, [0.5], "float"), None),
+        lambda n: compare_curves(n, [0.5], "float"), MAX_LOG_GENERATION),
     "compare_curves.log": (
         lambda n: compare_curves(n, [0.99], "log"), MAX_LOG_GENERATION),
 }
@@ -143,7 +146,7 @@ README_GUARDS = {
     "matrix-tree oracle": MAX_MATRIX_TREE_VERTICES,
     "`reliability --p-grid`": MAX_GRID_POINTS,
     "`reliability --p-grid` values": MAX_DENOMINATOR,
-    "`log`-mode reliability": MAX_LOG_GENERATION,
+    "`log`- and `float`-mode reliability": MAX_LOG_GENERATION,
 }
 
 

@@ -23,6 +23,7 @@ from fractal_tutte.graphs import (
 from fractal_tutte.invariants import (
     MAX_EVAL_GENERATION,
     MAX_TREE_COUNT_GENERATION,
+    Denominator,
     decimal_str,
     eval_tutte_at_point,
     exponent_sequences,
@@ -33,7 +34,8 @@ from fractal_tutte.invariants import (
 )
 from fractal_tutte.oracle import matrix_tree_count
 from fractal_tutte.recursion import psw_state, psw_step, tutte_psw
-from fractal_tutte.reliability import psw_rel_via_tutte
+from fractal_tutte.reliability import (compare_curves, psw_rel_via_tutte,
+                                       reliability_state)
 from fractal_tutte.scalars import _LEAF_BITS
 
 
@@ -197,7 +199,7 @@ P20, Q20 = 10 ** 19 + 51, 3 * 10 ** 19 + 41
     (-(P20 ** 3) * 6, ((P20 * Q20 * 12, 2),)),
 ])
 def test_lowest_terms_matches_fraction(N, powers):
-    value = lowest_terms(N, powers)
+    value = lowest_terms(N, Denominator(powers))
     expected = Fraction(N, math.prod(b ** k for b, k in powers))
     assert type(value) is Fraction
     assert (value.numerator, value.denominator, hash(value)) == (
@@ -209,7 +211,7 @@ def test_lowest_terms_every_valuation_and_cap():
     for p in (2, 3):
         for v in range(34):
             for cap in range(34):
-                value = lowest_terms(-(p ** v) * 7, ((p, cap),))
+                value = lowest_terms(-(p ** v) * 7, Denominator(((p, cap),)))
                 assert _parts(value) == _parts(Fraction(-(p ** v) * 7,
                                                         p ** cap))
 
@@ -237,7 +239,7 @@ def test_smooth_bases_reduce_by_one_ladder_per_prime(monkeypatch, base_exps,
         return divide_out(M, p, cap)
 
     monkeypatch.setattr(invariants, "_divide_out", spy)
-    value = lowest_terms(N, ((base, 2),))
+    value = lowest_terms(N, Denominator(((base, 2),)))
     monkeypatch.undo()
     assert _parts(value) == _parts(Fraction(N, base ** 2))
     assert found == [p for p, k in zip((3, 5), base_exps[1:]) if k]
@@ -251,8 +253,8 @@ def test_lowest_terms_on_bases_with_many_twos(a, m):
     base, k = 2 ** a * m, 3
     for c in {0, 1, a, max(a * k - 1, 0), a * k, a * k + 5}:
         for N in (2 ** c * 7, -(2 ** c) * 5 * 4099, 2 ** c * m * P40):
-            assert _parts(lowest_terms(N, ((base, k),))) == _parts(
-                Fraction(N, base ** k))
+            value = lowest_terms(N, Denominator(((base, k),)))
+            assert _parts(value) == _parts(Fraction(N, base ** k))
 
 
 def test_trial_division_takes_no_ladder_for_two(monkeypatch):
@@ -269,7 +271,7 @@ def test_trial_division_takes_no_ladder_for_two(monkeypatch):
     monkeypatch.setattr(invariants, "_divide_out", spy)
     powers = ((10 ** 2000, 3), (2 ** 70 * 3, 2), (2, 5), (6 * P20, 1))
     N = 3 ** 5 * 2 ** 100 * P20 * 7
-    value = lowest_terms(N, powers)
+    value = lowest_terms(N, Denominator(powers))
     monkeypatch.undo()
     assert _parts(value) == _parts(
         Fraction(N, math.prod(b ** k for b, k in powers)))
@@ -291,10 +293,43 @@ def test_composite_leftover_base_reduces_without_a_full_size_gcd(monkeypatch):
         return gcd(*args)
 
     monkeypatch.setattr(math, "gcd", recording)
-    value = lowest_terms(N, ((base, 3),))
+    value = lowest_terms(N, Denominator(((base, 3),)))
     monkeypatch.undo()
     assert _parts(value) == _parts(Fraction(N, base ** 3))
     assert widths and max(widths) <= base.bit_length()
+
+
+def test_lowest_terms_either_side_of_the_cancelled_limit():
+    # N cancels 3^v of D: up to MAX_CANCELLED_BITS the odd part of the
+    # whole D is divided by it, and past them what is left is built alone.
+    inside = max(v for v in range(8000) if (3 ** v).bit_length()
+                 <= invariants.MAX_CANCELLED_BITS)
+    powers = ((6, 8000), (5 * P20, 3))
+    D = math.prod(b ** k for b, k in powers)
+    for v in (0, 1, inside, inside + 1, 8000):
+        for N in (-(3 ** v) * 2 ** 5 * 7, 3 ** v * 5 ** 2 * P20):
+            value = lowest_terms(N, Denominator(powers))
+            assert _parts(value) == _parts(Fraction(N, D))
+
+
+def test_values_over_one_denominator_build_its_odd_part_once(monkeypatch):
+    # R, B and T of an exact state at a 12-digit p cancel different powers
+    # of 2 and 5 from D (sg at n = 6: 5^2, 5^1 and none); D's odd part
+    # is built once for the three, and once per p for a curve's families.
+    built = []
+    power_product = invariants._power_product
+
+    def spy(powers):
+        built.append(dict(powers))
+        return power_product(powers)
+
+    monkeypatch.setattr(invariants, "_power_product", spy)
+    p = Fraction(65807895053, 533043954780)
+    for family in ("psw", "sg"):
+        reliability_state(family, 6, p)
+    compare_curves(6, [p, Fraction(1, 3)], "exact")
+    odd = {3: 3 ** 7, 5: 3 ** 7, 47: 3 ** 7, 189022679: 3 ** 7}
+    assert built == [odd, odd, odd, {3: 3 ** 7}]
 
 
 @pytest.mark.parametrize("x0,y0", [

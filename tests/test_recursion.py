@@ -4,10 +4,11 @@ The hub-class step ``psw_step`` carries (t1, p, q), the hub-class sums
 with T2 = (x-1)p and T3 = (x-1)^2 q factored out; the runner
 ``psw_state`` carries only u = t1 + (x-1)p and w = 2p + (x-1)q.  Both
 must agree with the brute-force subset census, the (u, w) step must
-equal the hub-class step on a grid that proves the identity, and the
-assembled polynomial must satisfy identities every psw(n) satisfies
-(degrees, T(2,2) = 2^E, the chromatic line of a 2-tree, the hyperbola
-(x-1)(y-1) = 1) through n = 4.
+equal the hub-class step on a grid that proves the identity,
+``psw_tutte``'s fused last generation must equal u + (x-1) w of the
+state, and the assembled polynomial must satisfy identities every
+psw(n) satisfies (degrees, T(2,2) = 2^E, the chromatic line of a
+2-tree, the hyperbola (x-1)(y-1) = 1) through n = 4.
 """
 
 import itertools
@@ -32,6 +33,7 @@ from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
     psw_state,
     psw_step,
+    psw_tutte,
     psw_uw_step,
     tutte_psw,
 )
@@ -126,23 +128,60 @@ def test_uw_step_is_the_hub_class_step():
             t1n + x * pn, 2 * pn + x * qn)
 
 
-def test_four_full_size_products_per_generation(monkeypatch):
-    # A product with a factor of at most two terms is a linear pass; the
-    # step makes four of the other kind once w has more than two terms.
-    counts = []
+#: Points of the fused-generation grid: a = 0 (x = 1) and b = 0 (y = 1),
+#: negative numerators, and every pair of denominators from {1, 2, 3}.
+FUSED_GRID = list(itertools.product((-3, -1, 0, 2), (-2, 0, 1, 3),
+                                    (1, 2, 3), (1, 2, 3)))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_fused_last_generation_is_u_plus_x_w(n):
+    for a, b, d, e in FUSED_GRID:
+        U, W = psw_state(n, a, b, d, e)
+        assert psw_tutte(n, a, b, d, e) == U + a * W
+
+
+@pytest.mark.parametrize("n", range(0, 4))
+def test_fused_last_generation_on_bipoly(n):
+    X, Y = BiPoly.x_minus_1(), BiPoly.y_minus_1()
+    for a in (X, 0):
+        U, W = psw_state(n, a, Y)
+        assert psw_tutte(n, a, Y) == U + a * W
+    assert psw_tutte(n, X, Y) == tutte_psw(n)
+
+
+def _count_full_size_products(monkeypatch, run) -> int:
+    """Products made by run() with no factor of at most two terms; a
+    factor that small makes a linear pass instead."""
+    count = 0
     mul = BiPoly.__mul__
 
     def counting(a, b):
+        nonlocal count
         if isinstance(b, BiPoly) and min(a.num_terms(), b.num_terms()) > 2:
-            counts[-1] += 1
+            count += 1
         return mul(a, b)
 
-    monkeypatch.setattr(BiPoly, "__mul__", counting)
-    monkeypatch.setattr(BiPoly, "__rmul__", counting)
-    for n in range(1, 5):
-        counts.append(0)
-        tutte_psw(n)
-    assert counts == [3, 7, 11, 15]
+    with monkeypatch.context() as patch:
+        patch.setattr(BiPoly, "__mul__", counting)
+        patch.setattr(BiPoly, "__rmul__", counting)
+        run()
+    return count
+
+
+def test_four_full_size_products_per_generation(monkeypatch):
+    # The step makes four full-size products once w has more than two
+    # terms, and so does the fused last generation off the x = 1 line.
+    assert [_count_full_size_products(monkeypatch, lambda: tutte_psw(n))
+            for n in range(1, 5)] == [3, 7, 11, 15]
+    # On it, the last generation makes u^2 and u^2 (Y u + 3 w) alone.
+    Y = BiPoly.y_minus_1()
+    for n in range(2, 5):
+        last = (_count_full_size_products(monkeypatch,
+                                          lambda: psw_tutte(n, 0, Y))
+                - _count_full_size_products(monkeypatch,
+                                            lambda: psw_state(n - 1, 0, Y)))
+        assert last == 2
 
 
 def test_symbolic_products_pack_no_negative_coefficient(monkeypatch):

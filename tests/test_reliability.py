@@ -629,6 +629,24 @@ def test_deep_log_input_names_the_limit():
     assert 0 < deepest.r < 1 and math.isfinite(deepest.ln_r)
 
 
+def test_deep_float_input_is_refused_before_any_step(monkeypatch):
+    # n = 10^5 once stepped for 0.11 s, and n = 10^9 would have stepped
+    # for about half an hour, only to print 0 and -inf.
+    steps = []
+    for family in FAMILIES:
+        monkeypatch.setitem(STEPS, family,
+                            lambda *rbt: steps.append(rbt) or rbt)
+    limit = f"float mode is limited to n <= {MAX_LOG_GENERATION}"
+    for n in (MAX_LOG_GENERATION + 1, 10 ** 9):
+        with pytest.raises(SizeLimitExceeded, match=limit):
+            reliability_state("psw", n, 0.5, "float")
+        with pytest.raises(SizeLimitExceeded, match=limit):
+            compare_curves(n, [0.5], "float")
+    assert steps == []
+    reliability_state("sg", MAX_LOG_GENERATION, 0.5, "float")
+    assert len(steps) == MAX_LOG_GENERATION
+
+
 @pytest.mark.parametrize("family,p,last,n", [
     ("psw", 0.5, 39, 40),
     ("psw", Fraction(1, 10 ** 12), 35, 36),
