@@ -38,7 +38,8 @@ from typing import Iterator, Mapping
 
 from ._arrays import np
 from .errors import ZeroPolynomial
-from .scalars import _EXACT
+from .scalars import (_EXACT, _LEAF_DIGITS, decimal_int, decimal_str,
+                      signed_int)
 
 Term = tuple[int, int]
 
@@ -272,7 +273,8 @@ class BiPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "BiPoly":
-        return cls({(t["dx"], t["dy"]): int(t["coeff"]) for t in data["terms"]})
+        return cls({(t["dx"], t["dy"]): signed_int(t["coeff"])
+                    for t in data["terms"]})
 
 
 # -- internals -------------------------------------------------------------
@@ -341,11 +343,10 @@ def _mul_kronecker(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     stride = _box(a)[1] + _box(b)[1] + 1
     bound = min(len(a), len(b)) * max(a.values()) * max(b.values())
     w = Decimal(bound).adjusted() + 1
-    # int <-> str conversions longer than 640 digits can exceed the
-    # interpreter's limit (sys.set_int_max_str_digits); Decimal's cannot.
-    text, number = ((f"{{:0{w}d}}".format, int) if w <= 640 else
-                    (lambda c: str(Decimal(c)).zfill(w),
-                     lambda s: int(Decimal(s.decode()))))
+    # Wider slots can pass the interpreter's int/str limit, which the
+    # converters of ``scalars`` never reach.
+    text, number = ((f"{{:0{w}d}}".format, int) if w <= _LEAF_DIGITS else
+                    (lambda c: decimal_str(c).zfill(w), decimal_int))
 
     na = _pack(a, stride, w, text)
     nb = na if b is a else _pack(b, stride, w, text)

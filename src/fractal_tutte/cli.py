@@ -192,6 +192,11 @@ def _emit(text: str, out: str | None) -> None:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
+            # mkstemp makes the file owner-only; give it the mode that
+            # open() would, 0o666 less the umask.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, out)
         except BaseException:
             os.unlink(tmp)

@@ -17,11 +17,22 @@ class DomainError(FractalTutteError):
     """A numeric argument lies outside its valid domain."""
 
 
+def shown(value) -> str:
+    """str(value) for a message, also for an int past the interpreter's
+    int/str limit (4300 digits by default), which ``scalars.decimal_str``
+    writes."""
+    try:
+        return str(value)
+    except ValueError:
+        from .scalars import decimal_str  # scalars imports this module
+        return decimal_str(value)
+
+
 def check_generation(n: int, limit: float, what: str) -> None:
     """Refuse n outside 0..limit before any work; ``what`` names the
     computation and the cost that sets its limit."""
     if n < 0:
-        raise DomainError(f"generation must be nonnegative, got {n}")
+        raise DomainError(f"generation must be nonnegative, got {shown(n)}")
     if n > limit:
         raise SizeLimitExceeded(
-            f"{what} is limited to n <= {limit}, got n = {n}")
+            f"{what} is limited to n <= {limit}, got n = {shown(n)}")

@@ -61,7 +61,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._arrays import np
-from .errors import DomainError, SizeLimitExceeded, check_generation
+from .errors import DomainError, SizeLimitExceeded, check_generation, shown
+from .scalars import signed_int
 
 #: Peak memory per edge of ``generate --n 12`` above the imported package
 #: and numpy, on CPython 3.11 with numpy 2.4: 89 B for psw, reached while
@@ -108,11 +109,11 @@ class HubGraph:
             raise DomainError(f"hubs must be three distinct vertices, got {self.hubs}")
         for h in self.hubs:
             if not 0 <= h < n:
-                raise DomainError(f"hub {h} out of range")
+                raise DomainError(f"hub {shown(h)} out of range")
         components = _component_count(n, pairs[:, 0], pairs[:, 1])
         if components != 1:
             raise DomainError(
-                f"graph is disconnected ({components} components)")
+                f"graph is disconnected ({shown(components)} components)")
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -182,10 +183,11 @@ def simple_edges(n: int, edges) -> np.ndarray:
     if bad_pairs:
         u, v = min(bad_pairs)
         if u == v:
-            raise DomainError(f"self-loop at vertex {u}")
+            raise DomainError(f"self-loop at vertex {shown(u)}")
         if not (0 <= u < n and 0 <= v < n):
-            raise DomainError(f"edge ({u}, {v}) out of range for {n} vertices")
-        raise DomainError(f"duplicate edge ({u}, {v})")
+            raise DomainError(f"edge ({shown(u)}, {shown(v)}) out of range "
+                              f"for {shown(n)} vertices")
+        raise DomainError(f"duplicate edge ({shown(u)}, {shown(v)})")
     pairs = np.empty((len(key), 2), np.int64)
     np.divmod(key, span, out=(pairs[:, 0], pairs[:, 1]))
     if labels is not None:
@@ -265,8 +267,8 @@ def check_build_generation(n: int) -> None:
         edges = _ESTIMATE.power(3, n + 1)  # no float holds 3^(n+1) for all n
         nbytes = _ESTIMATE.multiply(edges, BYTES_PER_EDGE)
         raise SizeLimitExceeded(
-            f"generation {n} exceeds limit {MAX_GENERATION}: {edges:.3g} "
-            f"edges would need about {nbytes:.3g} bytes")
+            f"generation {shown(n)} exceeds limit {MAX_GENERATION}: "
+            f"{edges:.3g} edges would need about {nbytes:.3g} bytes")
     check_generation(n, MAX_GENERATION, "graph building")
 
 
@@ -431,7 +433,8 @@ def from_edge_list(text: str) -> HubGraph:
     pairs = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
     if np.isin(pairs, (_INT64_MIN, _INT64_MAX)).any():  # maybe clipped
         words = body.split()
-        pairs = list(zip(map(int, words[::2]), map(int, words[1::2])))
+        pairs = list(zip(map(signed_int, words[::2]),
+                         map(signed_int, words[1::2])))
     return HubGraph(nv, pairs, hubs)
 
 

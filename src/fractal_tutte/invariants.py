@@ -8,14 +8,12 @@ like T_n(1,1) are reachable far beyond the symbolic limit.  With
 X = x0-1 = a/d and Y = y0-1 = b/e, the state is kept on integers over
 one common denominator D, a power product of d and e, so a rational
 point pays for one reduction at the end instead of a gcd at every
-``Fraction`` operation.  That reduction divides out the
-bases of D, by their primes or by gcds no wider than a base, and never
-takes a gcd of two full-size integers.
-The hub classes (t1, p, q) at a point are ``recursion.psw_step`` over
-``Fraction``.  This module provides
+``Fraction`` operation.  That reduction, ``scalars.lowest_terms`` over a
+``scalars.Denominator``, divides out the bases of D, by their primes or
+by gcds no wider than a base, and never takes a gcd of two full-size
+integers.  The hub classes (t1, p, q) at a point are
+``recursion.psw_step`` over ``Fraction``.  This module provides
 
-* ``Denominator`` and ``lowest_terms``: N over a product of powers,
-  factored once and reduced base by base;
 * ``eval_tutte_at_point``: T_n at a rational point, reduced once;
 * ``check_point_size``: its guard, which predicts the bits of the state
   and of its denominator from those of the point before any work;
@@ -37,16 +35,14 @@ The tests, not run-time checks, hold them to the recurrences they solve.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SizeLimitExceeded, check_generation
 from .recursion import psw_tutte
-from .scalars import (_coprime_fraction, _divide_out, bits, decimal_str,
-                      logsumexp, read_exact)
+from .scalars import (Denominator, bits, decimal_str, logsumexp,
+                      lowest_terms, read_exact)
 
 #: Each generation triples the tree count's bits.  On a 2-vCPU VM (Python
 #: 3.11.7) n = 15 takes 5.1 s in closed form and 28 s by the recurrence
@@ -133,94 +129,6 @@ def check_point_size(n: int, a: float, b: float, d: float, e: float) -> None:
             f"exact point at n = {n}: its denominator D_n is predicted at "
             f"{den:.4g} bits, over the budget of {budget:.4g} bits that its "
             f"{state:.4g}-bit (U, W) state leaves")
-
-
-#: Trial division of a denominator's bases stops at this divisor.
-TRIAL_DIVISION_LIMIT = 1 << 12
-
-
-class Denominator:
-    """D = prod(b^k for b, k in powers), factored once for every
-    numerator that ``lowest_terms`` reduces over it.
-
-    Trial division takes 2 out of a base by one shift and each odd prime
-    it finds by one ``_divide_out`` ladder; a part left unfactored
-    (primes above ``TRIAL_DIVISION_LIMIT`` only) is kept whole.  D is
-    2^twos times the odd bases of ``caps`` to their exponents.
-    """
-
-    def __init__(self, powers):
-        self.twos, self.caps = 0, Counter()
-        for b, k in powers:
-            v = (b & -b).bit_length() - 1
-            b >>= v
-            self.twos += k * v
-            f = 3
-            while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
-                if b % f:
-                    f += 2
-                else:
-                    v, b = _divide_out(b, f, math.inf)
-                    self.caps[f] += k * v
-            if b > 1:
-                self.caps[b] += k
-
-    @functools.cached_property
-    def odd(self) -> int:
-        """The odd part of D, built at its first use."""
-        return _power_product(self.caps.items())
-
-
-#: Widest part of D, in bits, that ``lowest_terms`` divides out of
-#: ``Denominator.odd``.  A division costs the product of the two widths,
-#: so past this it builds what is left instead.
-MAX_CANCELLED_BITS = 1 << 12
-
-
-def lowest_terms(N: int, D: Denominator) -> Fraction:
-    """N / D in lowest terms, with no full-size gcd.
-
-    2 leaves N and D by one shift.  Each p^cap of D is divided out of N
-    in rounds: g = gcd(N mod p, p), one ladder takes g^v out of N, and
-    p^v leaves D for (p / g)^v, prime to the rest of N.  A prime p takes
-    one ladder, and no gcd is wider than p.  What is left of D's odd
-    part is ``D.odd`` divided by the g^v cancelled, up to
-    ``MAX_CANCELLED_BITS`` of them, so values over one D, such as the
-    (R, B, T) of an exact reliability state, build it once.
-    """
-    if N == 0:
-        return Fraction(0)
-    v = min((N & -N).bit_length() - 1, D.twos)
-    N, twos = N >> v, D.twos - v
-    left, cancelled = Counter(), 1
-    for p, cap in D.caps.items():
-        while cap and (g := math.gcd(N % p, p)) > 1:
-            v, N = _divide_out(N, g, cap)
-            left[p // g] += v
-            cancelled *= g ** v
-            cap -= v
-        left[p] += cap
-    odd = (D.odd // cancelled if cancelled.bit_length() <= MAX_CANCELLED_BITS
-           else _power_product(left.items()))
-    return _coprime_fraction(N, odd << twos)
-
-
-def _power_product(powers) -> int:
-    """prod(b^k for b, k in powers), one square per bit of the largest k.
-
-    From the top bit down, the product so far is squared and multiplied
-    by the bases whose k has that bit, so every full-size product is a
-    square.
-    """
-    powers = tuple(powers)
-    out = 1
-    for i in reversed(range(max((k for _, k in powers), default=0)
-                            .bit_length())):
-        out *= out
-        for b, k in powers:
-            if k >> i & 1:
-                out *= b
-    return out
 
 
 @dataclass(frozen=True)

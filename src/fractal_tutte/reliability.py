@@ -30,8 +30,8 @@ or Decimal (``log``, module ``scalars``).  Both steps are homogeneous of
 degree 3, so for p = a/d ``exact`` mode steps the triangle's integer
 numerators over d^3, and after n steps holds integers over
 d^(3^(n+1)).  ``reliability_state`` reduces each of R, B and T once
-(``invariants.lowest_terms``) instead of a gcd at every ``Fraction``
-operation, over one ``invariants.Denominator``, so d is factored and the
+(``scalars.lowest_terms``) instead of a gcd at every ``Fraction``
+operation, over one ``scalars.Denominator``, so d is factored and the
 odd part of d^(3^(n+1)) built once for the three.  ``compare_curves``
 makes one pass over a grid: it reads each p once, runs the same
 stepping core per family, and reduces only R, the value it prints, over
@@ -41,7 +41,7 @@ An independent exact route goes through the Tutte polynomial:
 R(n) = p^(V-1) (1-p)^(E-V+1) T_1,n(1, 1/(1-p)), with the integer
 numerator of T from ``recursion.psw_tutte``, which at x = 1 is u = t1
 and builds no w in its last generation, reduced by the primes of p's
-denominator (``invariants.lowest_terms``); the two must
+denominator (``scalars.lowest_terms``); the two must
 agree exactly, and a test holds them to it.
 """
 
@@ -54,21 +54,22 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DomainError, SizeLimitExceeded, check_generation
+from .errors import DomainError, SizeLimitExceeded, check_generation, shown
 from .graphs import psw_edge_count, psw_vertex_count
-from .invariants import (MAX_EVAL_GENERATION, Denominator, check_point_size,
-                         lowest_terms)
+from .invariants import MAX_EVAL_GENERATION, check_point_size
 from .recursion import psw_step, psw_tutte
 from .scalars import (
     LOG_CONTEXT,
     MAX_EXACT_BITS,
     MAX_LOG_GENERATION,
     PRINTED_DIGITS,
+    Denominator,
     as_probability,
     bits,
     embed,
     fraction_ln,
     ln,
+    lowest_terms,
 )
 
 
@@ -146,7 +147,7 @@ def _run(step, n: int, a: int, d: int, mode: str) -> list:
                * max(bits(d), 1.0))
         if den > MAX_EXACT_BITS:
             raise SizeLimitExceeded(
-                f"exact reliability at n = {n}: its denominator "
+                f"exact reliability at n = {shown(n)}: its denominator "
                 f"d^(3^(n+1)) is predicted at {den:.4g} bits, over the "
                 f"budget of {MAX_EXACT_BITS:.4g} bits")
     elif mode == "float" and n > MAX_LOG_GENERATION:
@@ -218,7 +219,7 @@ def psw_rel_approx_log(n: int, p) -> float:
     one.
     """
     if n < 1:
-        raise DomainError(f"approximation needs n >= 1, got {n}")
+        raise DomainError(f"approximation needs n >= 1, got {shown(n)}")
     p = as_probability(p)
     if p == 0:
         raise DomainError(f"p must lie in (0, 1], got {p}")

@@ -17,17 +17,22 @@ most threefold.  ``LOG_PRECISION`` covers that growth through
 12 printed digits correct.
 
 ``read_exact`` is the one reader of a number from outside, a probability
-or a point, and sizes it before it builds any integer.  ``decimal_int``
-and ``decimal_str`` convert between digits and integers of any length in
-less than quadratic time.
+or a point, and sizes it before it builds any integer.  ``lowest_terms``
+is the one reducer of an exact value, an integer over a known product of
+powers (a ``Denominator``, such as 10^k for a decimal, D_n for a point or
+d^(3^(n+1)) for reliability), and takes no full-size gcd.
+``decimal_int`` and ``decimal_str`` convert between digits and integers
+of any length in less than quadratic time.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import numbers
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -106,7 +111,8 @@ def read_exact(value, max_bits: float, what: str) -> Fraction:
             sign, num, den = (s.replace("_", "").lstrip("0")
                               for s in ratio.groups())
             q = 0
-        elif parts := _DECIMAL_TEXT.fullmatch(str(Decimal(value, _QUIET))):
+        elif parts := _DECIMAL_TEXT.fullmatch(
+                _QUIET.to_sci_string(Decimal(value, _QUIET))):
             sign, whole, frac, exp = parts.groups()
             digits = (whole + frac).lstrip("0")
             num, den = digits.rstrip("0"), "1"
@@ -120,20 +126,11 @@ def read_exact(value, max_bits: float, what: str) -> Fraction:
         _check_bits(what, max_bits, size, -size - 2 * math.log2(10))
         top = decimal_int(num) * 10 ** max(q, 0)
         top = -top if sign == "-" else top
-        value = (_over_ten_to(top, max(-q, 0)) if den == "1"
-                 else Fraction(top, decimal_int(den)))
+        value = (lowest_terms(top, Denominator(((10, max(-q, 0)),)))
+                 if den == "1" else Fraction(top, decimal_int(den)))
     fr = value if isinstance(value, Fraction) else Fraction(value)
     _check_bits(what, max_bits, bits(fr.numerator), bits(fr.denominator))
     return fr
-
-
-def _over_ten_to(N: int, k: int) -> Fraction:
-    """N / 10^k in lowest terms for N with no factor 10 (or k = 0), so
-    that only the 2s or only the 5s of 10^k can divide out: by a shift,
-    or by one ``_divide_out`` ladder, instead of a full-size gcd."""
-    twos = min((N & -N).bit_length() - 1, k)
-    fives, N = _divide_out(N >> twos, 5, k)
-    return _coprime_fraction(N, 2 ** (k - twos) * 5 ** (k - fives))
 
 
 def _divide_out(N: int, p: int, cap: int) -> tuple[int, int]:
@@ -164,6 +161,94 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return value
 
 
+#: Trial division of a denominator's bases stops at this divisor.
+TRIAL_DIVISION_LIMIT = 1 << 12
+
+
+class Denominator:
+    """D = prod(b^k for b, k in powers), factored once for every
+    numerator that ``lowest_terms`` reduces over it.
+
+    Trial division takes 2 out of a base by one shift and each odd prime
+    it finds by one ``_divide_out`` ladder; a part left unfactored
+    (primes above ``TRIAL_DIVISION_LIMIT`` only) is kept whole.  D is
+    2^twos times the odd bases of ``caps`` to their exponents.
+    """
+
+    def __init__(self, powers):
+        self.twos, self.caps = 0, Counter()
+        for b, k in powers:
+            v = (b & -b).bit_length() - 1
+            b >>= v
+            self.twos += k * v
+            f = 3
+            while f * f <= b and f <= TRIAL_DIVISION_LIMIT:
+                if b % f:
+                    f += 2
+                else:
+                    v, b = _divide_out(b, f, math.inf)
+                    self.caps[f] += k * v
+            if b > 1:
+                self.caps[b] += k
+
+    @functools.cached_property
+    def odd(self) -> int:
+        """The odd part of D, built at its first use."""
+        return _power_product(self.caps.items())
+
+
+#: Widest part of D, in bits, that ``lowest_terms`` divides out of
+#: ``Denominator.odd``.  A division costs the product of the two widths,
+#: so past this it builds what is left instead.
+MAX_CANCELLED_BITS = 1 << 12
+
+
+def lowest_terms(N: int, D: Denominator) -> Fraction:
+    """N / D in lowest terms, with no full-size gcd.
+
+    2 leaves N and D by one shift.  Each p^cap of D is divided out of N
+    in rounds: g = gcd(N mod p, p), one ladder takes g^v out of N, and
+    p^v leaves D for (p / g)^v, prime to the rest of N.  A prime p takes
+    one ladder, and no gcd is wider than p.  What is left of D's odd
+    part is ``D.odd`` divided by the g^v cancelled, up to
+    ``MAX_CANCELLED_BITS`` of them, so values over one D, such as the
+    (R, B, T) of an exact reliability state, build it once.
+    """
+    if N == 0:
+        return Fraction(0)
+    v = min((N & -N).bit_length() - 1, D.twos)
+    N, twos = N >> v, D.twos - v
+    left, cancelled = Counter(), 1
+    for p, cap in D.caps.items():
+        while cap and (g := math.gcd(N % p, p)) > 1:
+            v, N = _divide_out(N, g, cap)
+            left[p // g] += v
+            cancelled *= g ** v
+            cap -= v
+        left[p] += cap
+    odd = (D.odd // cancelled if cancelled.bit_length() <= MAX_CANCELLED_BITS
+           else _power_product(left.items()))
+    return _coprime_fraction(N, odd << twos)
+
+
+def _power_product(powers) -> int:
+    """prod(b^k for b, k in powers), one square per bit of the largest k.
+
+    From the top bit down, the product so far is squared and multiplied
+    by the bases whose k has that bit, so every full-size product is a
+    square.
+    """
+    powers = tuple(powers)
+    out = 1
+    for i in reversed(range(max((k for _, k in powers), default=0)
+                            .bit_length())):
+        out *= out
+        for b, k in powers:
+            if k >> i & 1:
+                out *= b
+    return out
+
+
 def _check_bits(what: str, max_bits: float, num: float, den: float) -> None:
     """Refuse a denominator, then a numerator, past ``max_bits``."""
     for part, size, error in (("denominator", den, SizeLimitExceeded),
@@ -180,9 +265,9 @@ def _check_bits(what: str, max_bits: float, num: float, den: float) -> None:
 _LEAF_DIGITS = 640
 
 
-def decimal_int(digits: str) -> int:
-    """The integer of a string of decimal digits, in less than quadratic
-    time.
+def decimal_int(digits: str | bytes) -> int:
+    """The integer of decimal digits, as str or bytes, in less than
+    quadratic time.
 
     ``int(str)`` refuses strings over 4300 digits by default, and
     ``int(Decimal)`` takes time quadratic in the digit count (1.35 s at
@@ -192,7 +277,7 @@ def decimal_int(digits: str) -> int:
     """
     powers: dict[int, int] = {}  # 10^h, built once per length h
 
-    def convert(s: str) -> int:
+    def convert(s: str | bytes) -> int:
         if len(s) <= _LEAF_DIGITS:
             return int(s)
         h = len(s) >> 1
@@ -201,6 +286,20 @@ def decimal_int(digits: str) -> int:
         return convert(s[:-h]) * powers[h] + convert(s[-h:])
 
     return convert(digits)
+
+
+#: An optional sign and decimal digits, as ``int`` reads them.
+_SIGNED_DIGITS = re.compile(r"\s*([+-]?)(\d+)\s*")
+
+
+def signed_int(text) -> int:
+    """int(text), also past the interpreter's int/str limit: an optional
+    sign and decimal digits, with white space around them, are read by
+    ``decimal_int``, and any other value is left to ``int``."""
+    if isinstance(text, str) and (parts := _SIGNED_DIGITS.fullmatch(text)):
+        value = decimal_int(parts[2])
+        return -value if parts[1] == "-" else value
+    return int(text)
 
 
 #: ``decimal_str`` converts values up to this width with ``Decimal(int)``.

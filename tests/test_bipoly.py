@@ -9,6 +9,7 @@ and evaluation as a ring homomorphism.
 import decimal
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -384,6 +385,20 @@ def test_kronecker_in_small_blocks_matches_schoolbook(monkeypatch, case,
                                                       slots):
     a, b = BLOCK_CASES[case]
     assert _in_blocks(monkeypatch, a, b, slots) == _mul_schoolbook(a, b)
+
+
+def test_kronecker_under_the_lowest_int_string_limit(monkeypatch):
+    # 640 digits is the lowest int/str limit the interpreter accepts, so
+    # slots past it must be written and read without int/str conversions.
+    widths = _packed_widths(monkeypatch)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for a, b in (BLOCK_CASES["over-640-digits"], _OVER_4300):
+            assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert 640 < widths[0] < 4300 < widths[2]
 
 
 @given(unsigned_wide_polys, unsigned_wide_polys, st.integers(1, 3))

@@ -96,6 +96,20 @@ def test_generate_to_file_is_idempotent(tmp_path, capsys):
     assert first.decode() == to_edge_list(build_psw_edge_expansion(1))
 
 
+def test_out_file_has_the_mode_of_a_plain_write(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        target = tmp_path / "g.txt"
+        run(capsys, "generate", "--family", "psw", "--n", "1",
+            "--out", str(target))
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert (target.stat().st_mode
+            == (tmp_path / "plain.txt").stat().st_mode == 0o100644)
+
+
 def test_failed_out_names_the_path_given(tmp_path, capsys):
     # The error names --out, not the temporary file beside it.
     target = str(tmp_path / "no-such-dir" / "x")

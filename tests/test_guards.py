@@ -13,12 +13,16 @@ import pytest
 
 from fractal_tutte import invariants
 from fractal_tutte.cli import MAX_GRID_POINTS
-from fractal_tutte.errors import DomainError, SizeLimitExceeded
+from fractal_tutte.bipoly import BiPoly
+from fractal_tutte.errors import (DomainError, FractalTutteError,
+                                  SizeLimitExceeded)
 from fractal_tutte.graphs import (
     MAX_GENERATION,
+    HubGraph,
     build_psw_copy_merge,
     build_psw_edge_expansion,
     build_sierpinski,
+    from_edge_list,
     psw_edge_count,
     psw_vertex_count,
 )
@@ -55,6 +59,7 @@ from fractal_tutte.scalars import (
     MAX_DENOMINATOR,
     MAX_EXACT_BITS,
     MAX_LOG_GENERATION,
+    decimal_str,
 )
 
 
@@ -272,6 +277,48 @@ def test_a_huge_generation_is_refused_at_once(entry):
     with pytest.raises(SizeLimitExceeded):
         entry()
     assert time.perf_counter() - start < 0.1
+
+
+#: Calls that refuse an integer v, given short (10^30) and past the
+#: interpreter's 4300-digit int/str limit (10^5000).
+REFUSING_AN_INTEGER = {
+    "tutte_psw": tutte_psw,
+    "eval_tutte_at_point": lambda v: eval_tutte_at_point(v, 1, 1),
+    "reliability_state": lambda v: reliability_state("psw", v, 0.5),
+    "build_psw_edge_expansion": build_psw_edge_expansion,
+    "psw_vertex_count.negative": lambda v: psw_vertex_count(-v),
+    "HubGraph.num_vertices": lambda v: HubGraph(
+        v, [(0, 1), (1, 2), (0, 2)], (0, 1, 2)),
+    "HubGraph.label": lambda v: HubGraph(
+        3, [(0, 1), (1, 2), (0, v)], (0, 1, 2)),
+    # Past int64, so the labels are read again from the text.
+    "from_edge_list.label": lambda v: from_edge_list(
+        f"3 3\nH 0 1 2\n0 1\n1 2\n0 {decimal_str(v)}\n"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSING_AN_INTEGER)
+def test_an_integer_past_the_int_string_limit_is_refused_as_a_short_one(
+        name):
+    entry = REFUSING_AN_INTEGER[name]
+    with pytest.raises(FractalTutteError) as short:
+        entry(10 ** 30)
+    with pytest.raises(type(short.value)) as long:
+        entry(10 ** 5000)
+    # The same message, with the value's own digits in it.
+    long_digits = max(re.findall(r"\d+", str(long.value)), key=len)
+    assert len(long_digits) >= 5000
+    assert (str(long.value).replace(long_digits, "N")
+            == re.sub(r"\d{30,}", "N", str(short.value)))
+
+
+def test_json_coefficients_past_the_int_string_limit_are_read():
+    ones = (10 ** 5000 - 1) // 9
+    for text, value in (("1" * 5000, ones), ("-" + "1" * 5000, -ones),
+                        ("-12", -12), ("+7", 7)):
+        poly = BiPoly.from_json_dict(
+            {"terms": [{"dx": 1, "dy": 0, "coeff": text}]})
+        assert poly.coefficient(1, 0) == value
 
 
 def test_eval_generation_follows_from_the_state_budget(monkeypatch):

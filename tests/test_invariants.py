@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_tutte import invariants
+from fractal_tutte import invariants, scalars
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
@@ -231,14 +231,14 @@ def test_smooth_bases_reduce_by_one_ladder_per_prime(monkeypatch, base_exps,
     base = math.prod(p ** k for p, k in zip((2, 3, 5), base_exps))
     N = unit * math.prod(p ** k for p, k in zip((2, 3, 5), n_exps))
     found = []
-    divide_out = invariants._divide_out
+    divide_out = scalars._divide_out
 
     def spy(M, p, cap):
         if cap == math.inf:
             found.append(p)
         return divide_out(M, p, cap)
 
-    monkeypatch.setattr(invariants, "_divide_out", spy)
+    monkeypatch.setattr(scalars, "_divide_out", spy)
     value = lowest_terms(N, Denominator(((base, 2),)))
     monkeypatch.undo()
     assert _parts(value) == _parts(Fraction(N, base ** 2))
@@ -261,14 +261,14 @@ def test_trial_division_takes_no_ladder_for_two(monkeypatch):
     # 2 leaves a base by a shift; a ladder for it would divide the base
     # by 2, 4, 16, ..., quadratic in the base's size (0.36 s for 10^200000).
     on_bases = []
-    divide_out = invariants._divide_out
+    divide_out = scalars._divide_out
 
     def spy(M, p, cap):
         if cap == math.inf:
             on_bases.append(p)
         return divide_out(M, p, cap)
 
-    monkeypatch.setattr(invariants, "_divide_out", spy)
+    monkeypatch.setattr(scalars, "_divide_out", spy)
     powers = ((10 ** 2000, 3), (2 ** 70 * 3, 2), (2, 5), (6 * P20, 1))
     N = 3 ** 5 * 2 ** 100 * P20 * 7
     value = lowest_terms(N, Denominator(powers))
@@ -303,7 +303,7 @@ def test_lowest_terms_either_side_of_the_cancelled_limit():
     # N cancels 3^v of D: up to MAX_CANCELLED_BITS the odd part of the
     # whole D is divided by it, and past them what is left is built alone.
     inside = max(v for v in range(8000) if (3 ** v).bit_length()
-                 <= invariants.MAX_CANCELLED_BITS)
+                 <= scalars.MAX_CANCELLED_BITS)
     powers = ((6, 8000), (5 * P20, 3))
     D = math.prod(b ** k for b, k in powers)
     for v in (0, 1, inside, inside + 1, 8000):
@@ -317,13 +317,13 @@ def test_values_over_one_denominator_build_its_odd_part_once(monkeypatch):
     # of 2 and 5 from D (sg at n = 6: 5^2, 5^1 and none); D's odd part
     # is built once for the three, and once per p for a curve's families.
     built = []
-    power_product = invariants._power_product
+    power_product = scalars._power_product
 
     def spy(powers):
         built.append(dict(powers))
         return power_product(powers)
 
-    monkeypatch.setattr(invariants, "_power_product", spy)
+    monkeypatch.setattr(scalars, "_power_product", spy)
     p = Fraction(65807895053, 533043954780)
     for family in ("psw", "sg"):
         reliability_state(family, 6, p)
