@@ -14,19 +14,19 @@ as a scalar under *, so a step written with plain + and * runs on
 any such ring, ``BiPoly`` included, by Horner's rule in x over a table
 of y powers, so it never multiplies two powers together.
 
-Multiplication by x^i y^j - 1, such as x-1 or y-1, is a shift and a
-subtraction.  Large products of operands with no negative coefficient,
-which is every full-size product of the psw recursion, use Kronecker
+Large products of operands with no negative coefficient, which is
+every full-size product of the psw recursion, use Kronecker
 substitution: each polynomial is packed into a single big decimal with
 coefficients in fixed-width digit slots, multiplied once by libmpdec's
-number-theoretic transform, and read back slot by slot.  Every other
-product, signed ones included, is a schoolbook convolution.  The
-read-back scans the product's decimal text in blocks of about 2^20
-digits: numpy finds each block's nonzero slots, and only those are
-converted to ints, so no second copy of the digits is made.  numpy
-loads at the first such read-back, so arithmetic on small polynomials
-never imports it.  All paths produce identical results; the choice
-among them is purely a speed choice.
+number-theoretic transform, and read back slot by slot.  The read-back
+scans the product's decimal text in blocks of about 2^20 digits: numpy
+finds each block's nonzero slots, and only those are converted to ints,
+so no second copy of the digits is made.  numpy loads at the first such
+read-back, so arithmetic on small polynomials never imports it.  Every
+other product, signed ones included, is a schoolbook convolution run
+one term of the shorter operand at a time, so a product by x-1 or y-1
+is one copy and one pass of subtractions.  Both paths produce identical
+results; the choice between them is purely a speed choice.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Iterator, Mapping
 
 from ._arrays import np
-from .errors import ZeroPolynomial
+from .errors import ZeroPolynomial, shown
 from .scalars import (_EXACT, _LEAF_DIGITS, decimal_int, decimal_str,
                       signed_int)
 
@@ -142,6 +142,13 @@ class BiPoly:
         return f"BiPoly({self})"
 
     def __str__(self) -> str:
+        try:
+            return self._text(str)
+        except ValueError:  # a coefficient past the int/str limit
+            return self._text(shown)
+
+    def _text(self, digits) -> str:
+        """``str`` of self, with ``digits`` writing each coefficient."""
         if not self._terms:
             return "0"
         # "*x^dx" and "*y^dy" by degree, built once per call
@@ -151,7 +158,7 @@ class BiPoly:
         parts = []
         for (dx, dy), c in sorted(self._terms.items(), reverse=True):
             mono = xs[dx] + ys[dy]
-            body = mono[1:] if mono and c in (1, -1) else f"{abs(c)}{mono}"
+            body = mono[1:] if mono and c in (1, -1) else digits(abs(c)) + mono
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text[0] == "+" else "-" + text[2:]
@@ -206,11 +213,7 @@ class BiPoly:
         if not a or not b:
             return BiPoly.zero()
         pairs = len(a) * len(b)
-        if shift := _minus_one_shift(b):
-            out = _mul_shift_subtract(a, shift)
-        elif shift := _minus_one_shift(a):
-            out = _mul_shift_subtract(b, shift)
-        elif (min(len(a), len(b)) <= 2 or pairs <= _KRONECKER_PAIRS
+        if (min(len(a), len(b)) <= 2 or pairs <= _KRONECKER_PAIRS
                 or _packed_slots(a, b) > pairs
                 or min(a.values()) < 0 or min(b.values()) < 0):
             out = _mul_schoolbook(a, b)
@@ -266,7 +269,7 @@ class BiPoly:
         """JSON form: terms sorted by (dx, dy), coefficients as strings."""
         return {
             "terms": [
-                {"dx": dx, "dy": dy, "coeff": str(c)}
+                {"dx": dx, "dy": dy, "coeff": shown(c)}
                 for (dx, dy), c in sorted(self._terms.items())
             ]
         }
@@ -280,9 +283,17 @@ class BiPoly:
 # -- internals -------------------------------------------------------------
 
 def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
-    out: dict[Term, int] = {}
+    """a b, one term of the shorter map at a time: the first makes a
+    shifted, scaled copy of the longer, and each other adds into it."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    rest = iter(a.items())
+    (xa, ya), ca = next(rest)
+    out = {(xa + xb, ya + yb): ca * cb for (xb, yb), cb in b.items()}
     get = out.get
-    for (xa, ya), ca in a.items():
+    for (xa, ya), ca in rest:
         for (xb, yb), cb in b.items():
             key = (xa + xb, ya + yb)
             s = get(key, 0) + ca * cb
@@ -290,30 +301,6 @@ def _mul_schoolbook(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
                 out[key] = s
             else:
                 del out[key]
-    return out
-
-
-def _minus_one_shift(p: dict[Term, int]) -> Term | None:
-    """(i, j) if p is x^i y^j - 1, such as x - 1 or y - 1; else None."""
-    if len(p) == 2 and p.get((0, 0)) == -1:
-        shift = max(p)
-        if p[shift] == 1:
-            return shift
-    return None
-
-
-def _mul_shift_subtract(p: dict[Term, int], shift: Term) -> dict[Term, int]:
-    """p (x^i y^j - 1) for (i, j) = shift: p shifted by one dict
-    comprehension, then p subtracted from it term by term."""
-    i, j = shift
-    out = {(dx + i, dy + j): c for (dx, dy), c in p.items()}
-    get = out.get
-    for key, c in p.items():
-        s = get(key, 0) - c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
     return out
 
 

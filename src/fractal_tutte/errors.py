@@ -1,5 +1,7 @@
 """Exception types, and the generation check, shared across the package."""
 
+from fractions import Fraction
+
 
 class FractalTutteError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,14 +20,24 @@ class DomainError(FractalTutteError):
 
 
 def shown(value) -> str:
-    """str(value) for a message, also for an int past the interpreter's
-    int/str limit (4300 digits by default), which ``scalars.decimal_str``
-    writes."""
+    """str(value) for a message, also where an int in it is past the
+    interpreter's int/str limit (4300 digits by default): such an int,
+    alone, in a tuple or list, or in a Fraction, is written by
+    ``scalars.decimal_str``."""
     try:
         return str(value)
     except ValueError:
-        from .scalars import decimal_str  # scalars imports this module
-        return decimal_str(value)
+        pass
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(map(shown, value))
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if isinstance(value, Fraction):
+        num, den = value.as_integer_ratio()
+        return shown(num) if den == 1 else f"{shown(num)}/{shown(den)}"
+    from .scalars import decimal_str  # scalars imports this module
+    return decimal_str(value)
 
 
 def check_generation(n: int, limit: float, what: str) -> None:

@@ -106,7 +106,8 @@ class HubGraph:
         pairs.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
         if len(set(self.hubs)) != 3:
-            raise DomainError(f"hubs must be three distinct vertices, got {self.hubs}")
+            raise DomainError("hubs must be three distinct vertices, "
+                              f"got {shown(self.hubs)}")
         for h in self.hubs:
             if not 0 <= h < n:
                 raise DomainError(f"hub {shown(h)} out of range")

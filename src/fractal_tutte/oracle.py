@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from ._arrays import np
 from .bipoly import BiPoly
-from .errors import DomainError, SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded, shown
 from .graphs import HubGraph, simple_edges
 from .scalars import as_probability
 
@@ -78,7 +78,8 @@ def check_size(name: str, num_vertices: int, num_edges: int) -> None:
     limit, of = _LIMITS[name]
     size = num_edges if of == "edges" else num_vertices
     if size > limit:
-        raise SizeLimitExceeded(f"{size} {of} exceed the {name} limit {limit}")
+        raise SizeLimitExceeded(
+            f"{shown(size)} {of} exceed the {name} limit {limit}")
 
 
 def _vertices_edges(g, name: str) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -36,7 +36,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DomainError, SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded, shown
 
 #: Significant digits of a printed probability.
 PRINTED_DIGITS = 12
@@ -372,7 +372,7 @@ def ln(value):
     magnitude; a Fraction or float gets a float.
     """
     if value < 0:
-        raise DomainError(f"ln of negative value {value}")
+        raise DomainError(f"ln of negative value {shown(value)}")
     if isinstance(value, Fraction):
         return fraction_ln(value)
     if value == 0:
@@ -406,7 +406,7 @@ def fraction_ln(fr: Fraction) -> float:
     through a float that could overflow or underflow.
     """
     if fr <= 0:
-        raise DomainError(f"ln of non-positive value {fr}")
+        raise DomainError(f"ln of non-positive value {shown(fr)}")
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 

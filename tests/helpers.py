@@ -8,7 +8,8 @@ the subset census, the array validation and builders of ``graphs``
 against the per-edge loops they replaced, the block scan of an unsigned
 Kronecker product in ``bipoly`` against a loop that reads each slot as
 an int, the JSON that ``cli`` writes directly against ``json.dumps``,
-and exact reliability states against the steps run on ``Fraction``.
+exact reliability states against the steps run on ``Fraction``, and the
+printed Tutte polynomial against the (u, w) step run on ints mod a prime.
 """
 
 import json
@@ -16,6 +17,7 @@ import json
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError
 from fractal_tutte.graphs import HubGraph
+from fractal_tutte.recursion import psw_uw_step
 from fractal_tutte.reliability import STEPS
 
 
@@ -218,3 +220,25 @@ def reference_reliability_states(family: str, n: int, p):
         rbt = STEPS[family](*rbt)
         states.append(rbt)
     return states
+
+
+#: The Mersenne prime 2^61 - 1, the modulus of the mod-p checks.
+P61 = (1 << 61) - 1
+
+
+def psw_tutte_mod(n: int, x: int, y: int, p: int = P61) -> int:
+    """T_n(x, y) mod p: ``recursion.psw_uw_step`` run on ints, reduced mod
+    p after each generation, from the triangle's u = x + y + 1 and
+    w = x + 1, and T = U + X W.  No polynomial is built."""
+    X, Y = (x - 1) % p, (y - 1) % p
+    u, w = (x + y + 1) % p, (x + 1) % p
+    for _ in range(n):
+        u, w = (v % p for v in psw_uw_step(u, w, X, Y))
+    return (u + X * w) % p
+
+
+def json_terms_mod(terms, x: int, y: int, p: int = P61) -> int:
+    """A polynomial's JSON terms, {"dx", "dy", "coeff"} each, evaluated at
+    (x, y) mod p, one modular power product per term."""
+    return sum(int(t["coeff"]) * pow(x, t["dx"], p) * pow(y, t["dy"], p)
+               for t in terms) % p

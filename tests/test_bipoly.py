@@ -20,10 +20,8 @@ from hypothesis import strategies as st
 from fractal_tutte import bipoly
 from fractal_tutte.bipoly import (
     BiPoly,
-    _minus_one_shift,
     _mul_kronecker,
     _mul_schoolbook,
-    _mul_shift_subtract,
     _pack,
     _unpack,
 )
@@ -270,33 +268,51 @@ def test_signed_random_products_never_reach_kronecker(a, b):
             assert f * g == _via(_mul_schoolbook, f, g)
 
 
-@pytest.mark.parametrize("terms,shift", [
-    ({(1, 0): 1, (0, 0): -1}, (1, 0)),
-    ({(0, 1): 1, (0, 0): -1}, (0, 1)),
-    ({(2, 3): 1, (0, 0): -1}, (2, 3)),
-    ({(1, 0): -1, (0, 0): 1}, None),
-    ({(1, 0): 2, (0, 0): -1}, None),
-    ({(1, 0): 1, (0, 0): 1}, None),
-    ({(1, 0): 1, (0, 1): -1}, None),
-    ({(0, 0): -1}, None),
-    ({(2, 0): 1, (1, 0): 1, (0, 0): -1}, None),
-])
-def test_minus_one_shift_recognises_only_monomial_minus_one(terms, shift):
-    assert _minus_one_shift(terms) == shift
+def _double_loop(a, b):
+    """The product of two term maps by a plain double loop, with the
+    cancelled terms dropped at the end."""
+    out = {}
+    for (xa, ya), ca in a.items():
+        for (xb, yb), cb in b.items():
+            key = (xa + xb, ya + yb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _term_maps(max_size, top):
+    """Term maps of up to max_size terms of degree at most top in x and
+    in y, with coefficients of +-1 (which cancel often), of any sign, or
+    positive."""
+    return st.one_of(*(st.dictionaries(
+        st.tuples(st.integers(0, top), st.integers(0, top)), values,
+        max_size=max_size) for values in (
+            st.sampled_from((-1, 1)),
+            st.integers(-(10**40), 10**40).filter(bool),
+            st.integers(1, 10**40))))
+
+
+monomial_minus_one = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+    any).map(lambda shift: {shift: 1, (0, 0): -1})
+
+
+@given(st.one_of(_term_maps(3, 3), monomial_minus_one), _term_maps(40, 9))
+@settings(max_examples=200)
+def test_schoolbook_matches_a_double_loop_in_either_order(short, long):
+    expected = _double_loop(short, long)
+    assert _mul_schoolbook(short, long) == expected
+    assert _mul_schoolbook(long, short) == expected
 
 
 @given(wide_polys, st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
 @settings(max_examples=60)
 def test_shift_subtract_matches_schoolbook(p, shift):
-    minus_one = {shift: 1, (0, 0): -1}
-    expected = _mul_schoolbook(p.terms(), minus_one)
-    assert _mul_shift_subtract(p.terms(), shift) == expected
-    assert p * BiPoly(minus_one) == BiPoly(minus_one) * p == BiPoly(expected)
+    minus_one = BiPoly({shift: 1, (0, 0): -1})
+    expected = BiPoly(_double_loop(p.terms(), minus_one.terms()))
+    assert p * minus_one == minus_one * p == expected
     # a geometric series telescopes, and its cancelled terms are dropped
     i, j = shift
-    geometric = {(k * i, k * j): 1 for k in range(4)}
-    assert _mul_shift_subtract(geometric, shift) == {(4 * i, 4 * j): 1,
-                                                     (0, 0): -1}
+    geometric = BiPoly({(k * i, k * j): 1 for k in range(4)})
+    assert (geometric * minus_one).terms() == {(4 * i, 4 * j): 1, (0, 0): -1}
 
 
 # -- the decimal Kronecker multiplier ---------------------------------------

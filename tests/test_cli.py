@@ -8,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -36,7 +37,7 @@ from fractal_tutte.invariants import (
 )
 from fractal_tutte.recursion import tutte_psw
 from fractal_tutte.scalars import MAX_DENOMINATOR, bits
-from helpers import tutte_json
+from helpers import P61, json_terms_mod, psw_tutte_mod, tutte_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -204,6 +205,24 @@ def test_tutte_json_is_the_json_module_text(capsys, n):
     code, out, _ = run(capsys, "tutte", "--n", str(n))
     assert code == 0
     assert out == tutte_json(n, tutte_psw(n))
+
+
+def test_printed_tutte_4_is_the_recursion_mod_p(capsys):
+    # The printed terms at seeded points mod 2^61 - 1, against the (u, w)
+    # step run on ints mod p, which shares no product code with BiPoly.
+    code, out, _ = run(capsys, "tutte", "--n", "4")
+    assert code == 0
+    terms = json.loads(out)["polynomial"]["terms"]
+    rng = random.Random(2024)
+    points = [(rng.randrange(2, P61), rng.randrange(2, P61)) for _ in range(3)]
+    for x, y in points:
+        assert json_terms_mod(terms, x, y) == psw_tutte_mod(4, x, y)
+    # A coefficient raised by 1 moves each value by x^dx y^dy, never 0.
+    bumped = [dict(t) for t in terms]
+    term = bumped[rng.randrange(len(bumped))]
+    term["coeff"] = str(int(term["coeff"]) + 1)
+    for x, y in points:
+        assert json_terms_mod(bumped, x, y) != psw_tutte_mod(4, x, y)
 
 
 def test_tutte_json_of_the_zero_polynomial():

@@ -3,6 +3,7 @@ DomainError and the generation one past its limit with SizeLimitExceeded,
 before any costly work starts.
 """
 
+import json
 import math
 import re
 import time
@@ -42,6 +43,7 @@ from fractal_tutte.oracle import (
     MAX_DC_EDGES,
     MAX_MATRIX_TREE_VERTICES,
     MAX_SUBSET_EDGES,
+    matrix_tree_count,
 )
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
@@ -60,6 +62,8 @@ from fractal_tutte.scalars import (
     MAX_EXACT_BITS,
     MAX_LOG_GENERATION,
     decimal_str,
+    fraction_ln,
+    ln,
 )
 
 
@@ -294,6 +298,13 @@ REFUSING_AN_INTEGER = {
     # Past int64, so the labels are read again from the text.
     "from_edge_list.label": lambda v: from_edge_list(
         f"3 3\nH 0 1 2\n0 1\n1 2\n0 {decimal_str(v)}\n"),
+    "HubGraph.hubs": lambda v: HubGraph(
+        3, [(0, 1), (1, 2), (0, 2)], (v, v, 0)),
+    "HubGraph.hubs.list": lambda v: HubGraph(
+        3, [(0, 1), (1, 2), (0, 2)], [v, v, 0]),
+    "oracle.check_size": lambda v: matrix_tree_count((v, [(0, 1)])),
+    "fraction_ln": lambda v: fraction_ln(Fraction(-1, v)),
+    "ln": lambda v: ln(Fraction(-1, v)),
 }
 
 
@@ -319,6 +330,17 @@ def test_json_coefficients_past_the_int_string_limit_are_read():
         poly = BiPoly.from_json_dict(
             {"terms": [{"dx": 1, "dy": 0, "coeff": text}]})
         assert poly.coefficient(1, 0) == value
+
+
+def test_coefficients_past_the_int_string_limit_are_written():
+    big = 10 ** 5000 + 7
+    poly = BiPoly({(2, 1): -3 * big, (1, 0): 1, (0, 0): big})
+    assert str(poly) == (f"-{decimal_str(3 * big)}*x^2*y + x + "
+                         f"{decimal_str(big)}")
+    assert [t["coeff"] for t in poly.to_json_dict()["terms"]] == [
+        decimal_str(big), "1", decimal_str(-3 * big)]
+    assert BiPoly.from_json_dict(
+        json.loads(json.dumps(poly.to_json_dict()))) == poly
 
 
 def test_eval_generation_follows_from_the_state_budget(monkeypatch):
