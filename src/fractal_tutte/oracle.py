@@ -25,10 +25,13 @@ its two components merged).  Past 2^14 subsets the remaining edges are
 walked depth-first over copies of the table.  The 2^27 subsets of the
 generation-2 web take seconds.  numpy loads at the first graph or
 census, not when this module is imported.  The polynomial sums add the
-counts into the rank polynomial R(X, Y) = sum of count X^corank
-Y^nullity and evaluate it at (x-1, y-1) with ``BiPoly.evaluate``.
-Reliability is the same evaluator on the count polynomial
-sum of count p^m q^(E-m), at (p, 1-p).
+counts into the rank table R[a][b], the number of subsets of corank a and
+nullity b, as int rows, and shift it in place to R(x-1, y-1): each row
+p(y) becomes p(y-1) by synthetic subtraction, and the same pass runs
+along x over whole rows, so no polynomial is multiplied.  Reliability sums
+the count polynomials sum of count p^m q^(E-m) on integers: each is
+homogeneous of degree E, so at p = a/d it is its value at (a, d-a) over
+d^E, one ``Fraction`` per value.
 """
 
 from __future__ import annotations
@@ -205,17 +208,34 @@ def _hub_census(g, what: str) -> Census:
     return g if isinstance(g, Census) else census(g)
 
 
-def _poly_from_census(nv, counts, patterns) -> BiPoly:
-    """Sum of (x-1)^(r(G) - r(H)) (y-1)^(n(H)) over the chosen patterns:
-    the rank polynomial R(X, Y) of the counts, at X = x-1 and Y = y-1."""
+def _rank_tables(c: Census, split: bool) -> list:
+    """The rank table of c as int rows, R[a][b] = the number of subsets of
+    corank a = r(G) - r(H) and nullity b: one table per hub pattern, in
+    ``HubPattern`` order, if ``split``, else one over all patterns."""
+    nv, ne = c.num_vertices, c.num_edges
     # G itself is the one subset with the most edges.
-    kg = max(counts, key=lambda key: key[2])[1]
-    rank_poly: Counter = Counter()
-    for (pat, k, m), cnt in counts.items():
-        if pat in patterns:
-            # corank r(G) - r(H) = (nv - kg) - (nv - k), nullity of H
-            rank_poly[k - kg, m - nv + k] += cnt
-    return BiPoly(rank_poly).evaluate(BiPoly.x_minus_1(), BiPoly.y_minus_1())
+    kg = max(c.counts, key=lambda key: key[2])[1]
+    tables = [[[0] * (ne - nv + kg + 1) for _ in range(nv - kg + 1)]
+              for _ in range(len(HubPattern) if split else 1)]
+    for (pat, k, m), cnt in c.counts.items():
+        # corank r(G) - r(H) = (nv - kg) - (nv - k), nullity of H
+        tables[pat if split else 0][k - kg][m - nv + k] += cnt
+    return tables
+
+
+def _shift(rows: list) -> BiPoly:
+    """R(x-1, y-1) of the rank table R[a][b] = rows[a][b], shifted in
+    place: each row p(y) becomes p(y-1) by synthetic subtraction, and the
+    same pass runs along x over whole rows."""
+    for row in rows:
+        for i in range(len(row) - 1):
+            for j in range(len(row) - 2, i - 1, -1):
+                row[j] -= row[j + 1]
+    for i in range(len(rows) - 1):
+        for j in range(len(rows) - 2, i - 1, -1):
+            rows[j] = [u - v for u, v in zip(rows[j], rows[j + 1])]
+    return BiPoly({(a, b): c for a, row in enumerate(rows)
+                   for b, c in enumerate(row)})
 
 
 # -- public oracles --------------------------------------------------------
@@ -229,7 +249,7 @@ def tutte_subgraph_sum(g: GraphLike | Census) -> BiPoly:
     """
     c = g if isinstance(g, Census) else _census(
         *_vertices_edges(g, "enumeration"), None)
-    return _poly_from_census(c.num_vertices, c.counts, set(HubPattern))
+    return _shift(_rank_tables(c, False)[0])
 
 
 def partition_subgraph_sum(
@@ -243,8 +263,7 @@ def partition_subgraph_sum(
     add up to tutte_subgraph_sum(g).
     """
     c = _hub_census(g, "the partition sum")
-    return tuple(_poly_from_census(c.num_vertices, c.counts, {pat})
-                 for pat in HubPattern)
+    return tuple(map(_shift, _rank_tables(c, True)))
 
 
 def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
@@ -332,11 +351,14 @@ def reliability_enumeration(
     """
     p = as_probability(p)
     c = _hub_census(g, "reliability enumeration")
+    a, d, ne = p.numerator, p.denominator, c.num_edges
     # (hub pattern, component count) of R, B and T -> sum of cnt p^m q^(E-m)
     polys = {key: {} for key in ((HubPattern.ALL_TOGETHER, 1),
                                  (HubPattern.AB_C, 2),
                                  (HubPattern.ALL_APART, 3))}
     for (pat, k, m), cnt in c.counts.items():
         if (pat, k) in polys:
-            polys[pat, k][m, c.num_edges - m] = cnt
-    return tuple(BiPoly(terms).evaluate(p, 1 - p) for terms in polys.values())
+            polys[pat, k][m, ne - m] = cnt
+    # Homogeneous of degree E, each sum is its value at (a, d - a) over d^E.
+    return tuple(Fraction(BiPoly(terms).evaluate(a, d - a), d ** ne)
+                 for terms in polys.values())

@@ -8,15 +8,19 @@ the subset census, the array validation and builders of ``graphs``
 against the per-edge loops they replaced, the block scan of an unsigned
 Kronecker product in ``bipoly`` against a loop that reads each slot as
 an int, the JSON that ``cli`` writes directly against ``json.dumps``,
-exact reliability states against the steps run on ``Fraction``, and the
-printed Tutte polynomial against the (u, w) step run on ints mod a prime.
+exact reliability states against the steps run on ``Fraction``, the
+printed Tutte polynomial against the (u, w) step run on ints mod a prime,
+and the oracle's shifted rank tables and integer reliability numerators
+against ``BiPoly.evaluate`` at (x-1, y-1) and on ``Fraction``.
 """
 
 import json
+from fractions import Fraction
 
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError
 from fractal_tutte.graphs import HubGraph
+from fractal_tutte.oracle import HubPattern
 from fractal_tutte.recursion import psw_uw_step
 from fractal_tutte.reliability import STEPS
 
@@ -242,3 +246,36 @@ def json_terms_mod(terms, x: int, y: int, p: int = P61) -> int:
     (x, y) mod p, one modular power product per term."""
     return sum(int(t["coeff"]) * pow(x, t["dx"], p) * pow(y, t["dy"], p)
                for t in terms) % p
+
+
+# -- evaluate routes for the oracle sums -----------------------------------
+
+def rank_table_at_minus_ones(table) -> BiPoly:
+    """The rank table R[a][b] as R(X, Y) at X = x-1 and Y = y-1, by
+    ``BiPoly.evaluate``: Horner's rule over BiPoly products."""
+    return BiPoly({(a, b): c for a, row in enumerate(table)
+                   for b, c in enumerate(row)}).evaluate(
+        BiPoly.x_minus_1(), BiPoly.y_minus_1())
+
+
+def reference_rank_sum(c, patterns) -> BiPoly:
+    """The Tutte sum of a census over the hub patterns ``patterns``: its
+    counts added into R(X, Y) as a dict and evaluated at (x-1, y-1)."""
+    kg = max(c.counts, key=lambda key: key[2])[1]
+    rank: dict = {}
+    for (pat, k, m), cnt in c.counts.items():
+        if pat in patterns:
+            key = (k - kg, m - c.num_vertices + k)
+            rank[key] = rank.get(key, 0) + cnt
+    return BiPoly(rank).evaluate(BiPoly.x_minus_1(), BiPoly.y_minus_1())
+
+
+def reference_reliability(c, p: Fraction) -> tuple:
+    """(R, B, T) of a hub census at p: each count polynomial, the sum of
+    count p^m q^(E-m), evaluated on Fraction, one gcd per operation."""
+    polys = {(HubPattern.ALL_TOGETHER, 1): {}, (HubPattern.AB_C, 2): {},
+             (HubPattern.ALL_APART, 3): {}}
+    for (pat, k, m), cnt in c.counts.items():
+        if (pat, k) in polys:
+            polys[pat, k][m, c.num_edges - m] = cnt
+    return tuple(BiPoly(terms).evaluate(p, 1 - p) for terms in polys.values())

@@ -207,22 +207,32 @@ def test_tutte_json_is_the_json_module_text(capsys, n):
     assert out == tutte_json(n, tutte_psw(n))
 
 
-def test_printed_tutte_4_is_the_recursion_mod_p(capsys):
-    # The printed terms at seeded points mod 2^61 - 1, against the (u, w)
-    # step run on ints mod p, which shares no product code with BiPoly.
-    code, out, _ = run(capsys, "tutte", "--n", "4")
+def _check_printed_tutte_mod_p(capsys, n):
+    """The printed terms of ``tutte --n n`` at seeded points mod 2^61 - 1,
+    against the (u, w) step run on ints mod p, which shares no product
+    code with BiPoly; and a copy with one coefficient raised by 1, which
+    moves each value by x^dx y^dy, never 0, against the same values."""
+    code, out, _ = run(capsys, "tutte", "--n", str(n))
     assert code == 0
     terms = json.loads(out)["polynomial"]["terms"]
     rng = random.Random(2024)
     points = [(rng.randrange(2, P61), rng.randrange(2, P61)) for _ in range(3)]
-    for x, y in points:
-        assert json_terms_mod(terms, x, y) == psw_tutte_mod(4, x, y)
-    # A coefficient raised by 1 moves each value by x^dx y^dy, never 0.
+    values = [psw_tutte_mod(n, x, y) for x, y in points]
+    assert [json_terms_mod(terms, x, y) for x, y in points] == values
     bumped = [dict(t) for t in terms]
     term = bumped[rng.randrange(len(bumped))]
     term["coeff"] = str(int(term["coeff"]) + 1)
-    for x, y in points:
-        assert json_terms_mod(bumped, x, y) != psw_tutte_mod(4, x, y)
+    for (x, y), value in zip(points, values):
+        assert json_terms_mod(bumped, x, y) != value
+
+
+def test_printed_tutte_4_is_the_recursion_mod_p(capsys):
+    _check_printed_tutte_mod_p(capsys, 4)
+
+
+@pytest.mark.slow
+def test_printed_tutte_5_is_the_recursion_mod_p(capsys):
+    _check_printed_tutte_mod_p(capsys, 5)
 
 
 def test_tutte_json_of_the_zero_polynomial():

@@ -11,11 +11,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fractal_tutte import oracle
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError, SizeLimitExceeded
 from fractal_tutte.graphs import (
+    HubGraph,
     build_psw_edge_expansion,
     build_sierpinski,
     simple_edges,
@@ -32,7 +35,13 @@ from fractal_tutte.oracle import (
     tutte_deletion_contraction,
     tutte_subgraph_sum,
 )
-from helpers import UnionFind, div_exact_xminus1
+from helpers import (
+    UnionFind,
+    div_exact_xminus1,
+    rank_table_at_minus_ones,
+    reference_rank_sum,
+    reference_reliability,
+)
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -255,6 +264,76 @@ def test_subset_sum_labels_vertices_past_256():
     # a 21-edge forest on 300 vertices: vertex 256 is not vertex 0
     forest = (300, [(0, 256)] + [(i, i + 1) for i in range(1, 21)])
     assert tutte_subgraph_sum(forest) == X ** 21
+
+
+# -- the shifted rank table and the integer numerators ---------------------
+
+
+@st.composite
+def rank_tables(draw):
+    """Rectangular int tables, 0 x 0 up to 15 x 15, with signed entries
+    up to 10^30."""
+    rows, cols = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+    entry = st.integers(-10 ** 30, 10 ** 30)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@given(rank_tables())
+@example([])
+@example([[7]])
+@example([[-(10 ** 30)] * 15] * 15)
+def test_shift_is_the_rank_table_at_x_minus_1_and_y_minus_1(table):
+    expect = rank_table_at_minus_ones(table)
+    got = oracle._shift([row[:] for row in table])
+    assert got.terms() == expect.terms()
+
+
+def _hub_subgraph(g, k, rng):
+    """k edges of g grown from hub A, redrawn until they reach all three
+    hubs, relabelled 0.. as a HubGraph."""
+    while True:
+        reached, chosen = {g.hubs[0]}, []
+        while len(chosen) < k:
+            edge = rng.choice([e for e in g.edges if e not in chosen
+                               and (e[0] in reached or e[1] in reached)])
+            chosen.append(edge)
+            reached.update(edge)
+        if reached.issuperset(g.hubs):
+            label = {v: i for i, v in enumerate(sorted(reached))}
+            return HubGraph(len(label),
+                            [(label[u], label[v]) for u, v in chosen],
+                            tuple(label[h] for h in g.hubs))
+
+
+#: Edge probabilities: both ends, small denominators, a 9-digit decimal
+#: and 10^-12, whose d^E has 168 digits at 14 edges.
+PROBABILITIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                 Fraction(123456789, 10 ** 9), Fraction(1, 10 ** 12))
+
+
+@pytest.mark.parametrize("build", [build_psw_edge_expansion, build_sierpinski])
+@pytest.mark.parametrize("size", [12, 14])
+def test_oracle_sums_are_the_evaluate_and_fraction_routes(
+        monkeypatch, build, size):
+    g = _hub_subgraph(build(2), size, random.Random(size))
+    c = census(g)
+
+    def no_product(self, other):
+        raise AssertionError(f"a BiPoly product by {other}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BiPoly, "__mul__", no_product)
+        patch.setattr(BiPoly, "__rmul__", no_product)
+        sums = [tutte_subgraph_sum(g), tutte_subgraph_sum(c),
+                *partition_subgraph_sum(g), *partition_subgraph_sum(c)]
+    whole = reference_rank_sum(c, set(HubPattern)).terms()
+    parts = [reference_rank_sum(c, {pat}).terms() for pat in HubPattern]
+    assert [s.terms() for s in sums] == [whole, whole, *parts, *parts]
+    for p in PROBABILITIES:
+        got = reliability_enumeration(c, p)
+        assert all(type(v) is Fraction for v in got)
+        assert got == reference_reliability(c, p)
 
 
 # -- reliability enumeration ------------------------------------------------
