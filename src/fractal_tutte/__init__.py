@@ -23,7 +23,6 @@ from .graphs import (
     build_psw_edge_expansion,
     build_sierpinski,
     degree_histogram,
-    from_edge_list,
     psw_edge_count,
     psw_vertex_count,
     to_edge_list,

@@ -38,8 +38,7 @@ from typing import Iterator, Mapping
 
 from ._arrays import np
 from .errors import ZeroPolynomial, shown
-from .scalars import (_EXACT, _LEAF_DIGITS, decimal_int, decimal_str,
-                      signed_int)
+from .scalars import _EXACT, _LEAF_DIGITS, decimal_int, decimal_str
 
 Term = tuple[int, int]
 
@@ -104,14 +103,8 @@ class BiPoly:
         """A copy of the canonical term map."""
         return dict(self._terms)
 
-    def coefficient(self, dx: int, dy: int) -> int:
-        return self._terms.get((dx, dy), 0)
-
     def num_terms(self) -> int:
         return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -273,11 +266,6 @@ class BiPoly:
                 for (dx, dy), c in sorted(self._terms.items())
             ]
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "BiPoly":
-        return cls({(t["dx"], t["dy"]): signed_int(t["coeff"])
-                    for t in data["terms"]})
 
 
 # -- internals -------------------------------------------------------------

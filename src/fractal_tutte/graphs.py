@@ -40,8 +40,8 @@ A ``HubGraph`` keeps its sorted (min, max) pairs as one read-only int64
 (E, 2) array, ``pairs``.  ``edges``, the same pairs as a tuple of int
 tuples, is a view built on first use for the per-edge oracles;
 ``num_edges``, ``degrees()``, equality and ``to_edge_list`` read the
-array and never build it.  numpy loads when the first graph is built or
-read, not when this module is imported.
+array and never build it.  numpy loads when the first graph is built,
+not when this module is imported.
 
 ``to_edge_list`` prints from two byte tables with one fixed-width record
 per label: its digits, NUL bytes in place of leading zeros, then a space
@@ -62,7 +62,6 @@ from dataclasses import dataclass
 
 from ._arrays import np
 from .errors import DomainError, SizeLimitExceeded, check_generation, shown
-from .scalars import signed_int
 
 #: Peak memory per edge of ``generate --n 12`` above the imported package
 #: and numpy, on CPython 3.11 with numpy 2.4: 89 B for psw, reached while
@@ -78,7 +77,7 @@ MAX_GENERATION = 13
 
 _ESTIMATE = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, traps=[])
 
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+_INT64_MAX = 2 ** 63 - 1
 
 _TRIANGLE = ((0, 1), (0, 2), (1, 2))
 
@@ -380,63 +379,6 @@ def to_edge_list(g: HubGraph) -> str:
         text[:, column] = table.view(record)[:, 0][g.pairs[:, column]]
     data = text.view(np.uint8)
     return header + data[data != 0].tobytes().decode("ascii")
-
-
-def from_edge_list(text: str) -> HubGraph:
-    """Parse ``to_edge_list``'s format; blank lines and white space around
-    tokens are ignored.  An edge line is two tokens of an optional sign
-    and ASCII digits; white space is space and tab, and a line ends at
-    \\n, \\r, \\v or \\f.  Array passes over the bytes (a non-ASCII
-    character is one stray byte) count each line's tokens and stray bytes;
-    then ``np.fromstring`` reads every label at once.  Python reads only
-    the header, the hub line and a bad line."""
-    data = np.frombuffer(text.encode("ascii", "replace") + b"\n", np.uint8)
-    breaks = (data >= ord("\n")) & (data <= ord("\r"))
-    solid = ~(breaks | (data == ord(" ")) | (data == ord("\t")))
-    start = solid.copy()
-    start[1:] &= ~solid[:-1]
-    events = np.flatnonzero(start | breaks)  # token starts and line ends
-    last = np.flatnonzero(breaks[events])
-    ends = events[last]
-    firsts = np.concatenate(([0], ends[:-1] + 1))
-    tokens = np.diff(last, prepend=-1) - 1
-    digit = (data >= ord("0")) & (data <= ord("9"))
-    sign = start & ((data == ord("+")) | (data == ord("-")))
-    sign[:-1] &= digit[1:]
-    stray = np.zeros(len(ends), bool)
-    stray[np.searchsorted(ends, np.flatnonzero(solid & ~digit & ~sign))] = True
-    lines = np.flatnonzero(tokens)
-
-    def line(i: int) -> str:
-        return text[firsts[i]:ends[i]].strip()
-
-    if len(lines) < 2:
-        raise DomainError("edge-list input too short: need header and hub line")
-    try:
-        nv, ne = map(int, line(lines[0]).split())
-    except ValueError:
-        raise DomainError(f"bad header line: {line(lines[0])!r}") from None
-    tag, *hub_parts = line(lines[1]).split()
-    try:
-        hubs = tuple(int(h) for h in hub_parts)
-    except ValueError:
-        hubs = ()
-    if tag != "H" or len(hubs) != 3:
-        raise DomainError(f"bad hub line: {line(lines[1])!r}")
-    lines = lines[2:]
-    if len(lines) != ne:
-        raise DomainError(
-            f"header promises {ne} edges but {len(lines)} lines follow")
-    bad = (tokens[lines] != 2) | stray[lines]
-    if bad.any():
-        raise DomainError(f"bad edge line: {line(lines[bad.argmax()])!r}")
-    body = text[firsts[lines[0]]:] if ne else ""
-    pairs = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
-    if np.isin(pairs, (_INT64_MIN, _INT64_MAX)).any():  # maybe clipped
-        words = body.split()
-        pairs = list(zip(map(signed_int, words[::2]),
-                         map(signed_int, words[1::2])))
-    return HubGraph(nv, pairs, hubs)
 
 
 def psw_vertex_count(n: int) -> int:

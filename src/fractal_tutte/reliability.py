@@ -50,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -344,12 +345,21 @@ def curves_to_csv(points: list[CurvePoint], families=FAMILIES) -> str:
 
     One R and one lnR column per family; p with 4 decimals,
     probabilities as 12-significant-digit scientific notation,
-    logarithms with 6 decimals.
+    logarithms with 6 decimals.  A float R below the smallest normal
+    double, 0 or subnormal for a positive value, is refused: no printed
+    digit of it would be justified.
     """
     lines = [",".join(["p"] + [f"R_{f}" for f in families]
                       + [f"lnR_{f}" for f in families])]
     for pt in points:
         values = [pt.r[f] for f in families]
+        for f, v in zip(families, values):
+            if pt.mode == "float" and v < sys.float_info.min:
+                raise SizeLimitExceeded(
+                    f"float mode: R_{f} at p = {pt.p} is below "
+                    f"{sys.float_info.min:.4g}, the smallest normal double, "
+                    f"so its digits would be wrong; exact and log mode "
+                    f"hold it")
         lines.append(",".join(
             [f"{pt.p:.4f}"]
             + [format_probability(v, pt.mode) for v in values]

@@ -288,20 +288,6 @@ def decimal_int(digits: str | bytes) -> int:
     return convert(digits)
 
 
-#: An optional sign and decimal digits, as ``int`` reads them.
-_SIGNED_DIGITS = re.compile(r"\s*([+-]?)(\d+)\s*")
-
-
-def signed_int(text) -> int:
-    """int(text), also past the interpreter's int/str limit: an optional
-    sign and decimal digits, with white space around them, are read by
-    ``decimal_int``, and any other value is left to ``int``."""
-    if isinstance(text, str) and (parts := _SIGNED_DIGITS.fullmatch(text)):
-        value = decimal_int(parts[2])
-        return -value if parts[1] == "-" else value
-    return int(text)
-
-
 #: ``decimal_str`` converts values up to this width with ``Decimal(int)``.
 _LEAF_BITS = 1 << 12
 

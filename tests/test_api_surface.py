@@ -1,7 +1,9 @@
 """Every public function and class of the package has a user outside the
 tests: package code outside its own definition (in any module of
-``src/fractal_tutte``), or the README's code.  Code that only tests call
-belongs in ``tests/helpers.py``.
+``src/fractal_tutte``), or the README's code.  Every public method and
+property of a public class has one too, where the benchmark's code in
+``perfbench/`` also counts as a user.  Code that only tests call belongs
+in ``tests/helpers.py``.
 """
 
 import ast
@@ -10,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fractal_tutte"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _read_names(node):
@@ -28,9 +31,13 @@ def _readme_code_names():
     return set(re.findall(r"\w+", "\n".join(code)))
 
 
+def _top_level_nodes(directory):
+    return [node for path in sorted(directory.glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
+
+
 def test_every_public_name_has_a_user_outside_the_tests():
-    nodes = [node for path in sorted(SRC.glob("*.py"))
-             for node in ast.parse(path.read_text()).body]
+    nodes = _top_level_nodes(SRC)
     reads = [_read_names(node) for node in nodes]
     documented = _readme_code_names()
     unused = []
@@ -40,4 +47,24 @@ def test_every_public_name_has_a_user_outside_the_tests():
             used = set().union(*reads[:i], *reads[i + 1:])
             if node.name not in used | documented:
                 unused.append(node.name)
+    assert not unused, f"public, with no user outside the tests: {unused}"
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    nodes = _top_level_nodes(SRC)
+    reads = [_read_names(node) for node in nodes]
+    outside = (_readme_code_names()
+               | set().union(*map(_read_names, _top_level_nodes(PERFBENCH))))
+    unused = []
+    for i, node in enumerate(nodes):
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        members = [_read_names(item) for item in node.body]
+        for j, item in enumerate(node.body):
+            if (isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")):
+                used = set().union(*reads[:i], *reads[i + 1:],
+                                   *members[:j], *members[j + 1:])
+                if item.name not in used | outside:
+                    unused.append(f"{node.name}.{item.name}")
     assert not unused, f"public, with no user outside the tests: {unused}"

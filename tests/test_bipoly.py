@@ -79,13 +79,13 @@ rationals = st.fractions(
 
 def test_zero_coefficients_are_dropped_on_construction():
     assert _p({(1, 0): 0, (0, 0): 3}) == _p({(0, 0): 3})
-    assert _p({(2, 2): 0}).is_zero()
+    assert not _p({(2, 2): 0})
 
 
 def test_constant_and_generators():
-    assert BiPoly.constant(5).coefficient(0, 0) == 5
-    assert X.coefficient(1, 0) == 1
-    assert Y.coefficient(0, 1) == 1
+    assert BiPoly.constant(5).terms() == {(0, 0): 5}
+    assert X.terms() == {(1, 0): 1}
+    assert Y.terms() == {(0, 1): 1}
     assert BiPoly.x_minus_1() == X - ONE
     assert BiPoly.y_minus_1() == Y - ONE
 
@@ -124,7 +124,7 @@ def test_add_known_example():
 
 def test_add_cancellation_leaves_empty_term_map():
     s = (X - ONE) + (ONE - X)
-    assert s.is_zero()
+    assert not s
     assert s.num_terms() == 0
 
 
@@ -137,7 +137,7 @@ def test_add_associative_commutative(a, b, c):
 
 @given(small_polys)
 def test_subtraction_is_additive_inverse(a):
-    assert (a - a).is_zero()
+    assert a - a == 0
     assert a + (-a) == BiPoly.zero()
 
 
@@ -166,10 +166,7 @@ def test_mul_known_examples():
     assert (X - ONE) * (X - ONE) == _p({(2, 0): 1, (1, 0): -2, (0, 0): 1})
     yp2 = Y + BiPoly.constant(2)
     cube = yp2 * yp2 * yp2
-    assert cube.coefficient(0, 3) == 1
-    assert cube.coefficient(0, 2) == 6
-    assert cube.coefficient(0, 1) == 12
-    assert cube.coefficient(0, 0) == 8
+    assert cube == _p({(0, 3): 1, (0, 2): 6, (0, 1): 12, (0, 0): 8})
 
 
 def test_mul_by_int_scalar():
@@ -190,7 +187,7 @@ def test_mul_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * ONE == a
-    assert (a * BiPoly.zero()).is_zero()
+    assert a * BiPoly.zero() == 0
 
 
 @given(unsigned_wide_polys, unsigned_wide_polys)
@@ -205,7 +202,7 @@ def test_kronecker_on_tiny_inputs():
     assert _via(_mul_kronecker, X, Y) == _p({(1, 1): 1})
     assert _via(_mul_kronecker, X + ONE, X + ONE) == _p({(2, 0): 1, (1, 0): 2,
                                                          (0, 0): 1})
-    assert _via(_mul_kronecker, BiPoly.zero(), X).is_zero()
+    assert not _via(_mul_kronecker, BiPoly.zero(), X)
 
 
 def test_kronecker_with_large_coefficients():
@@ -555,7 +552,7 @@ def test_div_exact_known_examples():
 
 
 def test_div_exact_zero_input():
-    assert div_exact_xminus1(BiPoly.zero(), 3).is_zero()
+    assert div_exact_xminus1(BiPoly.zero(), 3) == 0
 
 
 def test_div_exact_raises_on_remainder():
@@ -592,7 +589,7 @@ def test_eval_zero_polynomial():
     assert type(value) is Fraction and value == 0
     assert BiPoly.zero().evaluate(3, 7) == 0
     substituted = BiPoly.zero().evaluate(X - ONE, Y + ONE)
-    assert type(substituted) is BiPoly and substituted.is_zero()
+    assert type(substituted) is BiPoly and not substituted
 
 
 @given(small_polys, st.integers(-5, 5), st.integers(-5, 5))
@@ -675,15 +672,20 @@ def test_degrees_of_zero_raises():
 # -- serialization ----------------------------------------------------------
 
 
+def _json_terms(d: dict) -> dict:
+    """The term map that ``to_json_dict``'s form ``d`` writes."""
+    return {(t["dx"], t["dy"]): int(t["coeff"]) for t in d["terms"]}
+
+
 def test_json_round_trip_and_ordering():
     t = X * X + X + Y
     d = t.to_json_dict()
     keys = [(term["dx"], term["dy"]) for term in d["terms"]]
     assert keys == sorted(keys)
     assert all(isinstance(term["coeff"], str) for term in d["terms"])
-    assert BiPoly.from_json_dict(d) == t
+    assert _json_terms(d) == t.terms()
     # must survive an actual serialize/parse cycle
-    assert BiPoly.from_json_dict(json.loads(json.dumps(d))) == t
+    assert _json_terms(json.loads(json.dumps(d))) == t.terms()
 
 
 def test_json_golden_form():
@@ -716,4 +718,4 @@ def test_str_forms(poly, text):
 @given(wide_polys)
 @settings(max_examples=40)
 def test_json_round_trip_random(a):
-    assert BiPoly.from_json_dict(json.loads(json.dumps(a.to_json_dict()))) == a
+    assert _json_terms(json.loads(json.dumps(a.to_json_dict()))) == a.terms()

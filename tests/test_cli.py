@@ -26,7 +26,7 @@ from fractal_tutte.errors import SizeLimitExceeded
 from fractal_tutte.graphs import (
     BYTES_PER_EDGE,
     build_psw_edge_expansion,
-    from_edge_list,
+    build_sierpinski,
     psw_edge_count,
     to_edge_list,
 )
@@ -37,7 +37,13 @@ from fractal_tutte.invariants import (
 )
 from fractal_tutte.recursion import tutte_psw
 from fractal_tutte.scalars import MAX_DENOMINATOR, bits
-from helpers import P61, json_terms_mod, psw_tutte_mod, tutte_json
+from helpers import (
+    P61,
+    json_terms_mod,
+    psw_tutte_mod,
+    reference_edge_list,
+    tutte_json,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,10 +83,11 @@ def test_generate_psw_stdout(capsys):
 def test_generate_sg_round_trips(capsys):
     code, out, _ = run(capsys, "generate", "--family", "sg", "--n", "2")
     assert code == 0
-    g = from_edge_list(out)
+    g = build_sierpinski(2)
+    assert out == reference_edge_list(g)
     degs = g.degrees()
     assert [degs[h] for h in g.hubs] == [2, 2, 2]
-    assert len(g.edges) == 27
+    assert g.num_edges == 27
 
 
 def test_generate_to_file_is_idempotent(tmp_path, capsys):
@@ -183,7 +190,8 @@ def test_tutte_json(capsys):
     doc = json.loads(out)
     assert doc["family"] == "psw"
     assert doc["n"] == 1
-    assert BiPoly.from_json_dict(doc["polynomial"]) == tutte_psw(1)
+    assert {(t["dx"], t["dy"]): int(t["coeff"])
+            for t in doc["polynomial"]["terms"]} == tutte_psw(1).terms()
 
 
 def test_tutte_text(capsys):
@@ -536,6 +544,21 @@ def test_reliability_deep_float_mode_exits_1_naming_the_limit(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: float mode is limited to n <= 40")
+
+
+@pytest.mark.parametrize("argv,family,p", [
+    # The value is 1.43944144049e-894174.
+    (("--n", "30", "--p-grid", "0.9999", "--families", "psw"), "psw",
+     "0.9999"),
+    (("--n", "10", "--p-grid", "0.01"), "psw", "0.01"),
+])
+def test_reliability_float_mode_refuses_an_underflowed_value(capsys, argv,
+                                                              family, p):
+    code, out, err = run(capsys, "reliability", "--mode", "float", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: float mode: R_{family} at p = {p} is "
+                          f"below 2.225e-308")
 
 
 def test_reliability_single_family_output_matches_both_family_columns(capsys):

@@ -23,7 +23,6 @@ from fractal_tutte.graphs import (
     build_psw_copy_merge,
     build_psw_edge_expansion,
     build_sierpinski,
-    from_edge_list,
     psw_edge_count,
     psw_vertex_count,
 )
@@ -295,9 +294,6 @@ REFUSING_AN_INTEGER = {
         v, [(0, 1), (1, 2), (0, 2)], (0, 1, 2)),
     "HubGraph.label": lambda v: HubGraph(
         3, [(0, 1), (1, 2), (0, v)], (0, 1, 2)),
-    # Past int64, so the labels are read again from the text.
-    "from_edge_list.label": lambda v: from_edge_list(
-        f"3 3\nH 0 1 2\n0 1\n1 2\n0 {decimal_str(v)}\n"),
     "HubGraph.hubs": lambda v: HubGraph(
         3, [(0, 1), (1, 2), (0, 2)], (v, v, 0)),
     "HubGraph.hubs.list": lambda v: HubGraph(
@@ -323,15 +319,6 @@ def test_an_integer_past_the_int_string_limit_is_refused_as_a_short_one(
             == re.sub(r"\d{30,}", "N", str(short.value)))
 
 
-def test_json_coefficients_past_the_int_string_limit_are_read():
-    ones = (10 ** 5000 - 1) // 9
-    for text, value in (("1" * 5000, ones), ("-" + "1" * 5000, -ones),
-                        ("-12", -12), ("+7", 7)):
-        poly = BiPoly.from_json_dict(
-            {"terms": [{"dx": 1, "dy": 0, "coeff": text}]})
-        assert poly.coefficient(1, 0) == value
-
-
 def test_coefficients_past_the_int_string_limit_are_written():
     big = 10 ** 5000 + 7
     poly = BiPoly({(2, 1): -3 * big, (1, 0): 1, (0, 0): big})
@@ -339,8 +326,6 @@ def test_coefficients_past_the_int_string_limit_are_written():
                          f"{decimal_str(big)}")
     assert [t["coeff"] for t in poly.to_json_dict()["terms"]] == [
         decimal_str(big), "1", decimal_str(-3 * big)]
-    assert BiPoly.from_json_dict(
-        json.loads(json.dumps(poly.to_json_dict()))) == poly
 
 
 def test_eval_generation_follows_from_the_state_budget(monkeypatch):
