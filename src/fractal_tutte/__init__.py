@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     FractalTutteError,
     SizeLimitExceeded,
-    ZeroPolynomial,
 )
 from .graphs import (
     HubGraph,

@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Iterator, Mapping
 
 from ._arrays import np
-from .errors import ZeroPolynomial, shown
+from .errors import as_integer, shown
 from .scalars import _EXACT, _LEAF_DIGITS, decimal_int, decimal_str
 
 Term = tuple[int, int]
@@ -61,6 +61,10 @@ class BiPoly:
         clean: dict[Term, int] = {}
         if terms:
             for (dx, dy), c in terms.items():
+                if not (type(dx) is type(dy) is type(c) is int):
+                    dx, dy, c = (as_integer(v, "a term's exponents and "
+                                            "coefficient must be integers")
+                                 for v in (dx, dy, c))
                 if dx < 0 or dy < 0:
                     raise ValueError(f"negative exponent in term ({dx}, {dy})")
                 if c:
@@ -111,12 +115,6 @@ class BiPoly:
 
     def __iter__(self) -> Iterator[tuple[Term, int]]:
         return iter(sorted(self._terms.items()))
-
-    def degrees(self) -> tuple[int, int]:
-        """(max x-degree, max y-degree); raises ZeroPolynomial on zero."""
-        if not self._terms:
-            raise ZeroPolynomial("the zero polynomial has no degrees")
-        return _box(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):

@@ -242,9 +242,9 @@ def _tutte_json(n: int, poly) -> str:
 
 def _run_eval(args) -> int:
     value = invariants.eval_tutte_at_point(args.n, args.x, args.y)
-    text = invariants.decimal_str(value.numerator)
+    text = scalars.decimal_str(value.numerator)
     if value.denominator != 1:
-        text += "/" + invariants.decimal_str(value.denominator)
+        text += "/" + scalars.decimal_str(value.denominator)
     print(text)
     return 0
 

@@ -34,7 +34,9 @@ in creation order.  A merge offsets three copies of the array by 0, V and
 2V and maps them through one label array over the 3V raw indices.  Only
 the final graph becomes a ``HubGraph``, whose validation is itself a few
 array passes: one ``np.sort`` of a single int64 key per pair, a scan for
-equal adjacent keys, and connected components.
+equal adjacent keys, and connected components.  E edges cannot connect
+more than E + 1 vertices, so a larger vertex count is refused as
+disconnected before any pass, and every array is sized by E.
 
 A ``HubGraph`` keeps its sorted (min, max) pairs as one read-only int64
 (E, 2) array, ``pairs``.  ``edges``, the same pairs as a tuple of int
@@ -56,12 +58,12 @@ import decimal
 import functools
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 from ._arrays import np
-from .errors import DomainError, SizeLimitExceeded, check_generation, shown
+from .errors import (DomainError, SizeLimitExceeded, as_integer,
+                     check_generation, shown)
 
 #: Peak memory per edge of ``generate --n 12`` above the imported package
 #: and numpy, on CPython 3.11 with numpy 2.4: 89 B for psw, reached while
@@ -91,8 +93,10 @@ class HubGraph:
     ``pairs`` may be given as any iterable of int pairs or as an integer
     (E, 2) array; it is kept as the sorted (min, max) pairs in one
     read-only int64 (E, 2) array.  ``edges`` is the same pairs as a tuple
-    of int tuples, built on first use.  Two HubGraphs compare equal iff
-    they are the same labeled graph with the same hubs.
+    of int tuples, built on first use.  The vertex count and the hubs are
+    read by the rule of a label and kept as an int and a tuple of ints.
+    Two HubGraphs compare equal iff they are the same labeled graph with
+    the same hubs.
     """
 
     num_vertices: int
@@ -100,14 +104,28 @@ class HubGraph:
     hubs: tuple[int, int, int]
 
     def __post_init__(self):
-        n = self.num_vertices
-        pairs = simple_edges(n, self.pairs).T
+        n = as_integer(self.num_vertices, "the vertex count must be an integer")
+        if n < 0:
+            raise DomainError("the vertex count must be nonnegative, "
+                              f"got {shown(n)}")
+        try:
+            hubs = tuple(as_integer(h, "a hub must be an integer")
+                         for h in self.hubs)
+        except TypeError:  # not iterable
+            raise DomainError("hubs must be three distinct vertices") from None
+        pairs = _edge_array(self.pairs)
+        if n > len(pairs) + 1:
+            raise DomainError(f"graph is disconnected: {len(pairs)} edges "
+                              f"cannot connect {shown(n)} vertices")
+        pairs = simple_edges(n, pairs).T
         pairs.flags.writeable = False
+        object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "pairs", pairs)
-        if len(set(self.hubs)) != 3:
+        object.__setattr__(self, "hubs", hubs)
+        if len(set(hubs)) != 3:
             raise DomainError("hubs must be three distinct vertices, "
-                              f"got {shown(self.hubs)}")
-        for h in self.hubs:
+                              f"got {shown(hubs)}")
+        for h in hubs:
             if not 0 <= h < n:
                 raise DomainError(f"hub {shown(h)} out of range")
         components = _component_count(n, pairs[:, 0], pairs[:, 1])
@@ -138,47 +156,34 @@ class HubGraph:
                            minlength=self.num_vertices).tolist()
 
 
-def simple_edges(n: int, edges) -> np.ndarray:
-    """The sorted (min, max) pairs of a simple graph on range(n), as rows
-    lo and hi of an int64 (2, E) array (of Python ints if n and a label
-    pass int64), the transpose of a C-ordered (E, 2) one; the least pair
-    that is a self-loop, out of range or repeated is refused with a
-    ``DomainError`` that names it.
+def simple_edges(n: int, pairs: np.ndarray) -> np.ndarray:
+    """The sorted (min, max) pairs of a simple graph on range(n), given as
+    ``_edge_array``'s (E, 2) array with n <= E + 1, as rows lo and hi of
+    an int64 (2, E) array, the transpose of a C-ordered (E, 2) one; the
+    least pair that is a self-loop, out of range or repeated is refused
+    with a ``DomainError`` that names it.
 
-    Self-loops and out-of-range pairs are found elementwise and left out.
-    The rest sort by one int64 key, lo * n + hi, with ``np.sort``; a
-    repeat is two equal adjacent keys, and ``divmod`` gives (lo, hi)
-    back.  E edges cannot connect more than E + 1 labels, so past that
-    the key is built from the ranks of the touched labels (``np.unique``
-    sorts Python ints too), and it stays below (2E)^2 for any n.
+    Self-loops and out-of-range pairs are found elementwise and left out,
+    so every label left is below n <= E + 1, inside int64.  The rest sort
+    by one int64 key, lo * n + hi, with ``np.sort``; a repeat is two equal
+    adjacent keys, and ``divmod`` gives (lo, hi) back.
     """
-    pairs = _edge_array(edges)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     key = np.maximum(pairs[:, 0], pairs[:, 1])
-    del pairs
     bad_pairs = []
     bad = (lo == key) | (lo < 0) | (key >= n)
     if bad.any():
         bad_pairs.append(_least_pair(lo[bad], key[bad]))
         lo, key = lo[~bad], key[~bad]
     del bad
-    span, labels = n, None
-    if n > len(key) + 1:
-        labels = np.unique(np.concatenate((lo, key)))
-        lo, key = np.searchsorted(labels, lo), np.searchsorted(labels, key)
-        span = len(labels)
-    else:  # every label left is below n <= E + 1, inside int64
-        lo, key = lo.astype(np.int64, copy=False), key.astype(np.int64, copy=False)
-    lo *= span
+    lo, key = lo.astype(np.int64, copy=False), key.astype(np.int64, copy=False)
+    lo *= n
     key += lo
     del lo
     key.sort()
     repeat = key[1:] == key[:-1]
     if repeat.any():
-        u, v = divmod(int(key[repeat.argmax()]), span)
-        if labels is not None:
-            u, v = int(labels[u]), int(labels[v])
-        bad_pairs.append((u, v))
+        bad_pairs.append(divmod(int(key[repeat.argmax()]), n))
     del repeat
     if bad_pairs:
         u, v = min(bad_pairs)
@@ -189,33 +194,29 @@ def simple_edges(n: int, edges) -> np.ndarray:
                               f"for {shown(n)} vertices")
         raise DomainError(f"duplicate edge ({shown(u)}, {shown(v)})")
     pairs = np.empty((len(key), 2), np.int64)
-    np.divmod(key, span, out=(pairs[:, 0], pairs[:, 1]))
-    if labels is not None:
-        pairs = labels[pairs]
+    np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs.T
 
 
 def _edge_array(edges) -> np.ndarray:
     """The pairs as one (E, 2) array: int64 (an int64 array as it is),
     or Python ints in an object array when a label does not fit int64.
-    A label must be an integer: a bool, float or string is refused, not
-    truncated or parsed."""
+    A label is read by ``errors.as_integer``: a bool, float or string is
+    refused, not truncated or parsed."""
     if (isinstance(edges, np.ndarray) and edges.ndim == 2
             and edges.shape[1] == 2 and (edges.dtype.kind == "i" or (
                 edges.dtype.kind == "u" and not (edges > _INT64_MAX).any()))):
         return edges.astype(np.int64, copy=False)
-    pairs = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
     try:
+        pairs = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
         if not set(map(len, pairs)) <= {2}:
             raise TypeError
     except TypeError:
         raise DomainError("edges must be (u, v) pairs") from None
     labels = list(itertools.chain.from_iterable(pairs))
     if not set(map(type, labels)) <= {int}:
-        if not all(isinstance(v, numbers.Integral)
-                   and not isinstance(v, bool) for v in labels):
-            raise DomainError("edges must be (u, v) pairs of integers")
-        labels = list(map(int, labels))
+        labels = [as_integer(v, "edges must be (u, v) pairs of integers")
+                  for v in labels]
     try:
         return np.fromiter(labels, np.int64, len(labels)).reshape(-1, 2)
     except OverflowError:
@@ -229,29 +230,21 @@ def _least_pair(lo: np.ndarray, hi: np.ndarray) -> Edge:
 
 
 def _component_count(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
-    """Connected components of (range(n), edges), with every label in range.
+    """Connected components of (range(n), edges), with every label in
+    range and n at most E + 1, so memory follows E.
 
     Min-label hooking: each round hangs the larger root of every edge whose
     endpoints have different roots under the smaller one, then jumps
     pointers until every label is a root.  A round strictly lowers the sum
     of the labels, so the loop ends; at exit both endpoints of every edge
     share a root, so the roots are one per component.
-
-    E edges cannot connect more than E + 1 vertices.  Past that, only the
-    vertices that the edges touch are labeled, and each untouched vertex
-    counts as a component of its own, so memory follows E, not n.
     """
-    isolated = 0
-    if n > len(lo) + 1:
-        touched = np.unique(np.concatenate((lo, hi)))
-        isolated, n = n - len(touched), len(touched)
-        lo, hi = np.searchsorted(touched, lo), np.searchsorted(touched, hi)
     label = np.arange(n)
     while True:
         ru, rv = label[lo], label[hi]
         split = ru != rv
         if not split.any():
-            return isolated + int(np.count_nonzero(label == np.arange(n)))
+            return int(np.count_nonzero(label == np.arange(n)))
         ru, rv = ru[split], rv[split]
         np.minimum.at(label, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:

@@ -24,9 +24,7 @@ integers.  The hub classes (t1, p, q) at a point are
   two independent routes to the spanning-tree count;
 * ``exponent_sequences``: the integer sequences a_k, b_k, c_k, d_k that
   arise when unrolling the tree-count recurrence, from their closed
-  forms;
-* ``decimal_str`` (from ``scalars``): the digits of a value, in less
-  than quadratic time.
+  forms.
 
 Every value here that is an integer by construction is computed as one:
 the closed forms divide exactly, and the report's points have D = 1.

@@ -15,10 +15,10 @@ engine can be validated against it:
 * ``reliability_enumeration``: exact all-terminal reliability and the
   probabilities of the {A,B} | {C} split and of three hub components.
 
-Every oracle takes simple graphs only: a ``HubGraph`` is checked where it
-is built, and a bare pair by the same ``graphs.simple_edges``.  The three
-subset sums read one ``Census`` of a graph (``census(g)``), or take their
-own from the graph.  It is built in numpy by doubling: a table holds the
+Every oracle takes a ``HubGraph``, which was checked simple and connected
+where it was built, and refuses any other graph.  The three subset sums
+read one ``Census`` of a graph (``census(g)``), or take their own from
+the graph.  It is built in numpy by doubling: a table holds the
 component labels of every subset of the edges seen so far, and each
 further edge doubles it (the subsets without the edge, and a copy with
 its two components merged).  Past 2^14 subsets the remaining edges are
@@ -44,7 +44,7 @@ from fractions import Fraction
 from ._arrays import np
 from .bipoly import BiPoly
 from .errors import DomainError, SizeLimitExceeded, shown
-from .graphs import HubGraph, simple_edges
+from .graphs import HubGraph
 from .scalars import as_probability
 
 MAX_SUBSET_EDGES = 27
@@ -66,9 +66,6 @@ class HubPattern(IntEnum):
     ALL_APART = 4
 
 
-GraphLike = HubGraph | tuple[int, list[tuple[int, int]]]
-
-
 #: Each oracle's size limit, by the name its refusal gives.
 _LIMITS = {"enumeration": (MAX_SUBSET_EDGES, "edges"),
            "recursion": (MAX_DC_EDGES, "edges"),
@@ -86,25 +83,14 @@ def check_size(name: str, num_vertices: int, num_edges: int) -> None:
 
 
 def _vertices_edges(g, name: str) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """A HubGraph's (num_vertices, edges) as they are, or a bare
-    (num_vertices, edges) pair checked by ``graphs.simple_edges``.  A
-    graph too large for the oracle ``name`` is refused by ``check_size``:
-    a HubGraph before its edge tuples are built, a bare pair once checked.
-
-    The bare form exists because the Tutte oracles do not care about hubs,
-    and useful test graphs (a single edge, a path) are too small to carry
-    three distinct hub vertices.
-    """
-    if isinstance(g, HubGraph):
-        nv, ne = g.num_vertices, g.num_edges
-    else:
-        nv, edges = g
-        lo, hi = simple_edges(nv, edges)
-        ne = len(lo)
-    check_size(name, nv, ne)
-    if isinstance(g, HubGraph):
-        return nv, g.edges
-    return nv, tuple(zip(lo.tolist(), hi.tolist()))
+    """A HubGraph's (num_vertices, edges); any other g is refused, and a
+    graph too large for the oracle ``name`` is refused by ``check_size``
+    before its edge tuples are built."""
+    if not isinstance(g, HubGraph):
+        raise DomainError(
+            f"the oracles take a HubGraph, not {type(g).__name__}")
+    check_size(name, g.num_vertices, g.num_edges)
+    return g.num_vertices, g.edges
 
 
 # -- classified subset census ----------------------------------------------
@@ -120,25 +106,20 @@ _PATTERN_BY_EQUALITIES = (
 
 
 def _census(nv, edges, hubs) -> Census:
-    """The census of a simple graph of at most ``MAX_SUBSET_EDGES`` edges:
-    (pattern, k, m) -> number of subsets.
+    """The census of a simple graph of at most ``MAX_SUBSET_EDGES`` edges
+    and fewer than 128 vertices: (pattern, k, m) -> number of subsets.
 
-    Only the vertices an edge or a hub touches are indexed; every other
-    vertex is a component of its own in every subset.  For each subset of
-    the edges added so far the table holds every indexed vertex's label,
-    the smallest index in its component (``labels[v]`` is one array over
-    the subsets), and the key k * (ne + 1) + m of the subset's component
-    count k and edge count m.  Adding an edge doubles the table: the old
-    subsets leave it out, and a copy with its two components merged
-    (larger label -> smaller, k down by one if they differ) puts it in.
+    For each subset of the edges added so far the table holds every
+    vertex's label, the smallest vertex in its component (``labels[v]``
+    is one array over the subsets), and the key k * (ne + 1) + m of the
+    subset's component count k and edge count m.  Adding an edge doubles
+    the table: the old subsets leave it out, and a copy with its two
+    components merged (larger label -> smaller, k down by one if they
+    differ) puts it in.
     """
     ne = len(edges)
-    # At most 2 * 27 + 3 indices, so int8 labels suffice.
-    index = {v: i for i, v in enumerate(
-        sorted({v for e in edges for v in e} | set(hubs or ())))}
-    ends = [(index[u], index[v]) for u, v in edges]
     k_step = ne + 1
-    span = (len(index) + 1) * k_step
+    span = (nv + 1) * k_step
     totals = np.zeros(5 * span, dtype=np.int64)
     pattern_by_equalities = np.array(_PATTERN_BY_EQUALITIES)
 
@@ -150,7 +131,7 @@ def _census(nv, edges, hubs) -> Census:
 
     def tally(labels, keys):
         if hubs is not None:
-            a, b, c = (labels[index[h]] for h in hubs)
+            a, b, c = (labels[h] for h in hubs)
             eq = 4 * (a == b) + 2 * (a == c) + (b == c)
             keys = keys + span * pattern_by_equalities[eq]
         totals[:] += np.bincount(keys, minlength=5 * span)
@@ -160,12 +141,14 @@ def _census(nv, edges, hubs) -> Census:
             tally(labels, keys)
             return
         walk(labels, keys, i + 1)
-        walk(*merge(labels, keys, *ends[i]), i + 1)
+        walk(*merge(labels, keys, *edges[i]), i + 1)
 
-    labels = np.arange(len(index), dtype=np.int8)[:, None]
-    keys = np.full(1, len(index) * k_step, dtype=np.int64)
+    # A HubGraph of at most 27 edges is connected, so it has at most 28
+    # vertices, and int8 labels suffice.
+    labels = np.arange(nv, dtype=np.int8)[:, None]
+    keys = np.full(1, nv * k_step, dtype=np.int64)
     split = min(ne, _BATCH_BITS)
-    for u, v in ends[:split]:
+    for u, v in edges[:split]:
         merged, merged_keys = merge(labels, keys, u, v)
         labels = np.concatenate((labels, merged), axis=1)
         keys = np.concatenate((keys, merged_keys))
@@ -175,7 +158,7 @@ def _census(nv, edges, hubs) -> Census:
     for key in np.nonzero(totals)[0]:
         pat, rem = divmod(int(key), span)
         k, m = divmod(rem, k_step)
-        counts[(pat, k + nv - len(index), m)] = int(totals[key])
+        counts[(pat, k, m)] = int(totals[key])
     return Census(nv, edges, hubs, counts)
 
 
@@ -195,10 +178,9 @@ class Census:
         return len(self.edges)
 
 
-def census(g: GraphLike) -> Census:
-    """The census of g, keyed by hub pattern if g is a HubGraph."""
-    return _census(*_vertices_edges(g, "enumeration"),
-                   getattr(g, "hubs", None))
+def census(g: HubGraph) -> Census:
+    """The census of g, keyed by hub pattern."""
+    return _census(*_vertices_edges(g, "enumeration"), g.hubs)
 
 
 def _hub_census(g, what: str) -> Census:
@@ -240,12 +222,11 @@ def _shift(rows: list) -> BiPoly:
 
 # -- public oracles --------------------------------------------------------
 
-def tutte_subgraph_sum(g: GraphLike | Census) -> BiPoly:
+def tutte_subgraph_sum(g: HubGraph | Census) -> BiPoly:
     """Tutte polynomial by the defining sum over all edge subsets.
 
-    Hub information is ignored: a bare (num_vertices, edges) pair works, a
-    graph is counted without hub patterns, and a Census is summed over all
-    its patterns.
+    Hub information is ignored: a graph is counted without hub patterns,
+    and a Census is summed over all its patterns.
     """
     c = g if isinstance(g, Census) else _census(
         *_vertices_edges(g, "enumeration"), None)
@@ -266,7 +247,7 @@ def partition_subgraph_sum(
     return tuple(map(_shift, _rank_tables(c, True)))
 
 
-def tutte_deletion_contraction(g: GraphLike) -> BiPoly:
+def tutte_deletion_contraction(g: HubGraph) -> BiPoly:
     """Tutte polynomial by deletion-contraction.
 
     Input must be a simple graph (contractions create multi-edges and
@@ -299,11 +280,9 @@ def _tutte_dc(edges: tuple) -> BiPoly:
     return _tutte_dc(rest) + _tutte_dc(contracted)
 
 
-def matrix_tree_count(g: GraphLike) -> int:
+def matrix_tree_count(g: HubGraph) -> int:
     """Spanning trees as a Laplacian cofactor, exactly over the integers."""
     nv, edges = _vertices_edges(g, "matrix-tree")
-    if nv <= 1:
-        return 1
     lap = [[0] * nv for _ in range(nv)]
     for u, v in edges:
         lap[u][u] += 1
@@ -315,18 +294,15 @@ def matrix_tree_count(g: GraphLike) -> int:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a positive semidefinite integer matrix (a reduced
-    Laplacian) by fraction-free elimination.  Pivot k is the leading
-    principal minor of order k + 1; if it is 0, so is a diagonal entry
-    of the semidefinite Schur complement, hence its column, and the
-    determinant: no row swap is ever needed."""
+    """Determinant of a positive definite integer matrix (the reduced
+    Laplacian of a connected graph) by fraction-free elimination.  Pivot
+    k is the leading principal minor of order k + 1, which is positive,
+    so no row swap is ever needed."""
     n = len(m)
     m = [row[:] for row in m]
     prev = 1
     for k in range(n - 1):
         pivot = m[k][k]
-        if pivot == 0:
-            return 0
         for i in range(k + 1, n):
             row_i = m[i]
             row_k = m[k]

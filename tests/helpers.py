@@ -10,8 +10,10 @@ Kronecker product in ``bipoly`` against a loop that reads each slot as
 an int, the JSON that ``cli`` writes directly against ``json.dumps``,
 exact reliability states against the steps run on ``Fraction``, the
 printed Tutte polynomial against the (u, w) step run on ints mod a prime,
-and the oracle's shifted rank tables and integer reliability numerators
-against ``BiPoly.evaluate`` at (x-1, y-1) and on ``Fraction``.
+the oracle's shifted rank tables and integer reliability numerators
+against ``BiPoly.evaluate`` at (x-1, y-1) and on ``Fraction``, and the
+oracles' Tutte sums on graphs too small or too disconnected for a
+HubGraph, such as K2.  ``degree_box`` reads a polynomial's degrees.
 """
 
 import json
@@ -20,9 +22,16 @@ from fractions import Fraction
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import DomainError
 from fractal_tutte.graphs import HubGraph
+from fractal_tutte import oracle
 from fractal_tutte.oracle import HubPattern
 from fractal_tutte.recursion import psw_uw_step
 from fractal_tutte.reliability import STEPS
+
+
+def degree_box(poly: BiPoly) -> tuple[int, int]:
+    """(max x-degree, max y-degree) of a nonzero polynomial's terms."""
+    terms = poly.terms()
+    return max(dx for dx, _ in terms), max(dy for _, dy in terms)
 
 
 class NonDivisible(ArithmeticError):
@@ -114,6 +123,11 @@ def component_count(n: int, edges) -> int:
 def reference_edges(n: int, edges, hubs) -> tuple:
     """HubGraph's validation as a per-edge loop: the sorted (min, max)
     pairs, or the DomainError that HubGraph(n, edges, hubs) raises."""
+    if n < 0:
+        raise DomainError(f"the vertex count must be nonnegative, got {n}")
+    if n > len(edges) + 1:
+        raise DomainError(f"graph is disconnected: {len(edges)} edges "
+                          f"cannot connect {n} vertices")
     norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
     seen = set()
     for u, v in norm:
@@ -246,6 +260,20 @@ def json_terms_mod(terms, x: int, y: int, p: int = P61) -> int:
     (x, y) mod p, one modular power product per term."""
     return sum(int(t["coeff"]) * pow(x, t["dx"], p) * pow(y, t["dy"], p)
                for t in terms) % p
+
+
+# -- graphs that no HubGraph carries ---------------------------------------
+
+def bare_census(nv: int, edges) -> oracle.Census:
+    """The hubless census of a simple graph on range(nv), nv < 128, that
+    no HubGraph carries: K2, a forest, a disconnected graph.  Its
+    ``tutte_subgraph_sum`` is the graph's Tutte polynomial."""
+    return oracle._census(nv, tuple(map(tuple, edges)), None)
+
+
+def bare_deletion_contraction(edges) -> BiPoly:
+    """The deletion-contraction Tutte polynomial of any simple edges."""
+    return oracle._tutte_dc(tuple(map(tuple, edges)))
 
 
 # -- evaluate routes for the oracle sums -----------------------------------

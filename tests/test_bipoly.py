@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from fractal_tutte.bipoly import (
     _pack,
     _unpack,
 )
-from fractal_tutte.errors import ZeroPolynomial
+from fractal_tutte.errors import DomainError
 from fractal_tutte.recursion import tutte_psw
 from fractal_tutte.scalars import LOG_CONTEXT
 from helpers import NonDivisible, div_exact_xminus1, reference_unpack
@@ -93,6 +94,27 @@ def test_constant_and_generators():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         BiPoly({(-1, 0): 1})
+
+
+@pytest.mark.parametrize("terms", [
+    {(1.5, 0): 1}, {(1, 0.0): 1}, {(1, 0): 2.0}, {(1, 0): 0.5},
+    {(True, 0): 1}, {(1, 0): True}, {(1, 0): "3"}, {(1, 0): Fraction(3)},
+    {(i, j): 1.0 for i in range(80) for j in range(80)},
+], ids=["float dx", "float dy", "integral float", "float", "bool dx",
+        "bool coefficient", "str", "Fraction", "80 x 80 floats"])
+def test_terms_that_are_not_integers_are_refused(terms):
+    # {(1.5, 0): 1} was built, and then str raised TypeError; the 80 x 80
+    # float polynomial was built, and its square died in the Kronecker
+    # pack with "Unknown format code 'd'".
+    with pytest.raises(DomainError, match="must be integers"):
+        BiPoly(terms)
+
+
+def test_numpy_integer_terms_become_ints():
+    p = BiPoly({(np.int64(2), np.uint8(1)): np.int32(-3), (0, 0): 1})
+    assert p == BiPoly({(2, 1): -3, (0, 0): 1})
+    assert all(type(v) is int for (dx, dy), c in p for v in (dx, dy, c))
+    assert str(p) == "-3*x^2*y + 1"
 
 
 def test_equality_ignores_term_order():
@@ -653,20 +675,6 @@ def test_eval_is_ring_homomorphism(a, b, x0, y0):
     ea, eb = a.eval_exact(x0, y0), b.eval_exact(x0, y0)
     assert (a + b).eval_exact(x0, y0) == ea + eb
     assert (a * b).eval_exact(x0, y0) == ea * eb
-
-
-# -- degrees ----------------------------------------------------------------
-
-
-def test_degrees():
-    assert (X * X + X + Y).degrees() == (2, 1)
-    assert (Y + BiPoly.constant(2)).degrees() == (0, 1)
-    assert BiPoly.constant(4).degrees() == (0, 0)
-
-
-def test_degrees_of_zero_raises():
-    with pytest.raises(ZeroPolynomial):
-        BiPoly.zero().degrees()
 
 
 # -- serialization ----------------------------------------------------------

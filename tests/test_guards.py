@@ -42,7 +42,7 @@ from fractal_tutte.oracle import (
     MAX_DC_EDGES,
     MAX_MATRIX_TREE_VERTICES,
     MAX_SUBSET_EDGES,
-    matrix_tree_count,
+    check_size,
 )
 from fractal_tutte.recursion import (
     MAX_SYMBOLIC_GENERATION,
@@ -298,7 +298,7 @@ REFUSING_AN_INTEGER = {
         3, [(0, 1), (1, 2), (0, 2)], (v, v, 0)),
     "HubGraph.hubs.list": lambda v: HubGraph(
         3, [(0, 1), (1, 2), (0, 2)], [v, v, 0]),
-    "oracle.check_size": lambda v: matrix_tree_count((v, [(0, 1)])),
+    "oracle.check_size": lambda v: check_size("matrix-tree", v, 1),
     "fraction_ln": lambda v: fraction_ln(Fraction(-1, v)),
     "ln": lambda v: ln(Fraction(-1, v)),
 }

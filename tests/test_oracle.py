@@ -21,7 +21,6 @@ from fractal_tutte.graphs import (
     HubGraph,
     build_psw_edge_expansion,
     build_sierpinski,
-    simple_edges,
 )
 from fractal_tutte.oracle import (
     MAX_DC_EDGES,
@@ -37,6 +36,8 @@ from fractal_tutte.oracle import (
 )
 from helpers import (
     UnionFind,
+    bare_census,
+    bare_deletion_contraction,
     div_exact_xminus1,
     rank_table_at_minus_ones,
     reference_rank_sum,
@@ -47,8 +48,10 @@ X = BiPoly.x()
 Y = BiPoly.y()
 ONE = BiPoly.one()
 
-K3 = (3, [(0, 1), (0, 2), (1, 2)])
-K2 = (2, [(0, 1)])
+TRIANGLE = [(0, 1), (0, 2), (1, 2)]
+K3 = HubGraph(3, TRIANGLE, (0, 1, 2))
+#: K3 as a bare (num_vertices, edges) pair, which no oracle takes.
+BARE_K3 = (3, TRIANGLE)
 
 
 def _random_connected(rng, nv, extra):
@@ -73,22 +76,24 @@ def test_triangle_tutte():
 
 
 def test_single_edge_tutte():
-    assert tutte_subgraph_sum(K2) == X
-    assert tutte_deletion_contraction(K2) == X
+    # K2 has no three hubs, so it is counted without a HubGraph.
+    assert tutte_subgraph_sum(bare_census(2, [(0, 1)])) == X
+    assert bare_deletion_contraction([(0, 1)]) == X
 
 
 def test_path_tutte_is_x_power():
-    p4 = (4, [(0, 1), (1, 2), (2, 3)])
+    p4 = HubGraph(4, [(0, 1), (1, 2), (2, 3)], (0, 1, 3))
     assert tutte_subgraph_sum(p4) == X ** 3
 
 
 def test_cycle_tutte():
-    c4 = (4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = HubGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (0, 1, 2))
     assert tutte_subgraph_sum(c4) == X ** 3 + X ** 2 + X + Y
 
 
 def test_k4_tutte():
-    k4 = (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    k4 = HubGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                  (0, 1, 2))
     expect = BiPoly({
         (3, 0): 1, (2, 0): 3, (1, 0): 2, (1, 1): 4,
         (0, 1): 2, (0, 2): 3, (0, 3): 1,
@@ -120,26 +125,30 @@ def test_deletion_contraction_matches_subset_sum_random():
     rng = random.Random(20260823)
     graphs = [_random_connected(rng, rng.randrange(3, 7), rng.randrange(0, 4))
               for _ in range(20)]
-    # Two random components and an isolated vertex: a bridge test must not
-    # reach from one component into the other.
-    for _ in range(10):
-        (n1, e1), (n2, e2) = (_random_connected(rng, rng.randrange(2, 5),
-                                                rng.randrange(0, 3))
-                              for _ in range(2))
-        graphs.append((n1 + n2 + 1, e1 + [(u + n1, v + n1) for u, v in e2]))
     # Two triangles joined by a 2-edge path: bridges, and after contracting
     # a triangle edge, parallel edges.
     graphs.append((7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4),
                        (4, 5), (4, 6), (5, 6)]))
-    for g in graphs:
-        assert len(g[1]) <= MAX_DC_EDGES
+    for nv, edges in graphs:
+        assert len(edges) <= MAX_DC_EDGES
+        g = HubGraph(nv, edges, (0, 1, 2))
         assert tutte_deletion_contraction(g) == tutte_subgraph_sum(g)
+    # Two random components and an isolated vertex, which no HubGraph
+    # carries: a bridge test must not reach from one component into the
+    # other.
+    for _ in range(10):
+        (n1, e1), (n2, e2) = (_random_connected(rng, rng.randrange(2, 5),
+                                                rng.randrange(0, 3))
+                              for _ in range(2))
+        edges = e1 + [(u + n1, v + n1) for u, v in e2]
+        assert (bare_deletion_contraction(edges)
+                == tutte_subgraph_sum(bare_census(n1 + n2 + 1, edges)))
 
 
 def test_matrix_tree_matches_tutte_at_1_1():
     rng = random.Random(7)
-    graphs = [K2, K3, _random_connected(rng, 6, 3),
-              _random_connected(rng, 5, 4),
+    graphs = [K3, HubGraph(*_random_connected(rng, 6, 3), (0, 1, 2)),
+              HubGraph(*_random_connected(rng, 5, 4), (0, 1, 2)),
               build_psw_edge_expansion(1), build_sierpinski(1)]
     for g in graphs:
         t = tutte_subgraph_sum(g)
@@ -151,26 +160,22 @@ def test_matrix_tree_known_counts():
     assert matrix_tree_count(build_psw_edge_expansion(1)) == 54
     assert matrix_tree_count(build_psw_edge_expansion(3)) == 2 ** 18 * 3 ** 22
     assert matrix_tree_count(build_sierpinski(3)) == 803355125990400000
-    assert matrix_tree_count((1, [])) == 1
-    # Disconnected: no tree.  In the last, vertex 1 is isolated, so the
-    # first pivot of the minor is 0.
-    assert matrix_tree_count((4, [(0, 1), (2, 3)])) == 0
-    assert matrix_tree_count((3, [(0, 1)])) == 0
-    assert matrix_tree_count((3, [(0, 2)])) == 0
+    # A tree is its own one spanning tree.
+    path = HubGraph(6, [(v, v + 1) for v in range(5)], (0, 1, 5))
+    assert matrix_tree_count(path) == 1
 
 
 def test_matrix_tree_matches_the_census_on_random_graphs():
-    # Connected or not, the cofactor counts the edge subsets with one
-    # component and V - 1 edges.
+    # The cofactor counts the edge subsets with one component and V - 1
+    # edges.
     rng = random.Random(20261020)
     for _ in range(60):
-        nv = rng.randrange(1, 13)
-        pool = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
-        edges = rng.sample(pool, min(len(pool), rng.randrange(17)))
-        counts = census((nv, edges)).counts
-        trees = sum(cnt for (_, k, m), cnt in counts.items()
+        nv = rng.randrange(3, 13)
+        g = HubGraph(*_random_connected(rng, nv, rng.randrange(17 - nv)),
+                     (0, 1, 2))
+        trees = sum(cnt for (_, k, m), cnt in census(g).counts.items()
                     if k == 1 and m == nv - 1)
-        assert matrix_tree_count((nv, edges)) == trees
+        assert matrix_tree_count(g) == trees
 
 
 def test_sierpinski_has_at_least_as_many_trees():
@@ -241,11 +246,9 @@ def _assert_census_matches_classification(nv, edges, hubs):
 def test_census_matches_per_subset_classification():
     rng = random.Random(99)
     nv, edges = _random_connected(rng, 7, 6)
-    # isolated vertices and hubs past 256 must keep distinct labels
-    wide = [(0, 256), (256, 299), (1, 257), (257, 299), (2, 298), (0, 1)]
-    cases = [(g.num_vertices, list(g.edges), g.hubs)
+    cases = [(g.num_vertices, g.edges, g.hubs)
              for g in (build_psw_edge_expansion(1), build_sierpinski(1))]
-    cases += [(nv, edges, (0, 1, 2)), (300, wide, (0, 256, 299))]
+    cases += [(nv, tuple(edges), (0, 1, 2))]
     for nv, edges, hubs in cases:
         _assert_census_matches_classification(nv, edges, hubs)
         _assert_census_matches_classification(nv, edges, None)
@@ -256,14 +259,8 @@ def test_census_walks_edges_past_the_batch(monkeypatch):
     rng = random.Random(3)
     nv, edges = _random_connected(rng, 7, 5)
     assert len(edges) == 11
-    _assert_census_matches_classification(nv, edges, (0, 3, 6))
-    _assert_census_matches_classification(nv, edges, None)
-
-
-def test_subset_sum_labels_vertices_past_256():
-    # a 21-edge forest on 300 vertices: vertex 256 is not vertex 0
-    forest = (300, [(0, 256)] + [(i, i + 1) for i in range(1, 21)])
-    assert tutte_subgraph_sum(forest) == X ** 21
+    _assert_census_matches_classification(nv, tuple(edges), (0, 3, 6))
+    _assert_census_matches_classification(nv, tuple(edges), None)
 
 
 # -- the shifted rank table and the integer numerators ---------------------
@@ -383,8 +380,8 @@ def test_reliability_rejects_out_of_range_probability():
 
 def test_reliability_rejects_bare_pair():
     # hub classification is part of the output, so hub labels are required
-    with pytest.raises(DomainError):
-        reliability_enumeration(K3, Fraction(1, 2))
+    with pytest.raises(DomainError, match="HubGraph"):
+        reliability_enumeration(BARE_K3, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("build", [build_psw_edge_expansion, build_sierpinski])
@@ -394,7 +391,7 @@ def test_subset_sums_read_a_census_as_they_read_its_graph(build):
     assert (c.num_vertices, c.num_edges, c.hubs) == (
         g.num_vertices, g.num_edges, g.hubs)
     assert tutte_subgraph_sum(c) == tutte_subgraph_sum(g) \
-        == tutte_subgraph_sum(oracle.census((g.num_vertices, g.edges)))
+        == tutte_subgraph_sum(bare_census(g.num_vertices, g.edges))
     assert partition_subgraph_sum(c) == partition_subgraph_sum(g)
     for p in (Fraction(1, 2), Fraction(1, 3)):
         assert reliability_enumeration(c, p) == reliability_enumeration(g, p)
@@ -404,7 +401,7 @@ def test_subset_sums_read_a_census_as_they_read_its_graph(build):
     partition_subgraph_sum,
     lambda g: reliability_enumeration(g, Fraction(1, 2))])
 def test_hub_oracles_refuse_a_graph_without_hubs(hub_oracle):
-    for g in (K3, oracle.census(K3)):
+    for g in (BARE_K3, bare_census(*BARE_K3)):
         with pytest.raises(DomainError, match="needs hub labels"):
             hub_oracle(g)
 
@@ -412,72 +409,72 @@ def test_hub_oracles_refuse_a_graph_without_hubs(hub_oracle):
 # -- input validation and guards -------------------------------------------
 
 
+#: The six public oracles, each as a function of the graph alone.
+ORACLES = {
+    "census": census,
+    "tutte_subgraph_sum": tutte_subgraph_sum,
+    "partition_subgraph_sum": partition_subgraph_sum,
+    "tutte_deletion_contraction": tutte_deletion_contraction,
+    "matrix_tree_count": matrix_tree_count,
+    "reliability_enumeration":
+        lambda g: reliability_enumeration(g, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_every_oracle_refuses_a_bare_pair(name):
+    # A graph reaches an oracle only as a HubGraph, checked simple and
+    # connected where it was built.
+    with pytest.raises(DomainError, match="HubGraph"):
+        ORACLES[name](BARE_K3)
+
+
 def test_bare_pair_rejects_multigraph_input():
-    with pytest.raises(DomainError):
-        tutte_subgraph_sum((2, [(0, 1), (0, 1)]))
-    with pytest.raises(DomainError):
-        tutte_subgraph_sum((2, [(0, 0), (0, 1)]))
-    with pytest.raises(DomainError):
-        tutte_deletion_contraction((3, [(0, 1), (1, 0), (1, 2)]))
+    # A multigraph reaches no oracle: HubGraph refuses it, and a bare pair
+    # is refused as not a HubGraph.
+    for nv, edges in ((2, [(0, 1), (0, 1)]), (2, [(0, 0), (0, 1)]),
+                      (3, [(0, 1), (1, 0), (1, 2)])):
+        with pytest.raises(DomainError, match="self-loop|duplicate"):
+            HubGraph(nv, edges, (0, 1, 2))
+        for bare_oracle in (tutte_subgraph_sum, tutte_deletion_contraction):
+            with pytest.raises(DomainError, match="HubGraph"):
+                bare_oracle((nv, edges))
 
 
 def test_subset_sum_edge_guard():
-    star = (MAX_SUBSET_EDGES + 2,
-            [(0, i) for i in range(1, MAX_SUBSET_EDGES + 2)])
+    star = HubGraph(MAX_SUBSET_EDGES + 2,
+                    [(0, i) for i in range(1, MAX_SUBSET_EDGES + 2)],
+                    (0, 1, 2))
     with pytest.raises(SizeLimitExceeded):
         tutte_subgraph_sum(star)
 
 
 def test_deletion_contraction_edge_guard():
-    path = (MAX_DC_EDGES + 2,
-            [(i, i + 1) for i in range(MAX_DC_EDGES + 1)])
+    path = HubGraph(MAX_DC_EDGES + 2,
+                    [(i, i + 1) for i in range(MAX_DC_EDGES + 1)], (0, 1, 2))
     with pytest.raises(SizeLimitExceeded):
         tutte_deletion_contraction(path)
 
 
 @pytest.mark.parametrize("graph,message", [
-    ((3, [(0, 5)]), r"^edge \(0, 5\) out of range for 3 vertices$"),
+    ((3, [(0, 1), (0, 5)]), r"^edge \(0, 5\) out of range for 3 vertices$"),
     ((3, [(0, 1), (1, 1)]), r"^self-loop at vertex 1$"),
     ((3, [(0, 1), (1, 0)]), r"^duplicate edge \(0, 1\)$"),
     ((3, [(0, 1, 2)]), r"^edges must be \(u, v\) pairs$"),
 ], ids=["graph0", "graph1", "graph2", "graph3"])
 def test_matrix_tree_rejects_a_non_simple_graph(graph, message):
-    # Every oracle that takes a bare pair refuses an out-of-range edge, a
-    # self-loop, a repeated edge and a non-pair with HubGraph's message.
-    for bare_oracle in (oracle.census, tutte_subgraph_sum,
-                        tutte_deletion_contraction, matrix_tree_count):
-        with pytest.raises(DomainError, match=message):
-            bare_oracle(graph)
-
-
-def test_oracles_check_a_bare_pair_once_and_a_graph_never(monkeypatch):
-    # A HubGraph was checked when it was built; a bare pair is checked by
-    # graphs.simple_edges once per call.
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return simple_edges(*args)
-
-    g = build_psw_edge_expansion(1)
-    monkeypatch.setattr(oracle, "simple_edges", counting)
-    oracle.census(g)
-    tutte_subgraph_sum(g)
-    partition_subgraph_sum(g)
-    tutte_deletion_contraction(g)
-    matrix_tree_count(g)
-    reliability_enumeration(g, Fraction(1, 2))
-    assert calls == []
-    for bare_oracle in (oracle.census, tutte_subgraph_sum,
-                        tutte_deletion_contraction, matrix_tree_count):
-        bare_oracle(K3)
-        assert len(calls) == 1
-        calls.clear()
+    # An out-of-range edge, a self-loop, a repeated edge and a non-pair
+    # reach no oracle: HubGraph refuses each with its message, and the
+    # bare pair is refused as not a HubGraph.
+    with pytest.raises(DomainError, match=message):
+        HubGraph(*graph, (0, 1, 2))
+    with pytest.raises(DomainError, match="HubGraph"):
+        matrix_tree_count(graph)
 
 
 def test_matrix_tree_vertex_guard():
     nv = MAX_MATRIX_TREE_VERTICES + 1
-    path = (nv, [(i, i + 1) for i in range(nv - 1)])
+    path = HubGraph(nv, [(i, i + 1) for i in range(nv - 1)], (0, 1, 2))
     with pytest.raises(SizeLimitExceeded):
         matrix_tree_count(path)
 
